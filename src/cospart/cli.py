@@ -93,7 +93,7 @@ def _provenance(argv: list[str], cfg_hash: str, seed: int, comment: str = "#") -
 
 
 def _check_grid(inst: CpiInstance, cfg: NonidealityConfig) -> None:
-    points = cfg.oversample * inst.total // inst.gcd
+    points = pipeline.points_per_period(inst, cfg)
     if points > MAX_GRID_POINTS:
         raise ValueError(f"instance needs {points} grid points per period "
                          f"(limit {MAX_GRID_POINTS}); magnitude too large to simulate")
@@ -238,6 +238,8 @@ def cmd_calibrate(args, argv: list[str]) -> int:
     train_yes = instances.load_instances(Path(args.yes).read_text())
     train_no = instances.load_instances(Path(args.no).read_text())
     cfg, fspec = _load_config(args)
+    for inst in train_yes + train_no:
+        _check_grid(inst, cfg)
 
     # Z compensation is per stage, so it only applies when every training
     # instance runs the same cascade arity.

@@ -66,13 +66,12 @@ class SampledTrace:
         return self.t_start + self.tau * np.arange(self.m)
 
 
-def apply_lowpass(sig: Signal, spec: FilterSpec, complex_response: bool = False) -> Signal:
+def apply_lowpass(sig: Signal, spec: FilterSpec) -> Signal:
     """Filter in the frequency domain over the signal's full grid.
 
     Brickwall zeroes every component at or above the cutoff; the one-pole
-    cascade multiplies each bin by (gain / sqrt(1 + (f/f0)^2))**order.  The
-    magnitude (zero-phase) response is the default since only amplitudes
-    reach the decision; ``complex_response`` switches to the full pole.
+    cascade multiplies each bin by (gain / sqrt(1 + (f/f0)^2))**order, the
+    magnitude (zero-phase) response, since only amplitudes reach the decision.
     """
     if spec.kind == "none":
         return sig
@@ -82,11 +81,7 @@ def apply_lowpass(sig: Signal, spec: FilterSpec, complex_response: bool = False)
         x[freqs >= spec.cutoff_f0] = 0.0
         x *= spec.dc_gain
     else:
-        if complex_response:
-            h = (spec.per_stage_gain / (1.0 + 1j * freqs / spec.cutoff_f0)) ** spec.order
-        else:
-            h = (spec.per_stage_gain / np.sqrt(1.0 + (freqs / spec.cutoff_f0) ** 2)) ** spec.order
-        x *= h
+        x *= (spec.per_stage_gain / np.sqrt(1.0 + (freqs / spec.cutoff_f0) ** 2)) ** spec.order
     out = np.fft.irfft(x, n=sig.m)
     return Signal(t0=sig.t0, dt=sig.dt, samples=out, f_max_nominal=sig.f_max_nominal,
                   alignment_period=sig.alignment_period)

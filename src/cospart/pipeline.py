@@ -4,7 +4,9 @@ Every block is memoryless except the output bandwidth pole, so the chain is
 evaluated pointwise on a shared time grid; the pole is applied per stage in
 the frequency domain.  The grid always spans whole alignment periods with an
 integer number of points per period, which keeps FFT bins exactly on the
-product harmonics for nominal (error-free) frequencies.
+product harmonics for nominal (error-free) frequencies.  The per-period
+count is ``oversample * total / gcd`` rounded up to the next 2·3·5·7-smooth
+integer, so every stage's FFT runs at a length numpy transforms quickly.
 """
 
 from __future__ import annotations
@@ -123,20 +125,50 @@ def _check_same_grid(x: Signal, y: Signal) -> None:
         raise ValueError("signals are not on the same grid")
 
 
+def next_smooth_length(n: int) -> int:
+    """Smallest 2·3·5·7-smooth integer at or above ``n`` (1 for n <= 1).
+
+    FFTs of such lengths avoid numpy's slow path for large prime factors.
+    """
+    best = 1 << max(n - 1, 0).bit_length()
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:
+                # smallest power-of-two multiple of p3 reaching n
+                best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
+
+
+def points_per_period(inst: CpiInstance, cfg: NonidealityConfig) -> int:
+    """Grid points simulated per alignment period.
+
+    The oversampled harmonic count ``oversample * total / gcd`` rounded up
+    by `next_smooth_length`; every grid-size guard checks this number.
+    """
+    return next_smooth_length(cfg.oversample * (inst.total // inst.gcd))
+
+
 def synthesize_sources(inst: CpiInstance, cfg: NonidealityConfig,
                        periods: int = 1) -> list[Signal]:
     """Cosine sources on a common grid spanning whole alignment periods.
 
     Frequencies are ``f_base * a_i * (1 + eps_i)`` with relative Gaussian
     errors ``eps_i``, phases are Gaussian; both draws are deterministic per
-    seed.  The grid resolves the highest nominal product harmonic with
-    ``oversample`` points per cycle.
+    seed.  The grid resolves the highest nominal product harmonic with at
+    least ``oversample`` points per cycle; `points_per_period` rounds the
+    count per period up to a 2·3·5·7-smooth length for the FFTs.
     """
     if periods < 1:
         raise ValueError("periods must be at least 1")
     t_align = float(alignment_time(inst)) / cfg.f_base
     f_max = inst.total * cfg.f_base
-    per_period = math.ceil(cfg.oversample * inst.total / inst.gcd)
+    per_period = points_per_period(inst, cfg)
     dt = t_align / per_period
     m = periods * per_period
     t = dt * np.arange(m)

@@ -20,7 +20,7 @@ from .dsp import FilterSpec
 from .exact import (DpBudgetError, InstanceTooLargeError, decide_bruteforce, decide_dp,
                     decide_meet_in_middle)
 from .instances import CpiInstance, scale_instance
-from .pipeline import NonidealityConfig
+from .pipeline import NonidealityConfig, points_per_period
 
 
 class ParseError(ValueError):
@@ -274,7 +274,7 @@ class OracleBackend:
                                     self.squeeze_margin)
             self.last_scale = scaled.scale
             f_base = scaled.scale * cfg.f_base
-        points = cfg.oversample * inst.total // inst.gcd
+        points = points_per_period(inst, cfg)
         if points > self.max_grid_points:
             raise BackendError(
                 f"instance needs {points} grid points per period "

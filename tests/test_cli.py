@@ -163,6 +163,21 @@ def test_calibrate_jobs_match(tmp_path, capsys):
     assert seq_out == par_out
 
 
+@pytest.mark.parametrize("yes, no", [("62500 62501 1", "2 125001 5"),
+                                     ("3 2 5", "2 125001 5")])
+def test_calibrate_refuses_oversized_grid(tmp_path, capsys, yes, no):
+    # every training instance is guarded before any simulation runs
+    (tmp_path / "yes.txt").write_text(yes + "\n")
+    (tmp_path / "no.txt").write_text(no + "\n")
+    code, out, err = _run(capsys, "calibrate", "--yes", str(tmp_path / "yes.txt"),
+                          "--no", str(tmp_path / "no.txt"),
+                          "--out", str(tmp_path / "cal"))
+    assert code == 2
+    assert out == ""
+    assert "grid points per period (limit 2000000)" in err
+    assert not (tmp_path / "cal").exists()
+
+
 def test_sat_unit_clause(tmp_path, capsys):
     f = tmp_path / "unit.cnf"
     f.write_text("p cnf 1 1\n1 0\n")

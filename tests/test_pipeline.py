@@ -1,12 +1,16 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 
+from cospart.calibration import run_and_measure
+from cospart.dsp import FilterSpec, dft, sample_after_filter
+from cospart.exact import analytic_spectrum, ideal_dc
 from cospart.instances import parse_instance
 from cospart.pipeline import (NonidealityConfig, Signal, amplify, config_from_items,
-                              config_to_text, multiply_stage, run_cascade,
-                              synthesize_sources)
+                              config_to_text, multiply_stage, next_smooth_length,
+                              points_per_period, run_cascade, synthesize_sources)
 
 
 def _product_reference(inst, cfg, t):
@@ -32,6 +36,56 @@ def test_source_amplitude_and_grid(ideal_cfg):
     assert np.max(src.samples) == pytest.approx(1.0)
     # grid resolves the highest nominal harmonic with >= oversample points
     assert src.dt <= 1.0 / (ideal_cfg.oversample * src.f_max_nominal) * (1 + 1e-12)
+
+
+def _is_smooth(m):
+    for p in (2, 3, 5, 7):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_next_smooth_length_properties():
+    limit = 2_100_000
+    smooth = sorted({2**a * 3**b * 5**c * 7**d
+                     for a in range(22) for b in range(14) for c in range(10)
+                     for d in range(8)
+                     if 2**a * 3**b * 5**c * 7**d <= limit})
+    requests = list(range(1, 5000)) + list(range(1_999_000, 2_001_000))
+    for n in requests:
+        m = next_smooth_length(n)
+        assert m == smooth[bisect.bisect_left(smooth, n)], (n, m)
+        assert _is_smooth(m) and m >= n
+        if _is_smooth(n):
+            assert m == n
+        if n >= 4:
+            assert 11 * m <= 12 * n, (n, m)
+    # the CLI's 2,000,000-point limit is itself smooth, so rounding never
+    # moves a request across it
+    assert next_smooth_length(2_000_000) == 2_000_000
+
+
+@pytest.mark.parametrize("text, per_period", [("3 6 4", 210), ("5 6 11", 360)])
+def test_ideal_chain_exact_on_rounded_grid(text, per_period, ideal_cfg, brickwall):
+    # 16 * total has the prime factor 13 or 11, so the grid is rounded up
+    inst = parse_instance(text)
+    assert points_per_period(inst, ideal_cfg) == per_period
+    dc, trace, _ = run_and_measure(inst, ideal_cfg, brickwall)
+    final = trace.final
+    assert final.m == per_period
+    assert dc == pytest.approx(float(ideal_dc(inst)), abs=1e-12)
+
+    sampled = sample_after_filter(final, FilterSpec("none", 0.5 / final.dt),
+                                  t_start=0.0, duration=final.alignment_period,
+                                  tau=final.dt)
+    measured = dft(sampled)
+    assert measured.resolution == pytest.approx(ideal_cfg.f_base)
+    lines = {round(f / ideal_cfg.f_base): a for f, a in measured.lines.items()
+             if a > 1e-9}
+    expected = {w: float(a) for w, a in analytic_spectrum(inst).lines.items() if w >= 0}
+    assert lines.keys() == expected.keys()
+    for w, a in expected.items():
+        assert lines[w] == pytest.approx(a, abs=1e-9)
 
 
 def test_sources_deterministic_and_seed_dependent():
