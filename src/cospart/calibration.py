@@ -6,20 +6,21 @@ at zero frequency, so YES means the measured DC lies ABOVE the threshold.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import dsp
 from .dsp import FilterSpec, SampledTrace
-from .exact import decide_dp
+from .exact import solve_exact
 from .instances import CpiInstance, serialize_instance
 from .pipeline import BandwidthError, NonidealityConfig, PipelineTrace, Signal, \
-    config_to_text, run_cascade
+    config_to_text, parse_kv, run_cascade
 
 
 class LabelError(ValueError):
@@ -80,13 +81,35 @@ def run_and_measure(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
     return dsp.dc_component(sampled), trace, sampled
 
 
+def _measured_dc(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
+                 burn_in_periods: int, window_periods: int) -> float:
+    return run_and_measure(inst, cfg, spec, burn_in_periods, window_periods)[0]
+
+
+def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
+    """``[fn(x) for x in items]``, over ``jobs`` spawned worker processes.
+
+    ``fn`` must pickle by import path: a module-level function or a
+    `functools.partial` of one.  Runs in this process when ``jobs <= 1``
+    or there is at most one item.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    # imported here: the pool machinery would add to every command's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, items))
+
+
 def measure_stage_offsets(inst: CpiInstance, cfg: NonidealityConfig) -> OffsetReport:
     """DC at every multiplier output over one aligned period.
 
     Fine-tuning should use NO instances: on a YES instance part of the
     measured DC is signal, and compensating it away would erase the answer.
     """
-    is_no = not decide_dp(inst)
+    is_no = not solve_exact(inst)
     if not is_no:
         warnings.warn("measuring offsets on a YES instance; the report includes signal DC",
                       stacklevel=2)
@@ -133,56 +156,37 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
                         jobs: int = 1) -> DecisionThreshold:
     """Learn the YES/NO voltage bands from labeled training runs.
 
-    Labels are verified against the exact solver first.  The cut is the
-    geometric mean of the band edges when they separate multiplicatively,
-    the midpoint otherwise.
+    Labels are verified with `solve_exact` first; the runs are spread over
+    ``jobs`` processes by `parallel_map`.  The cut is the geometric mean of
+    the band edges when both are positive, half the YES band's bottom when
+    only that one is, and the midpoint otherwise (overlapping bands, or
+    both at or below 0 V).
     """
     if not train_yes or not train_no:
         raise ValueError("both training sets must be non-empty")
     for inst in train_yes:
-        if not decide_dp(inst):
+        if not solve_exact(inst):
             raise LabelError(f"training YES instance {serialize_instance(inst)} is a NO instance")
     for inst in train_no:
-        if decide_dp(inst):
+        if solve_exact(inst):
             raise LabelError(f"training NO instance {serialize_instance(inst)} is a YES instance")
 
-    def dc_of(inst: CpiInstance) -> float:
-        return run_and_measure(inst, cfg, spec, burn_in_periods, window_periods)[0]
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yes_dcs = list(pool.map(_MeasureTask(cfg, spec, burn_in_periods, window_periods),
-                                    train_yes))
-            no_dcs = list(pool.map(_MeasureTask(cfg, spec, burn_in_periods, window_periods),
-                                   train_no))
-    else:
-        yes_dcs = [dc_of(i) for i in train_yes]
-        no_dcs = [dc_of(i) for i in train_no]
-
-    yes_min = min(yes_dcs)
-    no_max = max(no_dcs)
+    dcs = parallel_map(functools.partial(_measured_dc, cfg=cfg, spec=spec,
+                                         burn_in_periods=burn_in_periods,
+                                         window_periods=window_periods),
+                       [*train_yes, *train_no], jobs)
+    yes_min = min(dcs[:len(train_yes)])
+    no_max = max(dcs[len(train_yes):])
     separable = no_max < yes_min
-    if not separable:
-        cut = 0.5 * (no_max + yes_min)
-    elif no_max <= 0:
+    if separable and no_max > 0:
+        cut = math.sqrt(no_max * yes_min)
+    elif separable and yes_min > 0:
         cut = 0.5 * yes_min
     else:
-        cut = math.sqrt(no_max * yes_min)
+        cut = 0.5 * (no_max + yes_min)
     return DecisionThreshold(cut=cut, no_band_max=no_max, yes_band_min=yes_min,
                              training_size=len(train_yes) + len(train_no),
                              separable=separable)
-
-
-class _MeasureTask:
-    """Picklable measurement closure for process pools."""
-
-    def __init__(self, cfg, spec, burn_in, window):
-        self.args = (cfg, spec, burn_in, window)
-
-    def __call__(self, inst: CpiInstance) -> float:
-        cfg, spec, burn_in, window = self.args
-        return run_and_measure(inst, cfg, spec, burn_in, window)[0]
 
 
 def fixed_threshold(cut: float) -> DecisionThreshold:
@@ -257,13 +261,7 @@ def threshold_to_text(thr: DecisionThreshold,
 
 def threshold_from_text(text: str) -> tuple[DecisionThreshold, tuple[float, ...]]:
     """Load a persisted calibration; returns (threshold, z_compensation)."""
-    items = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        items[key.strip()] = value.strip()
+    items = parse_kv(text)
     thr = DecisionThreshold(
         cut=float(items["cut"]),
         no_band_max=float(items["no_band_max"]),

@@ -7,6 +7,8 @@ Exit codes for `decide` and `sat`: 0 = NO/UNSATISFIABLE, 1 = YES/SATISFIABLE,
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -22,8 +24,6 @@ from .pipeline import NonidealityConfig
 EXIT_NO = 0
 EXIT_YES = 1
 EXIT_ERROR = 2
-
-MAX_GRID_POINTS = 2_000_000
 
 _FILTER_KEYS = {"kind", "cutoff_f0", "order", "per_stage_gain"}
 
@@ -46,36 +46,30 @@ class RunRecord:
                 f"wall_time={self.wall_time:.3f}\n")
 
 
-def _parse_kv_file(path: str) -> dict[str, str]:
-    items = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"bad config line {line!r}")
-        items[key.strip()] = value.strip()
-    return items
-
-
-def _load_config(args) -> tuple[NonidealityConfig, FilterSpec]:
+def _load_config(args) -> tuple[NonidealityConfig, FilterSpec,
+                                Optional[calibration.DecisionThreshold]]:
+    """Config and filter from ``--config``; threshold and Z from ``--calibration``."""
     cfg_items: dict[str, str] = {}
     filt_items: dict[str, str] = {}
-    if getattr(args, "config", None):
-        for key, value in _parse_kv_file(args.config).items():
+    if args.config:
+        for key, value in pipeline.parse_kv(Path(args.config).read_text()).items():
             if key in _FILTER_KEYS:
                 filt_items[key] = value
             else:
                 cfg_items[key] = value
     cfg = pipeline.config_from_items(cfg_items)
     cfg = replace(cfg, seed=args.seed)
+    thr = None
+    if getattr(args, "calibration", None):
+        thr, z = calibration.threshold_from_text(Path(args.calibration).read_text())
+        if z:
+            cfg = replace(cfg, z_compensation=z)
 
     kind = args.filter or filt_items.get("kind", "brickwall")
     cutoff = args.f0 if args.f0 is not None else float(filt_items.get("cutoff_f0", 5000.0))
     order = int(filt_items.get("order", 1))
     gain = float(filt_items.get("per_stage_gain", 1.0))
-    return cfg, FilterSpec(kind=kind, cutoff_f0=cutoff, order=order, per_stage_gain=gain)
+    return cfg, FilterSpec(kind=kind, cutoff_f0=cutoff, order=order, per_stage_gain=gain), thr
 
 
 def _load_instance_arg(arg: str) -> list[CpiInstance]:
@@ -92,16 +86,8 @@ def _provenance(argv: list[str], cfg_hash: str, seed: int, comment: str = "#") -
             f"{comment} seed={seed}\n")
 
 
-def _check_grid(inst: CpiInstance, cfg: NonidealityConfig) -> None:
-    points = pipeline.points_per_period(inst, cfg)
-    if points > MAX_GRID_POINTS:
-        raise ValueError(f"instance needs {points} grid points per period "
-                         f"(limit {MAX_GRID_POINTS}); magnitude too large to simulate")
-
-
 def _analog_setup(inst: CpiInstance, oracle: str, cfg: NonidealityConfig,
                   fspec: FilterSpec, thr: Optional[calibration.DecisionThreshold]):
-    _check_grid(inst, cfg)
     if oracle == "analog-ideal":
         cfg = NonidealityConfig.ideal(seed=cfg.seed, f_base=cfg.f_base,
                                       oversample=cfg.oversample)
@@ -112,18 +98,19 @@ def _analog_setup(inst: CpiInstance, oracle: str, cfg: NonidealityConfig,
     return cfg, fspec, thr
 
 
-def _decide_one(inst: CpiInstance, oracle: str, cfg: NonidealityConfig,
+def _decide_one(task: tuple[CpiInstance, NonidealityConfig], oracle: str,
                 fspec: FilterSpec, thr: Optional[calibration.DecisionThreshold],
                 strict: bool) -> calibration.Decision:
+    inst, cfg = task
     if oracle in ("exact", "exact-dp", "exact-bf"):
         if oracle == "exact-bf":
             yes = exact.decide_bruteforce(inst)
         else:
             yes = exact.solve_exact(inst)
-        if inst.n <= 24:
+        try:
             dc = float(exact.ideal_dc(inst))
-        else:
-            dc = 1.0 if yes else 0.0
+        except exact.InstanceTooLargeError:
+            dc = math.nan  # beyond the enumeration guard the DC is unknown
         cut = 0.5 ** min(inst.n + 1, 60)
         return calibration.Decision(answer="YES" if yes else "NO", dc_measured=dc,
                                     threshold=calibration.fixed_threshold(cut),
@@ -132,42 +119,20 @@ def _decide_one(inst: CpiInstance, oracle: str, cfg: NonidealityConfig,
     return calibration.decide_analog(inst, cfg, fspec, thr, strict=strict)
 
 
-class _DecideTask:
-    """Picklable decision closure for process pools."""
-
-    def __init__(self, oracle, fspec, thr, strict):
-        self.args = (oracle, fspec, thr, strict)
-
-    def __call__(self, task):
-        inst, cfg = task
-        oracle, fspec, thr, strict = self.args
-        return _decide_one(inst, oracle, cfg, fspec, thr, strict)
-
-
 def cmd_decide(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     insts = _load_instance_arg(args.instance)
     if len(insts) > 1 and not args.batch:
         raise ValueError(f"{len(insts)} instances given; pass --batch to decide them all")
-    cfg, fspec = _load_config(args)
-    thr = None
-    z = ()
-    if args.calibration:
-        thr, z = calibration.threshold_from_text(Path(args.calibration).read_text())
-        if z:
-            cfg = replace(cfg, z_compensation=z)
+    cfg, fspec, thr = _load_config(args)
 
     # deterministic per-instance sub-seeds keep batch runs reproducible
     tasks = [(inst, replace(cfg, seed=cfg.seed + i) if args.batch else cfg)
              for i, inst in enumerate(insts)]
-    if args.batch and args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            decisions = list(pool.map(
-                _DecideTask(args.oracle, fspec, thr, args.strict), tasks))
-    else:
-        decisions = [_decide_one(inst, args.oracle, c, fspec, thr, args.strict)
-                     for inst, c in tasks]
+    decisions = calibration.parallel_map(
+        functools.partial(_decide_one, oracle=args.oracle, fspec=fspec, thr=thr,
+                          strict=args.strict),
+        tasks, args.jobs)
     records = [decision_record(d, inst, c, fspec)
                for d, (inst, c) in zip(decisions, tasks)]
     last_answer = decisions[-1].answer
@@ -184,7 +149,8 @@ def cmd_decide(args, argv: list[str]) -> int:
         if not args.batch and args.oracle in ("analog", "analog-ideal"):
             run_cfg, run_spec, _ = _analog_setup(insts[0], args.oracle, cfg, fspec, thr)
             _, _, sampled = calibration.run_and_measure(insts[0], run_cfg, run_spec)
-            (out / "trace.csv").write_text(head + dsp.sampled_to_csv(sampled))
+            trace_csv = pipeline.volts_csv(sampled.times(), sampled.values)
+            (out / "trace.csv").write_text(head + trace_csv)
             (out / "spectrum.csv").write_text(head + dsp.dft(sampled).to_csv(units="Hz"))
             written += ["spectrum.csv", "trace.csv"]
         record = RunRecord(command="cospart " + " ".join(argv), config_hash=digest,
@@ -199,14 +165,13 @@ def cmd_decide(args, argv: list[str]) -> int:
 def cmd_spectrum(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     inst = _load_instance_arg(args.instance)[0]
-    cfg, fspec = _load_config(args)
+    cfg, fspec, _ = _load_config(args)
     digest = config_digest(cfg, fspec)
     head = _provenance(argv, digest, args.seed)
 
     analytic = exact.analytic_spectrum(inst).to_csv(units="instance")
     outputs = {"spectrum_analytic.csv": head + analytic}
     if args.simulate:
-        _check_grid(inst, cfg)
         sim_cfg = NonidealityConfig.ideal(seed=cfg.seed, f_base=cfg.f_base,
                                           oversample=cfg.oversample)
         trace = pipeline.run_cascade(inst, sim_cfg, periods=1)
@@ -237,9 +202,9 @@ def cmd_calibrate(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     train_yes = instances.load_instances(Path(args.yes).read_text())
     train_no = instances.load_instances(Path(args.no).read_text())
-    cfg, fspec = _load_config(args)
+    cfg, fspec, _ = _load_config(args)
     for inst in train_yes + train_no:
-        _check_grid(inst, cfg)
+        pipeline.check_grid(inst, cfg)
 
     # Z compensation is per stage, so it only applies when every training
     # instance runs the same cascade arity.
@@ -286,12 +251,7 @@ def _make_backend(name: str, cfg: NonidealityConfig, fspec: FilterSpec,
 
 def cmd_sat(args, argv: list[str]) -> int:
     formula = reductions.parse_dimacs(Path(args.dimacs).read_text(), strict=args.strict)
-    cfg, fspec = _load_config(args)
-    thr = None
-    if args.calibration:
-        thr, z = calibration.threshold_from_text(Path(args.calibration).read_text())
-        if z:
-            cfg = replace(cfg, z_compensation=z)
+    cfg, fspec, thr = _load_config(args)
     backend = _make_backend(args.backend, cfg, fspec, thr)
     try:
         assignment = reductions.extract_witness(formula, backend)
@@ -310,7 +270,7 @@ def cmd_sat(args, argv: list[str]) -> int:
 
 def cmd_netlist(args, argv: list[str]) -> int:
     inst = _load_instance_arg(args.instance)[0]
-    cfg, fspec = _load_config(args)
+    cfg, fspec, _ = _load_config(args)
     doc = netlist.emit_netlist(inst, cfg, fspec)
     netlist.validate_netlist(doc)
     digest = config_digest(cfg, fspec)

@@ -154,11 +154,3 @@ def dft(trace: SampledTrace) -> Spectrum:
     freqs = np.fft.rfftfreq(trace.m, d=trace.tau)
     return Spectrum(lines=dict(zip(freqs.tolist(), amps.tolist())),
                     resolution=1.0 / (trace.m * trace.tau))
-
-
-def sampled_to_csv(trace: SampledTrace) -> str:
-    """Two-column export: time_s, volts."""
-    rows = ["time_s,volts"]
-    for t, v in zip(trace.times(), trace.values):
-        rows.append(f"{t:.12g},{v:.12g}")
-    return "\n".join(rows) + "\n"

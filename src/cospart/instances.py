@@ -155,7 +155,7 @@ def random_instance(n: int, max_mag: int = 50, kind: str = "YES", seed: int = 0,
         GenerationError: when no instance with the requested label exists
             within the retry budget (e.g. NO with n=2, max_mag=1).
     """
-    from .exact import decide_dp  # deferred: exact imports this module
+    from .exact import solve_exact  # deferred: exact imports this module
 
     label = kind.upper()
     if label not in ("YES", "NO"):
@@ -180,7 +180,7 @@ def random_instance(n: int, max_mag: int = 50, kind: str = "YES", seed: int = 0,
         else:
             values = [rng.randint(1, max_mag) for _ in range(n)]
         inst = CpiInstance(tuple(values))
-        if decide_dp(inst) == (label == "YES"):
+        if solve_exact(inst) == (label == "YES"):
             return inst
     raise GenerationError(f"could not generate a {label} instance "
                           f"(n={n}, max_mag={max_mag}) in {max_tries} tries")

@@ -23,9 +23,16 @@ PerStage = Union[float, Sequence[float]]
 
 BANDWIDTH_MODELS = ("one-pole", "hard", "none")
 
+# Largest grid simulated per alignment period (16 MB per node array).
+MAX_GRID_POINTS = 2_000_000
+
 
 class BandwidthError(RuntimeError):
     """Instance frequencies exceed the multiplier bandwidth in strict mode."""
+
+
+class GridTooLargeError(ValueError):
+    """The instance's dense grid exceeds `MAX_GRID_POINTS` per period."""
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,14 @@ def points_per_period(inst: CpiInstance, cfg: NonidealityConfig) -> int:
     return next_smooth_length(cfg.oversample * (inst.total // inst.gcd))
 
 
+def check_grid(inst: CpiInstance, cfg: NonidealityConfig) -> None:
+    """Refuse an instance whose grid exceeds `MAX_GRID_POINTS` per period."""
+    points = points_per_period(inst, cfg)
+    if points > MAX_GRID_POINTS:
+        raise GridTooLargeError(f"instance needs {points} grid points per period "
+                                f"(limit {MAX_GRID_POINTS}); magnitude too large to simulate")
+
+
 def synthesize_sources(inst: CpiInstance, cfg: NonidealityConfig,
                        periods: int = 1) -> list[Signal]:
     """Cosine sources on a common grid spanning whole alignment periods.
@@ -247,8 +262,13 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
     An n-value instance runs n-1 stages; a single-value instance passes its
     source straight through.  The bandwidth warning flags instances whose
     summed frequency exceeds the multiplier limit.
+
+    Raises:
+        GridTooLargeError: before any synthesis, when the grid would exceed
+            `MAX_GRID_POINTS` per period (see `check_grid`).
     """
     _validate_stage_sequences(cfg, inst.n)
+    check_grid(inst, cfg)
     sources = synthesize_sources(inst, cfg, periods=periods)
     warning = math.isfinite(cfg.bandwidth_f_star) and inst.total * cfg.f_base > cfg.bandwidth_f_star
 
@@ -265,10 +285,10 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
                          bandwidth_warning=warning)
 
 
-def signal_to_csv(sig: Signal) -> str:
+def volts_csv(times: Sequence[float], volts: Sequence[float]) -> str:
     """Two-column export: time_s, volts."""
     rows = ["time_s,volts"]
-    for t, v in zip(sig.times(), sig.samples):
+    for t, v in zip(times, volts):
         rows.append(f"{t:.12g},{v:.12g}")
     return "\n".join(rows) + "\n"
 
@@ -277,11 +297,11 @@ def trace_to_csvs(trace: PipelineTrace) -> dict[str, str]:
     """One CSV per node: sources, multiplier pins, stage outputs."""
     files = {}
     for i, sig in enumerate(trace.sources, start=1):
-        files[f"source{i}.csv"] = signal_to_csv(sig)
+        files[f"source{i}.csv"] = volts_csv(sig.times(), sig.samples)
     for i, sig in enumerate(trace.mult_outputs, start=1):
-        files[f"mult{i}.csv"] = signal_to_csv(sig)
+        files[f"mult{i}.csv"] = volts_csv(sig.times(), sig.samples)
     for i, sig in enumerate(trace.stage_outputs, start=1):
-        files[f"stage{i}.csv"] = signal_to_csv(sig)
+        files[f"stage{i}.csv"] = volts_csv(sig.times(), sig.samples)
     return files
 
 
@@ -302,6 +322,24 @@ def config_to_text(cfg: NonidealityConfig) -> str:
         else:
             lines.append(f"{f.name}={v}")
     return "\n".join(lines) + "\n"
+
+
+def parse_kv(text: str) -> dict[str, str]:
+    """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped.
+
+    Raises:
+        ValueError: on a line without ``=``.
+    """
+    items = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"bad config line {line!r}")
+        items[key.strip()] = value.strip()
+    return items
 
 
 def config_field_names() -> set[str]:

@@ -17,10 +17,9 @@ from typing import Optional, Sequence
 
 from .calibration import DecisionThreshold, auto_threshold, decide_analog
 from .dsp import FilterSpec
-from .exact import (DpBudgetError, InstanceTooLargeError, decide_bruteforce, decide_dp,
-                    decide_meet_in_middle)
+from .exact import InstanceTooLargeError, decide_bruteforce, solve_exact
 from .instances import CpiInstance, scale_instance
-from .pipeline import NonidealityConfig, points_per_period
+from .pipeline import GridTooLargeError, NonidealityConfig
 
 
 class ParseError(ValueError):
@@ -34,10 +33,6 @@ class ReductionOverflowError(OverflowError):
         self.required_bits = required_bits
         super().__init__(f"reduction needs {required_bits}-bit integers "
                          f"(budget is {max_bits} bits)")
-
-
-class BackendError(RuntimeError):
-    """An oracle backend refused or failed on an instance."""
 
 
 class ExtractionError(RuntimeError):
@@ -229,24 +224,25 @@ def sat_to_partition(f: CnfFormula, max_bits: int = 62) -> tuple[CpiInstance, Sa
 
 BACKEND_KINDS = ("exact-dp", "exact-bruteforce", "analog-simulated")
 
+# Squeezed instances sum to this fraction of the multiplier bandwidth.
+_SQUEEZE_MARGIN = 0.9
+
 
 @dataclass
 class OracleBackend:
     """A PARTITION decision procedure usable by the extraction loop.
 
-    ``exact-dp`` uses the reachability table and falls back to
-    meet-in-the-middle when the table budget is exceeded (reductions have
-    huge magnitudes but few values).  ``analog-simulated`` squeezes the
-    instance under the multiplier bandwidth first and refuses instances
-    whose dense grid would be unreasonably large.
+    ``exact-dp`` calls `solve_exact`, which falls back from the reachability
+    table to meet-in-the-middle (reductions have huge magnitudes but few
+    values).  ``analog-simulated`` squeezes the instance under the
+    multiplier bandwidth first; `run_cascade` raises `GridTooLargeError`
+    for instances whose dense grid would be unreasonably large.
     """
 
     kind: str
     cfg: Optional[NonidealityConfig] = None
     fspec: Optional[FilterSpec] = None
     threshold: Optional[DecisionThreshold] = None
-    squeeze_margin: float = 0.9
-    max_grid_points: int = 2_000_000
     calls: int = 0
     last_scale: float = 1.0
 
@@ -257,10 +253,7 @@ class OracleBackend:
     def decide(self, inst: CpiInstance) -> bool:
         self.calls += 1
         if self.kind == "exact-dp":
-            try:
-                return decide_dp(inst)
-            except DpBudgetError:
-                return decide_meet_in_middle(inst)
+            return solve_exact(inst)
         if self.kind == "exact-bruteforce":
             return decide_bruteforce(inst)
         return self._decide_analog(inst)
@@ -270,15 +263,9 @@ class OracleBackend:
         f_base = cfg.f_base
         self.last_scale = 1.0
         if math.isfinite(cfg.bandwidth_f_star) and inst.total * cfg.f_base > cfg.bandwidth_f_star:
-            scaled = scale_instance(inst, cfg.bandwidth_f_star / cfg.f_base,
-                                    self.squeeze_margin)
+            scaled = scale_instance(inst, cfg.bandwidth_f_star / cfg.f_base, _SQUEEZE_MARGIN)
             self.last_scale = scaled.scale
             f_base = scaled.scale * cfg.f_base
-        points = points_per_period(inst, cfg)
-        if points > self.max_grid_points:
-            raise BackendError(
-                f"instance needs {points} grid points per period "
-                f"(budget {self.max_grid_points}); magnitude too large to simulate")
         cfg_eff = replace(cfg, f_base=f_base)
         spec = self.fspec or FilterSpec(kind="brickwall", cutoff_f0=0.5 * f_base)
         thr = self.threshold or auto_threshold(inst, spec)
@@ -311,8 +298,7 @@ def extract_witness(f: CnfFormula, oracle: OracleBackend) -> Optional[Assignment
             else:
                 g = simplify(g, var, False)
                 prefix.append(False)
-    except (BackendError, ReductionOverflowError, DpBudgetError,
-            InstanceTooLargeError) as exc:
+    except (GridTooLargeError, ReductionOverflowError, InstanceTooLargeError) as exc:
         raise ExtractionError(f"oracle failed after fixing {len(prefix)} variables: {exc}",
                               partial=tuple(prefix)) from exc
     assignment = Assignment(tuple(prefix))

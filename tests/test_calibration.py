@@ -118,6 +118,16 @@ def test_bootstrap_ideal_bands(ideal_cfg, brickwall):
     assert thr.training_size == 4
 
 
+def test_bootstrap_cut_between_bands_below_zero(brickwall):
+    # a -1 V amplifier offset puts both bands below 0 V: (-1.0, -0.9975)
+    cfg = NonidealityConfig.ideal(amp_offset=-1.0, amp_gain=1.0)
+    thr = bootstrap_threshold([parse_instance("3 2 5")], [parse_instance("3 6 4")],
+                              cfg, brickwall)
+    assert thr.separable
+    assert thr.yes_band_min < 0
+    assert thr.no_band_max < thr.cut < thr.yes_band_min
+
+
 def test_bootstrap_table_like_bands():
     cfg = _table_cfg(2)
     spec = FilterSpec("none", 5e3)

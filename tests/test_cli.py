@@ -34,6 +34,28 @@ def test_decide_analog_ideal(capsys):
     assert float(items["dc_volts"]) == pytest.approx(0.25, abs=1e-6)
 
 
+def test_decide_exact_dc_beyond_dp_cutoff(capsys):
+    # n = 26: C(26, 13) / 2**26, not a stand-in for the answer
+    code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["1"] * 26))
+    assert code == 1
+    assert "dc_volts=0.154981017\n" in out
+    # n = 32 is past ideal_dc's enumeration guard: the DC is not invented
+    code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["1"] * 32))
+    assert code == 1
+    assert "answer=YES" in out
+    assert "dc_volts=nan\n" in out and "margin_volts=nan\n" in out
+
+
+def test_decide_rejects_malformed_calibration(tmp_path, capsys):
+    cal = tmp_path / "cal.txt"
+    cal.write_text("cut=0.1\nno_band_max=0\nyes_band_min=0.2\ntraining_size=2\n"
+                   "separable=1\nnot a key value line\n")
+    code, _, err = _run(capsys, "decide", "--oracle", "exact", "--calibration", str(cal),
+                        "3 2 5")
+    assert code == 2
+    assert "bad config line" in err
+
+
 def test_decide_errors_on_garbage(capsys):
     code, _, err = _run(capsys, "decide", "--oracle", "exact", "3 x 5")
     assert code >= 2
@@ -163,6 +185,18 @@ def test_calibrate_jobs_match(tmp_path, capsys):
     assert seq_out == par_out
 
 
+def test_calibrate_large_magnitudes_small_grid(tmp_path, capsys):
+    # labels beyond the reachability budget; the grids need 64-144 points
+    (tmp_path / "yes.txt").write_text("100000000 300000000 200000000\n"
+                                      "100000000 100000000 200000000\n")
+    (tmp_path / "no.txt").write_text("200000000 300000000 400000000\n"
+                                     "100000000 300000000 500000000\n")
+    code, out, _ = _run(capsys, "calibrate", "--yes", str(tmp_path / "yes.txt"),
+                        "--no", str(tmp_path / "no.txt"))
+    assert code == 0
+    assert "cut=" in out
+
+
 @pytest.mark.parametrize("yes, no", [("62500 62501 1", "2 125001 5"),
                                      ("3 2 5", "2 125001 5")])
 def test_calibrate_refuses_oversized_grid(tmp_path, capsys, yes, no):
@@ -225,6 +259,15 @@ def test_gen_command(tmp_path, capsys):
     insts = load_instances((tmp_path / "instances.txt").read_text())
     assert len(insts) == 3
     assert all(not decide_dp(i) for i in insts)
+
+
+def test_gen_large_magnitudes(capsys):
+    from cospart.exact import solve_exact
+    from cospart.instances import load_instances
+    code, out, _ = _run(capsys, "gen", "--n", "3", "--max-mag", "300000000", "--kind", "NO")
+    assert code == 0
+    insts = load_instances(out)
+    assert len(insts) == 1 and not solve_exact(insts[0])
 
 
 def test_decide_strict_escalates(capsys):

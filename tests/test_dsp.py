@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from cospart.dsp import (FilterSpec, SampledTrace, apply_lowpass, dc_component,
-                         design_compensating_filter, dft, sample_after_filter,
-                         sampled_to_csv)
+                         design_compensating_filter, dft, sample_after_filter)
 from cospart.instances import parse_instance
-from cospart.pipeline import Signal, run_cascade
+from cospart.pipeline import Signal, run_cascade, volts_csv
 
 
 def _const_plus_ripple():
@@ -178,6 +177,6 @@ def test_aliasing_shrinks_with_filter_order(ideal_cfg):
 
 def test_sampled_csv():
     trace = SampledTrace(t_start=0.0, tau=1e-6, values=np.array([0.1, 0.2]))
-    lines = sampled_to_csv(trace).strip().splitlines()
+    lines = volts_csv(trace.times(), trace.values).strip().splitlines()
     assert lines[0] == "time_s,volts"
     assert len(lines) == 3

@@ -9,8 +9,9 @@ from cospart.dsp import FilterSpec, dft, sample_after_filter
 from cospart.exact import analytic_spectrum, ideal_dc
 from cospart.instances import parse_instance
 from cospart.pipeline import (NonidealityConfig, Signal, amplify, config_from_items,
-                              config_to_text, multiply_stage, next_smooth_length,
-                              points_per_period, run_cascade, synthesize_sources)
+                              GridTooLargeError, config_to_text, multiply_stage,
+                              next_smooth_length, parse_kv, points_per_period,
+                              run_cascade, synthesize_sources)
 
 
 def _product_reference(inst, cfg, t):
@@ -262,11 +263,26 @@ def test_stage_sequence_arity_checked(ideal_cfg):
 def test_config_text_round_trip():
     cfg = NonidealityConfig(mult_output_offset=(4.5e-3, 4.4e-3), noise_sigma=1e-4,
                             z_compensation=(0.001, -0.002), seed=5, oversample=32)
-    items = {}
-    for line in config_to_text(cfg).splitlines():
-        k, _, v = line.partition("=")
-        items[k] = v
-    assert config_from_items(items) == cfg
+    assert config_from_items(parse_kv(config_to_text(cfg))) == cfg
+
+
+def test_parse_kv_rejects_line_without_equals():
+    assert parse_kv("# comment\n\n a = 1 \n") == {"a": "1"}
+    with pytest.raises(ValueError, match="bad config line"):
+        parse_kv("a=1\nno equals sign\n")
+
+
+def test_run_cascade_refuses_oversized_grid_before_allocating():
+    import tracemalloc
+    inst = parse_instance("2 125001 5")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLargeError, match=r"2000376 grid points"):
+            run_cascade(inst, NonidealityConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # one 2,000,376-point array would take 16 MB
 
 
 def test_config_rejects_unknown_key():

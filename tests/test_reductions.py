@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospart.exact import decide_dp, solve_exact
-from cospart.pipeline import NonidealityConfig
-from cospart.reductions import (Assignment, BackendError, CnfFormula, ExtractionError,
+from cospart.pipeline import GridTooLargeError, NonidealityConfig, points_per_period
+from cospart.reductions import (Assignment, CnfFormula, ExtractionError,
                                 OracleBackend, ParseError, ReductionOverflowError,
                                 evaluate, extract_witness, format_solution,
                                 parse_dimacs, sat_to_partition, simplify)
@@ -201,19 +201,24 @@ def test_analog_backend_squeezes():
     assert backend.last_scale * inst.total * 1e4 < 120e3
 
 
+# its reduction needs 7,200,000 grid points per period, over the 2,000,000 limit
+_OVERSIZED = CnfFormula(3, ((1, 2, 3), (-1, 2), (-2, -3), (1, -3)))
+
+
 def test_analog_backend_refuses_oversized():
-    backend = OracleBackend(kind="analog-simulated", max_grid_points=1000)
-    inst, _ = sat_to_partition(CnfFormula(2, ((1, 2), (-1,))))
-    with pytest.raises(BackendError):
+    backend = OracleBackend(kind="analog-simulated")
+    inst, _ = sat_to_partition(_OVERSIZED)
+    assert points_per_period(inst, NonidealityConfig.ideal()) == 7_200_000
+    with pytest.raises(GridTooLargeError):
         backend.decide(inst)
 
 
 def test_extraction_error_carries_prefix():
-    f = CnfFormula(2, ((1, 2),))
-    backend = OracleBackend(kind="analog-simulated", max_grid_points=1)
+    backend = OracleBackend(kind="analog-simulated")
     with pytest.raises(ExtractionError) as err:
-        extract_witness(f, backend)
+        extract_witness(_OVERSIZED, backend)
     assert err.value.partial == ()
+    assert isinstance(err.value.__cause__, GridTooLargeError)
 
 
 def test_format_solution():
