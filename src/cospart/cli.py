@@ -110,7 +110,7 @@ def _decide_one(task: tuple[CpiInstance, NonidealityConfig], oracle: str,
         try:
             dc = float(exact.ideal_dc(inst))
         except exact.InstanceTooLargeError:
-            dc = math.nan  # beyond the enumeration guard the DC is unknown
+            dc = math.nan  # beyond the meet-in-the-middle guard the DC is unknown
         cut = 0.5 ** min(inst.n + 1, 60)
         return calibration.Decision(answer="YES" if yes else "NO", dc_measured=dc,
                                     threshold=calibration.fixed_threshold(cut),

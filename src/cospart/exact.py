@@ -1,9 +1,21 @@
 """Exact digital solvers and the analytic line spectrum.
 
-Two independent decision routes are kept deliberately separate: direct
-enumeration of sign vectors (`decide_bruteforce`) and subset-sum
-reachability (`decide_dp`).  `decide_meet_in_middle` covers instances whose
-magnitude exceeds any reasonable reachability table, at 2**(n/2) cost.
+Three exact decision routes are kept:
+
+- `decide_bruteforce` enumerates the 2**n sign vectors.  It shares no code
+  with the other routes, which are tested against it.
+- `decide_dp` computes subset-sum reachability of total/2 in a big-int
+  bitmask: about n*(total/2+1)/64 word operations.
+- `decide_meet_in_middle` (Horowitz and Sahni, J. ACM 1974) lists each
+  half's distinct subset sums in sorted order and looks up total/2 - x in
+  the other half: about (n/2+1)*2**ceil(n/2) operations, whatever the
+  magnitudes.
+
+`solve_exact` and `find_partition` take whichever of DP and MIM costs fewer
+operations by these estimates, DP only within its cell budget.  Both halves'
+sorted sums come from one kernel that merges the sorted sums s with the
+sorted s + a at each doubling step.  Its counted form keeps the number of
+subsets behind each sum, which gives `ideal_dc` from the same two halves.
 
 Spectrum amplitudes use the time-average convention: the line at frequency
 w carries (number of sign vectors summing to w) / 2**n, which is directly
@@ -24,6 +36,8 @@ from .instances import CpiInstance
 
 # Block size for the doubling enumeration (2**22 int64 values = 32 MB).
 _ENUM_CHUNK = 22
+# Guard of the meet-in-the-middle kernel: each half lists at most 2**22 sums.
+MAX_MIM_N = 44
 
 
 class InstanceTooLargeError(ValueError):
@@ -101,10 +115,84 @@ def decide_bruteforce(inst: CpiInstance, max_n: int = 30) -> bool:
     return _zero_sign_count(inst.values) > 0
 
 
-def ideal_dc(inst: CpiInstance, max_n: int = 30) -> Fraction:
-    """Mean of the cosine product over one period: (balanced vectors) / 2**n."""
-    _check_enum_guard(inst, max_n)
-    return Fraction(_zero_sign_count(inst.values), 2**inst.n)
+def _check_mim_guard(inst: CpiInstance, max_n: int) -> None:
+    if inst.n > max_n:
+        raise InstanceTooLargeError(f"n={inst.n} exceeds the n<={max_n} meet-in-middle guard")
+
+
+def _run_starts(merged: np.ndarray) -> np.ndarray:
+    """Boolean mask of the first element of each run of equal sorted values."""
+    first = np.empty(len(merged), dtype=bool)
+    first[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    return first
+
+
+def _subset_sums(values: tuple[int, ...]) -> np.ndarray:
+    """Sorted distinct subset sums of `values`.
+
+    Each step merges the sorted sums s with the sorted s + a: the stable sort
+    finds the two runs and merges them in linear time, and equal neighbours
+    are dropped.
+    """
+    sums = np.zeros(1, dtype=np.int64)
+    for a in values:
+        merged = np.concatenate([sums, sums + a])
+        merged.sort(kind="stable")
+        sums = merged[_run_starts(merged)]
+    return sums
+
+
+def _tagged_subset_sums(values: tuple[int, ...],
+                        counted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`_subset_sums` with one int64 tag per sum.
+
+    With ``counted`` the tag is the number of subsets with that sum; the tags
+    of equal sums add, and all tags sum to 2**len(values).  Otherwise it is
+    the bitmask (bit i for values[i]) of one subset with that sum, so
+    len(values) must stay below 63.
+    """
+    sums = np.zeros(1, dtype=np.int64)
+    tags = np.array([1 if counted else 0], dtype=np.int64)
+    for i, a in enumerate(values):
+        merged = np.concatenate([sums, sums + a])
+        order = merged.argsort(kind="stable")
+        merged = merged[order]
+        tagged = np.concatenate([tags, tags if counted else tags | (1 << i)])[order]
+        starts = np.flatnonzero(_run_starts(merged))
+        sums = merged[starts]
+        tags = np.add.reduceat(tagged, starts) if counted else tagged[starts]
+    return sums, tags
+
+
+def _halves(inst: CpiInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    mid = inst.n // 2
+    return inst.values[:mid], inst.values[mid:]
+
+
+def _match(left: np.ndarray, right: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices i, j of every pair of sorted distinct sums with left[i] + right[j] == half."""
+    need = half - left
+    j = np.minimum(np.searchsorted(right, need), len(right) - 1)
+    hit = right[j] == need
+    return np.flatnonzero(hit), j[hit]
+
+
+def ideal_dc(inst: CpiInstance, max_n: int = MAX_MIM_N) -> Fraction:
+    """Mean of the cosine product over one period: (balanced vectors) / 2**n.
+
+    A sign vector balances when its + positions sum to total/2, so the
+    numerator is the sum over x of c_L[x] * c_R[total/2 - x], where c_L and
+    c_R count the subsets of each half by their sum.  It is at most 2**n.
+    """
+    _check_mim_guard(inst, max_n)
+    if inst.total % 2:
+        return Fraction(0)
+    lo, hi = _halves(inst)
+    left, c_left = _tagged_subset_sums(lo, counted=True)
+    right, c_right = _tagged_subset_sums(hi, counted=True)
+    i, j = _match(left, right, inst.total // 2)
+    return Fraction(int(np.dot(c_left[i], c_right[j])), 2**inst.n)
 
 
 def _dp_reachable(values: tuple[int, ...], half: int) -> int:
@@ -121,6 +209,16 @@ def _dp_budget_cells(inst: CpiInstance) -> int:
     return inst.total // 2 + 1
 
 
+def _dp_is_cheaper(inst: CpiInstance, max_cells: int) -> bool:
+    """True when DP fits ``max_cells`` and costs no more than MIM.
+
+    DP shifts a (total/2+1)-bit mask once per value, n*cells/64 words; MIM
+    merges up to 2**ceil(n/2) sums in n/2+1 steps, (n/2+1)*2**ceil(n/2).
+    """
+    n, cells = inst.n, _dp_budget_cells(inst)
+    return cells <= max_cells and n * cells <= 32 * (n + 2) * 2 ** ((n + 1) // 2)
+
+
 def decide_dp(inst: CpiInstance, max_cells: int = 10**8) -> bool:
     """Pseudo-polynomial decision: subset-sum reachability of total/2."""
     cells = _dp_budget_cells(inst)
@@ -132,60 +230,66 @@ def decide_dp(inst: CpiInstance, max_cells: int = 10**8) -> bool:
     return bool((_dp_reachable(inst.values, half) >> half) & 1)
 
 
-def find_partition(inst: CpiInstance, max_cells: int = 10**8) -> Optional[PartitionWitness]:
-    """Balanced subset (1-based positions) via reachability backtracking."""
-    cells = _dp_budget_cells(inst)
-    if cells > max_cells:
-        raise DpBudgetError(f"{cells} reachability cells exceed the budget of {max_cells}")
-    if inst.total % 2:
-        return None
-    half = inst.total // 2
-    keep = (1 << (half + 1)) - 1
-    masks = [1]
-    for a in inst.values:
-        masks.append((masks[-1] | (masks[-1] << a)) & keep)
-    if not (masks[-1] >> half) & 1:
-        return None
-    subset = set()
-    target = half
-    for i in range(inst.n - 1, -1, -1):
-        if (masks[i] >> target) & 1:
-            continue
-        subset.add(i + 1)
-        target -= inst.values[i]
-    assert target == 0
-    return PartitionWitness(frozenset(subset))
-
-
-def _subset_sums(values: tuple[int, ...]) -> np.ndarray:
-    sums = np.zeros(1, dtype=np.int64)
-    for a in values:
-        sums = np.unique(np.concatenate([sums, sums + a]))
-    return sums
-
-
-def decide_meet_in_middle(inst: CpiInstance, max_n: int = 44) -> bool:
+def decide_meet_in_middle(inst: CpiInstance, max_n: int = MAX_MIM_N) -> bool:
     """Magnitude-independent exact decision at 2**(n/2) cost (Horowitz-Sahni)."""
-    if inst.n > max_n:
-        raise InstanceTooLargeError(f"n={inst.n} exceeds the n<={max_n} meet-in-middle guard")
+    _check_mim_guard(inst, max_n)
     if inst.total % 2:
         return False
-    half = inst.total // 2
-    mid = inst.n // 2
-    left = _subset_sums(inst.values[:mid])
-    right = _subset_sums(inst.values[mid:])
-    need = half - left
-    idx = np.searchsorted(right, need)
-    idx = np.clip(idx, 0, len(right) - 1)
-    return bool(np.any(right[idx] == need))
+    lo, hi = _halves(inst)
+    hits, _ = _match(_subset_sums(lo), _subset_sums(hi), inst.total // 2)
+    return len(hits) > 0
 
 
 def solve_exact(inst: CpiInstance, max_cells: int = 10**8) -> bool:
-    """Exact decision: reachability table when it fits, meet-in-middle otherwise."""
-    try:
+    """Exact decision by whichever of DP and MIM costs less (`_dp_is_cheaper`).
+
+    DP is taken only within ``max_cells`` cells.  MIM raises
+    `InstanceTooLargeError` past n = MAX_MIM_N; from n = 45 on DP is the
+    cheaper route whenever it fits the budget.
+    """
+    if _dp_is_cheaper(inst, max_cells):
         return decide_dp(inst, max_cells=max_cells)
-    except DpBudgetError:
-        return decide_meet_in_middle(inst)
+    return decide_meet_in_middle(inst)
+
+
+def find_partition(inst: CpiInstance, max_cells: int = 10**8) -> Optional[PartitionWitness]:
+    """Balanced subset (1-based positions), by the route `solve_exact` takes.
+
+    Memory depends on the route.  The DP route backtracks through n
+    reachability masks of total/2+1 bits, n*cells/8 bytes, which the cost
+    rule caps at 8*(n/2+1)*2**ceil(n/2) bytes and ``max_cells`` at
+    n*max_cells/8.  The MIM route keeps each half's sorted sums with one
+    subset bitmask per sum and its merge temporaries, about 70*2**ceil(n/2)
+    bytes whatever the magnitudes (285 MB at n = 44).
+    """
+    if inst.total % 2:
+        return None
+    half = inst.total // 2
+    if _dp_is_cheaper(inst, max_cells):
+        keep = (1 << (half + 1)) - 1
+        masks = [1]
+        for a in inst.values:
+            masks.append((masks[-1] | (masks[-1] << a)) & keep)
+        if not (masks[-1] >> half) & 1:
+            return None
+        subset = set()
+        target = half
+        for i in range(inst.n - 1, -1, -1):
+            if (masks[i] >> target) & 1:
+                continue
+            subset.add(i + 1)
+            target -= inst.values[i]
+        assert target == 0
+        return PartitionWitness(frozenset(subset))
+    _check_mim_guard(inst, MAX_MIM_N)
+    lo, hi = _halves(inst)
+    left, m_left = _tagged_subset_sums(lo, counted=False)
+    right, m_right = _tagged_subset_sums(hi, counted=False)
+    i, j = _match(left, right, half)
+    if not len(i):
+        return None
+    mask = int(m_left[i[0]]) | int(m_right[j[0]]) << len(lo)
+    return PartitionWitness(frozenset(k + 1 for k in range(inst.n) if mask >> k & 1))
 
 
 def analytic_spectrum(inst: CpiInstance, max_n: int = 20,

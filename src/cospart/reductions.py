@@ -232,11 +232,12 @@ _SQUEEZE_MARGIN = 0.9
 class OracleBackend:
     """A PARTITION decision procedure usable by the extraction loop.
 
-    ``exact-dp`` calls `solve_exact`, which falls back from the reachability
-    table to meet-in-the-middle (reductions have huge magnitudes but few
-    values).  ``analog-simulated`` squeezes the instance under the
-    multiplier bandwidth first; `run_cascade` raises `GridTooLargeError`
-    for instances whose dense grid would be unreasonably large.
+    ``exact-dp`` calls `solve_exact`, which takes the cheaper of the
+    reachability table and meet-in-the-middle (reductions have huge
+    magnitudes but few values, so mostly the latter).  ``analog-simulated``
+    squeezes the instance under the multiplier bandwidth first;
+    `run_cascade` raises `GridTooLargeError` for instances whose dense grid
+    would be unreasonably large.
     """
 
     kind: str

@@ -39,8 +39,12 @@ def test_decide_exact_dc_beyond_dp_cutoff(capsys):
     code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["1"] * 26))
     assert code == 1
     assert "dc_volts=0.154981017\n" in out
-    # n = 32 is past ideal_dc's enumeration guard: the DC is not invented
+    # n = 32: C(32, 16) / 2**32, counted by meet-in-the-middle
     code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["1"] * 32))
+    assert code == 1
+    assert "dc_volts=0.139949934\n" in out
+    # n = 45 is past ideal_dc's meet-in-the-middle guard: the DC is not invented
+    code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["2"] + ["1"] * 44))
     assert code == 1
     assert "answer=YES" in out
     assert "dc_volts=nan\n" in out and "margin_volts=nan\n" in out

@@ -1,15 +1,19 @@
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cospart import exact
 from cospart.exact import (DpBudgetError, InstanceTooLargeError, analytic_spectrum,
                            decide_bruteforce, decide_dp, decide_meet_in_middle,
                            find_partition, ideal_dc, solve_exact)
 from cospart.instances import CpiInstance, parse_instance
+from cospart.reductions import CnfFormula, sat_to_partition
 
 
 def test_decide_examples():
@@ -50,6 +54,105 @@ def test_guards():
     with pytest.raises(DpBudgetError):
         decide_dp(parse_instance("1000000 1000000"), max_cells=1000)
     assert solve_exact(parse_instance("1000000 1000000"), max_cells=1000) is True
+
+
+def _balances(inst, witness):
+    return 2 * sum(inst.values[i - 1] for i in witness.subset) == inst.total
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=12))
+def test_exact_routes_agree(values):
+    inst = CpiInstance(tuple(values))
+    answer = decide_bruteforce(inst)
+    assert decide_dp(inst) == decide_meet_in_middle(inst) == solve_exact(inst) == answer
+    assert (ideal_dc(inst) > 0) == answer
+    balanced = exact._zero_sign_count(inst.values)
+    assert ideal_dc(inst) * 2**inst.n == balanced == analytic_spectrum(inst).dc * 2**inst.n
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(min_value=1, max_value=2**40), min_size=1, max_size=13),
+       st.booleans())
+def test_exact_routes_agree_large_magnitudes(values, balance):
+    # random large values almost never balance: append the value that
+    # balances the alternate positions against the others
+    gap = abs(sum(values[::2]) - sum(values[1::2]))
+    inst = CpiInstance(tuple(values) + ((gap,) if balance and gap else ()))
+    answer = decide_bruteforce(inst)
+    assert decide_meet_in_middle(inst) == solve_exact(inst) == answer
+    assert ideal_dc(inst) * 2**inst.n == exact._zero_sign_count(inst.values)
+    w = find_partition(inst)
+    assert (w is not None) == answer
+    assert w is None or _balances(inst, w)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=1, max_value=64), max_size=12))
+def test_subset_sum_kernel(values):
+    values = tuple(values)
+    counts = Counter(sum(c) for r in range(len(values) + 1)
+                     for c in itertools.combinations(values, r))
+    assert exact._subset_sums(values).tolist() == sorted(counts)
+    sums, tags = exact._tagged_subset_sums(values, counted=True)
+    assert sums.tolist() == sorted(counts)
+    assert tags.tolist() == [counts[x] for x in sorted(counts)]
+    assert int(tags.sum()) == 2 ** len(values)
+    sums, masks = exact._tagged_subset_sums(values, counted=False)
+    assert sums.tolist() == sorted(counts)
+    for x, m in zip(sums.tolist(), masks.tolist()):
+        assert sum(v for i, v in enumerate(values) if m >> i & 1) == x
+
+
+def _refuse(name):
+    def refuse(*_, **__):
+        raise AssertionError(f"{name} must not be called")
+    return refuse
+
+
+def test_bruteforce_independent_of_kernel(monkeypatch):
+    monkeypatch.setattr(exact, "_subset_sums", _refuse("_subset_sums"))
+    monkeypatch.setattr(exact, "_tagged_subset_sums", _refuse("_tagged_subset_sums"))
+    assert decide_bruteforce(parse_instance("3 2 5")) is True
+    assert decide_bruteforce(parse_instance("3 6 4")) is False
+    assert exact._zero_sign_count((1,) * 24) == 2704156  # C(24, 12)
+
+
+# A YES instance with n = 24 and total 1.82e8: its 9.1e7 reachability cells
+# fit the 1e8 budget, but MIM merges only 2**12 sums per half
+_WIDE = CpiInstance(tuple(7_500_000 + 7919 * i for i in range(24)))
+
+
+def test_solve_exact_dispatch_by_cost(monkeypatch):
+    assert exact._dp_budget_cells(_WIDE) <= 10**8
+    monkeypatch.setattr(exact, "decide_dp", _refuse("decide_dp"))
+    assert solve_exact(_WIDE) is True
+    # DP is cheaper on 40 ones but over a 10-cell budget
+    assert solve_exact(CpiInstance((1,) * 40), max_cells=10) is True
+    monkeypatch.undo()
+    monkeypatch.setattr(exact, "decide_meet_in_middle", _refuse("decide_meet_in_middle"))
+    assert solve_exact(CpiInstance((1,) * 40)) is True
+    assert solve_exact(CpiInstance((1,) * 41)) is False
+
+
+def test_find_partition_memory_bounded():
+    tracemalloc.start()
+    try:
+        w = find_partition(_WIDE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert w is not None and _balances(_WIDE, w)
+
+
+def test_find_partition_on_sat_reduction():
+    f = CnfFormula(6, ((1, 2, 3), (-1, 2, 4), (-2, 3, 5), (-3, 4, 6), (1, -4, 5),
+                       (2, -5, 6), (-1, 3, -6), (1, -2, 4), (3, 5, -6), (-3, 4, 6)))
+    inst, _ = sat_to_partition(f)
+    assert inst.n == 34
+    w = find_partition(inst)
+    assert w is not None and _balances(inst, w)
 
 
 def test_find_partition_witness_balances():
