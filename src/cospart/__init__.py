@@ -20,7 +20,7 @@ from .instances import (CpiInstance, ScaledInstance, alignment_time, load_instan
                         nyquist_frequency, parse_instance, random_instance,
                         scale_instance, serialize_instance)
 from .netlist import NetlistDoc, emit_netlist, parse_trace_csv, validate_netlist
-from .pipeline import (NonidealityConfig, PipelineTrace, Signal, amplify,
+from .pipeline import (NonidealityConfig, PipelineTrace, Signal, StageSummary, amplify,
                        multiply_stage, run_cascade, synthesize_sources)
 from .reductions import (Assignment, CnfFormula, OracleBackend, extract_witness,
                          format_solution, parse_dimacs, sat_to_partition, simplify)

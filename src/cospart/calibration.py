@@ -10,7 +10,7 @@ import functools
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ from . import dsp
 from .dsp import FilterSpec, SampledTrace
 from .exact import solve_exact
 from .instances import CpiInstance, serialize_instance
-from .pipeline import BandwidthError, NonidealityConfig, PipelineTrace, Signal, \
+from .pipeline import BandwidthError, NonidealityConfig, PipelineTrace, bandwidth_exceeded, \
     config_to_text, parse_kv, run_cascade
 
 
@@ -57,10 +57,8 @@ class Decision:
     dc_measured: float
     threshold: DecisionThreshold
     margin: float
-
-
-def _signal_dc(sig: Signal) -> float:
-    return dsp.dc_component(SampledTrace(t_start=sig.t0, tau=sig.dt, values=sig.samples))
+    # the filtered samples the DC was taken from (analogue decisions only)
+    sampled: Optional[SampledTrace] = field(default=None, repr=False, compare=False)
 
 
 def run_and_measure(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
@@ -113,8 +111,7 @@ def measure_stage_offsets(inst: CpiInstance, cfg: NonidealityConfig) -> OffsetRe
     if not is_no:
         warnings.warn("measuring offsets on a YES instance; the report includes signal DC",
                       stacklevel=2)
-    trace = run_cascade(inst, cfg, periods=1)
-    per_stage = tuple(_signal_dc(sig) for sig in trace.mult_outputs)
+    per_stage = tuple(s.pin_dc for s in run_cascade(inst, cfg, periods=1).stages)
     return OffsetReport(per_stage_dc=per_stage, instance_used=inst, is_no_instance=is_no)
 
 
@@ -203,17 +200,21 @@ def auto_threshold(inst: CpiInstance, spec: FilterSpec) -> DecisionThreshold:
 def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
                   thr: DecisionThreshold, strict: bool = False,
                   burn_in_periods: int = 0, window_periods: int = 1) -> Decision:
-    """Run the full chain and compare the DC estimate against the threshold."""
+    """Run the full chain and compare the DC estimate against the threshold.
+
+    With ``strict``, an instance above the multiplier bandwidth raises
+    `BandwidthError` before anything is simulated.
+    """
     if not thr.separable:
         raise NonSeparableError("threshold bands overlap; recalibrate before deciding")
-    dc, trace, _ = run_and_measure(inst, cfg, spec, burn_in_periods, window_periods)
-    if strict and trace.bandwidth_warning:
+    if strict and bandwidth_exceeded(inst, cfg):
         raise BandwidthError(
             f"sum of frequencies {inst.total * cfg.f_base:.6g} Hz exceeds "
             f"f*={cfg.bandwidth_f_star:.6g} Hz")
+    dc, _, sampled = run_and_measure(inst, cfg, spec, burn_in_periods, window_periods)
     answer = "YES" if dc > thr.cut else "NO"
     return Decision(answer=answer, dc_measured=dc, threshold=thr,
-                    margin=abs(dc - thr.cut))
+                    margin=abs(dc - thr.cut), sampled=sampled)
 
 
 def config_digest(cfg: NonidealityConfig, spec: Optional[FilterSpec] = None) -> str:

@@ -100,7 +100,8 @@ def _analog_setup(inst: CpiInstance, oracle: str, cfg: NonidealityConfig,
 
 def _decide_one(task: tuple[CpiInstance, NonidealityConfig], oracle: str,
                 fspec: FilterSpec, thr: Optional[calibration.DecisionThreshold],
-                strict: bool) -> calibration.Decision:
+                strict: bool, keep_sampled: bool) -> calibration.Decision:
+    """One decision; an analogue one keeps its filtered samples only with ``keep_sampled``."""
     inst, cfg = task
     if oracle in ("exact", "exact-dp", "exact-bf"):
         if oracle == "exact-bf":
@@ -116,7 +117,8 @@ def _decide_one(task: tuple[CpiInstance, NonidealityConfig], oracle: str,
                                     threshold=calibration.fixed_threshold(cut),
                                     margin=abs(dc - cut))
     cfg, fspec, thr = _analog_setup(inst, oracle, cfg, fspec, thr)
-    return calibration.decide_analog(inst, cfg, fspec, thr, strict=strict)
+    decision = calibration.decide_analog(inst, cfg, fspec, thr, strict=strict)
+    return decision if keep_sampled else replace(decision, sampled=None)
 
 
 def cmd_decide(args, argv: list[str]) -> int:
@@ -129,9 +131,10 @@ def cmd_decide(args, argv: list[str]) -> int:
     # deterministic per-instance sub-seeds keep batch runs reproducible
     tasks = [(inst, replace(cfg, seed=cfg.seed + i) if args.batch else cfg)
              for i, inst in enumerate(insts)]
+    write_trace = bool(args.out) and not args.batch and args.oracle in ("analog", "analog-ideal")
     decisions = calibration.parallel_map(
         functools.partial(_decide_one, oracle=args.oracle, fspec=fspec, thr=thr,
-                          strict=args.strict),
+                          strict=args.strict, keep_sampled=write_trace),
         tasks, args.jobs)
     records = [decision_record(d, inst, c, fspec)
                for d, (inst, c) in zip(decisions, tasks)]
@@ -146,9 +149,8 @@ def cmd_decide(args, argv: list[str]) -> int:
         head = _provenance(argv, digest, args.seed)
         (out / "decisions.txt").write_text(head + text)
         written = ["decisions.txt"]
-        if not args.batch and args.oracle in ("analog", "analog-ideal"):
-            run_cfg, run_spec, _ = _analog_setup(insts[0], args.oracle, cfg, fspec, thr)
-            _, _, sampled = calibration.run_and_measure(insts[0], run_cfg, run_spec)
+        if write_trace:
+            sampled = decisions[0].sampled
             trace_csv = pipeline.volts_csv(sampled.times(), sampled.values)
             (out / "trace.csv").write_text(head + trace_csv)
             (out / "spectrum.csv").write_text(head + dsp.dft(sampled).to_csv(units="Hz"))

@@ -7,13 +7,18 @@ integer number of points per period, which keeps FFT bins exactly on the
 product harmonics for nominal (error-free) frequencies.  The per-period
 count is ``oversample * total / gcd`` rounded up to the next 2·3·5·7-smooth
 integer, so every stage's FFT runs at a length numpy transforms quickly.
+
+`run_cascade` streams like the hardware: one signal is in flight, each
+source is synthesised only when its stage needs it, and each stage leaves a
+`StageSummary` instead of its node arrays.  Peak memory is a handful of grid
+arrays whatever the number of values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +28,7 @@ PerStage = Union[float, Sequence[float]]
 
 BANDWIDTH_MODELS = ("one-pole", "hard", "none")
 
-# Largest grid simulated per alignment period (16 MB per node array).
+# Largest grid simulated, over all periods of a run (16 MB per grid array).
 MAX_GRID_POINTS = 2_000_000
 
 
@@ -32,7 +37,7 @@ class BandwidthError(RuntimeError):
 
 
 class GridTooLargeError(ValueError):
-    """The instance's dense grid exceeds `MAX_GRID_POINTS` per period."""
+    """A run's dense grid exceeds `MAX_GRID_POINTS`."""
 
 
 @dataclass(frozen=True)
@@ -103,19 +108,35 @@ class Signal:
         return self.t0 + self.dt * np.arange(self.m)
 
 
-@dataclass(eq=False)
-class PipelineTrace:
-    """All node voltages of one cascade run.
+@dataclass(frozen=True)
+class StageSummary:
+    """What one multiplier+amplifier stage did, taken as the signal passed.
 
-    ``mult_outputs`` are taken at the multiplier pins (before the following
-    amplifier); ``stage_outputs`` after each multiplier+amplifier pair.
+    ``pin_dc`` is the mean of the multiplier pin (before the amplifier), the
+    DC that Z compensation cancels.  ``clip_fraction`` is the share of stage
+    output samples sitting at ±``supply_voltage``; ``out_min`` and
+    ``out_max`` bound the stage output.
     """
 
-    sources: list[Signal]
-    mult_outputs: list[Signal]
-    stage_outputs: list[Signal]
+    pin_dc: float
+    clip_fraction: float
+    out_min: float
+    out_max: float
+
+
+@dataclass(eq=False)
+class PipelineTrace:
+    """Result of one cascade run: the final signal and one summary per stage.
+
+    Only ``final`` is kept as an array; ``stages[k]`` summarises stage k+1
+    (n-1 entries, none for a single value).
+    """
+
     final: Signal
     bandwidth_warning: bool = False
+    stages: tuple[StageSummary, ...] = ()
+    # always empty: node arrays are not kept, but perfbench/tracer.py reads these names
+    sources = mult_outputs = stage_outputs = ()
 
 
 def _per_stage(value: PerStage, stage: int) -> float:
@@ -161,12 +182,49 @@ def points_per_period(inst: CpiInstance, cfg: NonidealityConfig) -> int:
     return next_smooth_length(cfg.oversample * (inst.total // inst.gcd))
 
 
-def check_grid(inst: CpiInstance, cfg: NonidealityConfig) -> None:
-    """Refuse an instance whose grid exceeds `MAX_GRID_POINTS` per period."""
-    points = points_per_period(inst, cfg)
+def check_grid(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> None:
+    """Refuse a run whose grid, ``periods`` alignment periods long, exceeds `MAX_GRID_POINTS`."""
+    points = periods * points_per_period(inst, cfg)
     if points > MAX_GRID_POINTS:
-        raise GridTooLargeError(f"instance needs {points} grid points per period "
+        span = "per period" if periods == 1 else f"over {periods} periods"
+        raise GridTooLargeError(f"instance needs {points} grid points {span} "
                                 f"(limit {MAX_GRID_POINTS}); magnitude too large to simulate")
+
+
+def bandwidth_exceeded(inst: CpiInstance, cfg: NonidealityConfig) -> bool:
+    """True when the instance's summed frequency lies above the multiplier bandwidth."""
+    return math.isfinite(cfg.bandwidth_f_star) and inst.total * cfg.f_base > cfg.bandwidth_f_star
+
+
+def _source_maker(inst: CpiInstance, cfg: NonidealityConfig,
+                  periods: int) -> Callable[[int], Signal]:
+    """Draw every source's frequency error and phase, build the time grid, return ``source(i)``.
+
+    The draws come first, in one fixed order, so synthesising the sources
+    one at a time gives the same samples as synthesising them all.
+    """
+    if periods < 1:
+        raise ValueError("periods must be at least 1")
+    t_align = float(alignment_time(inst)) / cfg.f_base
+    f_max = inst.total * cfg.f_base
+    per_period = points_per_period(inst, cfg)
+    dt = t_align / per_period
+    t = dt * np.arange(periods * per_period)
+
+    rng = np.random.default_rng([cfg.seed, 101])
+    eps = rng.normal(0.0, cfg.freq_error_sigma, inst.n)
+    phases = rng.normal(0.0, cfg.phase_error_sigma, inst.n)
+
+    def source(i: int) -> Signal:
+        f = cfg.f_base * inst.values[i] * (1.0 + eps[i])
+        samples = 2.0 * math.pi * f * t
+        samples += phases[i]
+        np.cos(samples, out=samples)
+        samples *= _per_stage(cfg.source_amplitude, i)
+        return Signal(t0=0.0, dt=dt, samples=samples,
+                      f_max_nominal=f_max, alignment_period=t_align)
+
+    return source
 
 
 def synthesize_sources(inst: CpiInstance, cfg: NonidealityConfig,
@@ -178,70 +236,76 @@ def synthesize_sources(inst: CpiInstance, cfg: NonidealityConfig,
     seed.  The grid resolves the highest nominal product harmonic with at
     least ``oversample`` points per cycle; `points_per_period` rounds the
     count per period up to a 2·3·5·7-smooth length for the FFTs.
+    `run_cascade` synthesises the same sources one at a time.
     """
-    if periods < 1:
-        raise ValueError("periods must be at least 1")
-    t_align = float(alignment_time(inst)) / cfg.f_base
-    f_max = inst.total * cfg.f_base
-    per_period = points_per_period(inst, cfg)
-    dt = t_align / per_period
-    m = periods * per_period
-    t = dt * np.arange(m)
-
-    rng = np.random.default_rng([cfg.seed, 101])
-    eps = rng.normal(0.0, cfg.freq_error_sigma, inst.n)
-    phases = rng.normal(0.0, cfg.phase_error_sigma, inst.n)
-
-    signals = []
-    for i, a in enumerate(inst.values):
-        amp = _per_stage(cfg.source_amplitude, i)
-        f = cfg.f_base * a * (1.0 + eps[i])
-        samples = amp * np.cos(2.0 * math.pi * f * t + phases[i])
-        signals.append(Signal(t0=0.0, dt=dt, samples=samples,
-                              f_max_nominal=f_max, alignment_period=t_align))
-    return signals
+    source = _source_maker(inst, cfg, periods)
+    return [source(i) for i in range(inst.n)]
 
 
-def _apply_bandwidth(samples: np.ndarray, dt: float, cfg: NonidealityConfig) -> np.ndarray:
+def _pole_response(m: int, dt: float, cfg: NonidealityConfig) -> Optional[np.ndarray]:
+    """The output pole on an m-point rfft: per-bin gains (one-pole), a mask
+    of the bins it zeroes (hard), or None without a pole."""
     if cfg.bandwidth_model == "none" or not math.isfinite(cfg.bandwidth_f_star):
-        return samples
-    spec = np.fft.rfft(samples)
-    freqs = np.fft.rfftfreq(len(samples), d=dt)
+        return None
+    freqs = np.fft.rfftfreq(m, d=dt)
     if cfg.bandwidth_model == "one-pole":
-        spec *= 1.0 / np.sqrt(1.0 + (freqs / cfg.bandwidth_f_star) ** 2)
-    else:  # hard cutoff
-        spec[freqs > cfg.bandwidth_f_star] = 0.0
-    return np.fft.irfft(spec, n=len(samples))
+        return 1.0 / np.sqrt(1.0 + (freqs / cfg.bandwidth_f_star) ** 2)
+    return freqs > cfg.bandwidth_f_star
 
 
-def multiply_stage(x: Signal, y: Signal, cfg: NonidealityConfig, stage: int = 0) -> Signal:
+def multiply_stage(x: Signal, y: Signal, cfg: NonidealityConfig, stage: int = 0,
+                   pole: Optional[np.ndarray] = None) -> Signal:
     """One four-quadrant multiplier: scaled product plus offsets, Z and noise.
 
     Order of effects: input offsets -> product * mult_scale -> output offset
     + Z + noise -> supply clamp -> output bandwidth pole (clamped again, the
-    pin cannot leave the rails).
+    pin cannot leave the rails).  ``pole`` is `_pole_response` for this
+    grid, computed here when not given.
     """
     _check_same_grid(x, y)
     off_in = _per_stage(cfg.mult_input_offset, stage)
     off_out = _per_stage(cfg.mult_output_offset, stage)
     z = _per_stage(cfg.z_compensation, stage) if len(cfg.z_compensation) else 0.0
-    out = (x.samples + off_in) * (y.samples + off_in) * cfg.mult_scale + off_out + z
+    out = x.samples + off_in
+    out *= y.samples + off_in
+    out *= cfg.mult_scale
+    out += off_out
+    out += z
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng([cfg.seed, 104729, stage])
-        out = out + rng.normal(0.0, cfg.noise_sigma, len(out))
-    out = np.clip(out, -cfg.supply_voltage, cfg.supply_voltage)
-    out = _apply_bandwidth(out, x.dt, cfg)
-    out = np.clip(out, -cfg.supply_voltage, cfg.supply_voltage)
+        out += rng.normal(0.0, cfg.noise_sigma, len(out))
+    np.clip(out, -cfg.supply_voltage, cfg.supply_voltage, out=out)
+    if pole is None:
+        pole = _pole_response(x.m, x.dt, cfg)
+    if pole is not None:
+        spec = np.fft.rfft(out)
+        if pole.dtype == bool:
+            spec[pole] = 0.0
+        else:
+            spec *= pole
+        out = np.fft.irfft(spec, n=len(out))
+        np.clip(out, -cfg.supply_voltage, cfg.supply_voltage, out=out)
     return Signal(t0=x.t0, dt=x.dt, samples=out, f_max_nominal=x.f_max_nominal,
                   alignment_period=x.alignment_period)
 
 
 def amplify(x: Signal, cfg: NonidealityConfig) -> Signal:
     """Non-inverting amplifier stage: gain, offset, rail clamp."""
-    out = np.clip(cfg.amp_gain * x.samples + cfg.amp_offset,
-                  -cfg.supply_voltage, cfg.supply_voltage)
+    out = cfg.amp_gain * x.samples
+    out += cfg.amp_offset
+    np.clip(out, -cfg.supply_voltage, cfg.supply_voltage, out=out)
     return Signal(t0=x.t0, dt=x.dt, samples=out, f_max_nominal=x.f_max_nominal,
                   alignment_period=x.alignment_period)
+
+
+def _summarize(pin: Signal, out: Signal, cfg: NonidealityConfig) -> StageSummary:
+    v = cfg.supply_voltage
+    lo, hi = float(out.samples.min()), float(out.samples.max())
+    clipped = 0
+    if lo <= -v or hi >= v:
+        clipped = np.count_nonzero(out.samples <= -v) + np.count_nonzero(out.samples >= v)
+    return StageSummary(pin_dc=float(np.mean(pin.samples)), clip_fraction=clipped / out.m,
+                        out_min=lo, out_max=hi)
 
 
 def _validate_stage_sequences(cfg: NonidealityConfig, n: int) -> None:
@@ -260,29 +324,36 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
     """Fold the sources left to right through multiplier+amplifier stages.
 
     An n-value instance runs n-1 stages; a single-value instance passes its
-    source straight through.  The bandwidth warning flags instances whose
-    summed frequency exceeds the multiplier limit.
+    source straight through.  The fold streams: all frequency errors and
+    phases are drawn first, source k is synthesised only when stage k needs
+    it, and each multiplier pin and stage output is reduced to a
+    `StageSummary` and dropped.  The draws, operations and their order are
+    those of `synthesize_sources`, `multiply_stage` and `amplify`, so the
+    result is bit-identical to folding those by hand.  At most about seven
+    grid arrays are alive at once (time vector, accumulator, source, pin,
+    noise or the pole's spectrum and inverse, and the pole's gains),
+    whatever n is: 6.8 at 352,800 points with the pole and noise.  The
+    bandwidth warning flags instances whose summed frequency exceeds the
+    multiplier limit (`bandwidth_exceeded`).
 
     Raises:
-        GridTooLargeError: before any synthesis, when the grid would exceed
-            `MAX_GRID_POINTS` per period (see `check_grid`).
+        GridTooLargeError: before any synthesis, when the grid of ``periods``
+            alignment periods would exceed `MAX_GRID_POINTS` (see `check_grid`).
     """
     _validate_stage_sequences(cfg, inst.n)
-    check_grid(inst, cfg)
-    sources = synthesize_sources(inst, cfg, periods=periods)
-    warning = math.isfinite(cfg.bandwidth_f_star) and inst.total * cfg.f_base > cfg.bandwidth_f_star
-
-    mult_outputs: list[Signal] = []
-    stage_outputs: list[Signal] = []
-    acc = sources[0]
+    check_grid(inst, cfg, periods)
+    source = _source_maker(inst, cfg, periods)
+    acc = source(0)
+    pole = _pole_response(acc.m, acc.dt, cfg)
+    stages = []
     for k in range(1, inst.n):
-        m_out = multiply_stage(acc, sources[k], cfg, stage=k - 1)
-        mult_outputs.append(m_out)
-        acc = amplify(m_out, cfg)
-        stage_outputs.append(acc)
-    return PipelineTrace(sources=sources, mult_outputs=mult_outputs,
-                         stage_outputs=stage_outputs, final=acc,
-                         bandwidth_warning=warning)
+        pin = multiply_stage(acc, source(k), cfg, stage=k - 1, pole=pole)
+        del acc
+        acc = amplify(pin, cfg)
+        stages.append(_summarize(pin, acc, cfg))
+        del pin
+    return PipelineTrace(final=acc, bandwidth_warning=bandwidth_exceeded(inst, cfg),
+                         stages=tuple(stages))
 
 
 def volts_csv(times: Sequence[float], volts: Sequence[float]) -> str:
@@ -291,18 +362,6 @@ def volts_csv(times: Sequence[float], volts: Sequence[float]) -> str:
     for t, v in zip(times, volts):
         rows.append(f"{t:.12g},{v:.12g}")
     return "\n".join(rows) + "\n"
-
-
-def trace_to_csvs(trace: PipelineTrace) -> dict[str, str]:
-    """One CSV per node: sources, multiplier pins, stage outputs."""
-    files = {}
-    for i, sig in enumerate(trace.sources, start=1):
-        files[f"source{i}.csv"] = volts_csv(sig.times(), sig.samples)
-    for i, sig in enumerate(trace.mult_outputs, start=1):
-        files[f"mult{i}.csv"] = volts_csv(sig.times(), sig.samples)
-    for i, sig in enumerate(trace.stage_outputs, start=1):
-        files[f"stage{i}.csv"] = volts_csv(sig.times(), sig.samples)
-    return files
 
 
 _SEQ_FIELDS = ("source_amplitude", "mult_output_offset", "mult_input_offset",

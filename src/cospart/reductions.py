@@ -10,7 +10,6 @@ formula: at most 1 + num_vars oracle calls.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -19,7 +18,7 @@ from .calibration import DecisionThreshold, auto_threshold, decide_analog
 from .dsp import FilterSpec
 from .exact import InstanceTooLargeError, decide_bruteforce, solve_exact
 from .instances import CpiInstance, scale_instance
-from .pipeline import GridTooLargeError, NonidealityConfig
+from .pipeline import GridTooLargeError, NonidealityConfig, bandwidth_exceeded
 
 
 class ParseError(ValueError):
@@ -263,7 +262,7 @@ class OracleBackend:
         cfg = self.cfg or NonidealityConfig.ideal()
         f_base = cfg.f_base
         self.last_scale = 1.0
-        if math.isfinite(cfg.bandwidth_f_star) and inst.total * cfg.f_base > cfg.bandwidth_f_star:
+        if bandwidth_exceeded(inst, cfg):
             scaled = scale_instance(inst, cfg.bandwidth_f_star / cfg.f_base, _SQUEEZE_MARGIN)
             self.last_scale = scaled.scale
             f_base = scaled.scale * cfg.f_base

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cospart import calibration
 from cospart.calibration import (DecisionThreshold, LabelError,
                                  NonSeparableError, auto_threshold, bootstrap_threshold,
                                  compensate, config_digest, decide_analog,
@@ -185,12 +186,18 @@ def test_decide_examples(ideal_cfg, brickwall):
     assert abs(d.dc_measured) < 1e-9
 
 
-def test_decide_strict_bandwidth():
+def test_decide_strict_bandwidth(monkeypatch):
     cfg = NonidealityConfig()  # finite f* = 120 kHz
     spec = FilterSpec("brickwall", 5e3)
     thr = fixed_threshold(0.01)
     decide_analog(parse_instance("3 6 4"), cfg, spec, thr)  # warning tolerated
-    with pytest.raises(BandwidthError):
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strict mode simulated the chain")
+
+    # the warning depends only on the instance and f*, so nothing is simulated
+    monkeypatch.setattr(calibration, "run_cascade", refuse)
+    with pytest.raises(BandwidthError, match="exceeds f"):
         decide_analog(parse_instance("3 6 4"), cfg, spec, thr, strict=True)
 
 

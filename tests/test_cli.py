@@ -107,6 +107,23 @@ def test_decide_out_emits_trace_and_spectrum(tmp_path, capsys):
     assert "frequency,amplitude" in spectrum
 
 
+def test_decide_out_runs_the_chain_once(tmp_path, capsys, monkeypatch):
+    from cospart import calibration
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run_cascade(*args, **kwargs)
+
+    run_cascade = calibration.run_cascade
+    monkeypatch.setattr(calibration, "run_cascade", counted)
+    code, _, _ = _run(capsys, "decide", "--oracle", "analog",
+                      "--out", str(tmp_path), "3 2 5")
+    assert code == 1
+    assert len(calls) == 1  # trace.csv and spectrum.csv come from the decision's samples
+    assert (tmp_path / "trace.csv").is_file() and (tmp_path / "spectrum.csv").is_file()
+
+
 def test_decide_batch_jobs_match(tmp_path, capsys):
     f = tmp_path / "batch.txt"
     f.write_text("3 2 5\n3 6 4\n1 1\n2 3\n")

@@ -1,6 +1,5 @@
 import itertools
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +13,7 @@ from cospart.exact import (DpBudgetError, InstanceTooLargeError, analytic_spectr
                            find_partition, ideal_dc, solve_exact)
 from cospart.instances import CpiInstance, parse_instance
 from cospart.reductions import CnfFormula, sat_to_partition
+from conftest import tracemalloc_peak
 
 
 def test_decide_examples():
@@ -136,14 +136,23 @@ def test_solve_exact_dispatch_by_cost(monkeypatch):
 
 
 def test_find_partition_memory_bounded():
-    tracemalloc.start()
-    try:
-        w = find_partition(_WIDE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    w, peak = tracemalloc_peak(lambda: find_partition(_WIDE))
     assert peak < 32 * 2**20
     assert w is not None and _balances(_WIDE, w)
+
+
+@pytest.mark.parametrize("last", [400000 + 18 * 49, 400000 + 18 * 50])
+def test_find_partition_dp_backtrack_memory_bounded(last):
+    # n = 50 and total/2 ~ 1e7 take the DP route: 51 masks of 1.25 MB each
+    # would peak near 54 MB; checkpoints every 8th mask keep about 2*sqrt(n)
+    inst = CpiInstance(tuple(400000 + 18 * i for i in range(49)) + (last,))
+    assert exact._dp_is_cheaper(inst, 10**8)
+    w, peak = tracemalloc_peak(lambda: find_partition(inst))
+    assert peak < 24e6
+    if last == 400000 + 18 * 49:  # every 25-subset misses total/2 by 9 mod 18
+        assert w is None
+    else:
+        assert w is not None and _balances(inst, w)
 
 
 def test_find_partition_on_sat_reduction():

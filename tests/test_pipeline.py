@@ -7,11 +7,12 @@ import pytest
 from cospart.calibration import run_and_measure
 from cospart.dsp import FilterSpec, dft, sample_after_filter
 from cospart.exact import analytic_spectrum, ideal_dc
-from cospart.instances import parse_instance
+from cospart.instances import CpiInstance, parse_instance
 from cospart.pipeline import (NonidealityConfig, Signal, amplify, config_from_items,
                               GridTooLargeError, config_to_text, multiply_stage,
                               next_smooth_length, parse_kv, points_per_period,
                               run_cascade, synthesize_sources)
+from conftest import tracemalloc_peak
 
 
 def _product_reference(inst, cfg, t):
@@ -166,9 +167,10 @@ def test_cascade_matches_closed_form(ideal_cfg):
         trace = run_cascade(inst, ideal_cfg)
         ref = _product_reference(inst, ideal_cfg, trace.final.times())
         assert np.max(np.abs(trace.final.samples - ref)) <= 1e-6 * inst.n
-        assert len(trace.stage_outputs) == inst.n - 1
-        assert len(trace.mult_outputs) == inst.n - 1
-        assert trace.final is trace.stage_outputs[-1]
+        assert len(trace.stages) == inst.n - 1
+        last = trace.stages[-1]
+        assert (last.out_min, last.out_max) == (trace.final.samples.min(),
+                                                trace.final.samples.max())
 
 
 def test_cascade_no_instance_dc_zero(ideal_cfg):
@@ -178,8 +180,9 @@ def test_cascade_no_instance_dc_zero(ideal_cfg):
 
 def test_cascade_single_value_passthrough(ideal_cfg):
     trace = run_cascade(parse_instance("5"), ideal_cfg)
-    assert trace.stage_outputs == []
-    assert trace.final.samples is trace.sources[0].samples
+    assert trace.stages == ()
+    source, = synthesize_sources(parse_instance("5"), ideal_cfg)
+    assert np.array_equal(trace.final.samples, source.samples)
 
 
 def test_cascade_deterministic():
@@ -210,8 +213,11 @@ def test_saturation_never_exceeds_rails():
     cfg = NonidealityConfig(mult_output_offset=5.0, amp_offset=8.0, noise_sigma=0.5,
                             seed=3)
     trace = run_cascade(parse_instance("2 3 5"), cfg)
-    for sig in trace.mult_outputs + trace.stage_outputs:
-        assert np.max(np.abs(sig.samples)) <= cfg.supply_voltage + 1e-12
+    assert np.max(np.abs(trace.final.samples)) <= cfg.supply_voltage
+    for s in trace.stages:
+        assert -cfg.supply_voltage <= s.out_min <= s.out_max <= cfg.supply_voltage
+        # the offsets drive every stage output into the positive rail
+        assert s.out_max == cfg.supply_voltage and s.clip_fraction > 0.5
 
 
 def test_bandwidth_warning_flag():
@@ -273,28 +279,72 @@ def test_parse_kv_rejects_line_without_equals():
 
 
 def test_run_cascade_refuses_oversized_grid_before_allocating():
-    import tracemalloc
-    inst = parse_instance("2 125001 5")
-    tracemalloc.start()
-    try:
-        with pytest.raises(GridTooLargeError, match=r"2000376 grid points"):
-            run_cascade(inst, NonidealityConfig())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    def refuse():
+        with pytest.raises(GridTooLargeError, match=r"2000376 grid points per period"):
+            run_cascade(parse_instance("2 125001 5"), NonidealityConfig())
+
+    _, peak = tracemalloc_peak(refuse)
     assert peak < 1_000_000  # one 2,000,376-point array would take 16 MB
+
+
+def test_grid_guard_counts_periods(ideal_cfg):
+    inst = parse_instance("3 6 4")
+    assert points_per_period(inst, ideal_cfg) == 210
+
+    def refuse():  # 210 points pass alone, but 10,000 periods make 2.1 M
+        with pytest.raises(GridTooLargeError, match=r"2100000 grid points over 10000 periods"):
+            run_cascade(inst, ideal_cfg, periods=10_000)
+
+    _, peak = tracemalloc_peak(refuse)
+    assert peak < 1_000_000
+
+
+def _total_22044(n):
+    # n values, gcd 1, total 22044: 16 * 22044 = 352,704 rounds up to a
+    # 352,800-point grid, the largest of the benchmark's analogue decisions
+    head = [700 + i for i in range(n - 1)]
+    return CpiInstance(tuple(head + [22044 - sum(head)]))
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_run_and_measure_memory_independent_of_n(n, brickwall):
+    inst = _total_22044(n)
+    cfg = NonidealityConfig(mult_output_offset=4e-3, amp_offset=2.5e-4,
+                            bandwidth_f_star=1e9, noise_sigma=1e-4, seed=n)
+    m = points_per_period(inst, cfg)
+    assert m == 352_800
+    (dc, trace, sampled), peak = tracemalloc_peak(
+        lambda: run_and_measure(inst, cfg, brickwall))
+    assert trace.final.m == m and len(trace.stages) == n - 1
+    assert peak <= 8 * m * 8  # eight grid arrays of float64, whatever n is
+
+
+@pytest.mark.parametrize("cfg", [
+    NonidealityConfig(mult_output_offset=(4e-3, 5e-3, 6e-3), mult_input_offset=1e-3,
+                      freq_error_sigma=1e-3, phase_error_sigma=0.1, noise_sigma=1e-3,
+                      z_compensation=(-4e-3, -5e-3, -6e-3), seed=4),
+    NonidealityConfig(mult_output_offset=5.0, amp_offset=8.0, noise_sigma=0.5,
+                      bandwidth_model="hard", seed=3),
+    NonidealityConfig.ideal(source_amplitude=(1.0, 1.1, 0.9, 1.2)),
+], ids=["one-pole", "clipping-hard", "ideal"])
+def test_stage_summaries_match_hand_fold(cfg):
+    inst = parse_instance("2 3 5 4")
+    trace = run_cascade(inst, cfg)
+    sources = synthesize_sources(inst, cfg)
+    acc = sources[0]
+    assert len(trace.stages) == inst.n - 1
+    for k, summary in enumerate(trace.stages):
+        pin = multiply_stage(acc, sources[k + 1], cfg, stage=k)
+        acc = amplify(pin, cfg)
+        out = acc.samples
+        assert np.max(np.abs(pin.samples)) <= cfg.supply_voltage  # the pin is clamped too
+        assert summary.pin_dc == float(np.mean(pin.samples))  # bit-equal
+        rail = np.abs(out) == cfg.supply_voltage
+        assert summary.clip_fraction == pytest.approx(np.count_nonzero(rail) / len(out))
+        assert (summary.out_min, summary.out_max) == (out.min(), out.max())
+    assert np.array_equal(trace.final.samples, acc.samples)
 
 
 def test_config_rejects_unknown_key():
     with pytest.raises(ValueError):
         config_from_items({"not_a_knob": "1"})
-
-
-def test_trace_csv_export(ideal_cfg):
-    from cospart.pipeline import trace_to_csvs
-    trace = run_cascade(parse_instance("3 6 4"), ideal_cfg)
-    files = trace_to_csvs(trace)
-    assert set(files) == {"source1.csv", "source2.csv", "source3.csv",
-                          "mult1.csv", "mult2.csv", "stage1.csv", "stage2.csv"}
-    for text in files.values():
-        assert text.startswith("time_s,volts\n")
