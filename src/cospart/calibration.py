@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -19,8 +20,8 @@ from . import dsp
 from .dsp import FilterSpec, SampledTrace
 from .exact import solve_exact
 from .instances import CpiInstance, serialize_instance
-from .pipeline import BandwidthError, NonidealityConfig, PipelineTrace, bandwidth_exceeded, \
-    config_to_text, parse_kv, run_cascade
+from .pipeline import NonidealityConfig, PipelineTrace, check_bandwidth, config_to_text, \
+    parse_kv, run_cascade
 
 
 class LabelError(ValueError):
@@ -85,18 +86,25 @@ def _measured_dc(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
 
 
 def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """``[fn(x) for x in items]``, over ``jobs`` spawned worker processes.
+    """``[fn(x) for x in items]``, over up to ``jobs`` spawned worker processes.
 
     ``fn`` must pickle by import path: a module-level function or a
-    `functools.partial` of one.  Runs in this process when ``jobs <= 1``
-    or there is at most one item.
+    `functools.partial` of one.  The workers are capped by the number of
+    items and by the CPUs this process may run on, so a large ``jobs`` never
+    starts more interpreters than can run at once.  Runs in this process
+    when that leaves fewer than two workers.
     """
-    if jobs <= 1 or len(items) <= 1:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(items), cpus)
+    if workers <= 1:
         return [fn(x) for x in items]
     # imported here: the pool machinery would add to every command's start-up
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+    with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, items))
 
@@ -207,10 +215,8 @@ def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
     """
     if not thr.separable:
         raise NonSeparableError("threshold bands overlap; recalibrate before deciding")
-    if strict and bandwidth_exceeded(inst, cfg):
-        raise BandwidthError(
-            f"sum of frequencies {inst.total * cfg.f_base:.6g} Hz exceeds "
-            f"f*={cfg.bandwidth_f_star:.6g} Hz")
+    if strict:
+        check_bandwidth(inst, cfg)
     dc, _, sampled = run_and_measure(inst, cfg, spec, burn_in_periods, window_periods)
     answer = "YES" if dc > thr.cut else "NO"
     return Decision(answer=answer, dc_measured=dc, threshold=thr,

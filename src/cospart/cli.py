@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -105,13 +106,15 @@ def _decide_one(task: tuple[CpiInstance, NonidealityConfig], oracle: str,
     inst, cfg = task
     if oracle in ("exact", "exact-dp", "exact-bf"):
         if oracle == "exact-bf":
-            yes = exact.decide_bruteforce(inst)
-        else:
-            yes = exact.solve_exact(inst)
+            yes = exact.decide_bruteforce(inst)  # the independent enumeration
         try:
-            dc = float(exact.ideal_dc(inst))
+            counted = exact.ideal_dc(inst)
         except exact.InstanceTooLargeError:
-            dc = math.nan  # beyond the meet-in-the-middle guard the DC is unknown
+            counted = None  # beyond the meet-in-the-middle guard the DC is unknown
+        if oracle != "exact-bf":
+            # some sign vector balances exactly when the counted DC is above 0
+            yes = exact.solve_exact(inst) if counted is None else counted > 0
+        dc = math.nan if counted is None else float(counted)
         cut = 0.5 ** min(inst.n + 1, 60)
         return calibration.Decision(answer="YES" if yes else "NO", dc_measured=dc,
                                     threshold=calibration.fixed_threshold(cut),
@@ -205,8 +208,17 @@ def cmd_calibrate(args, argv: list[str]) -> int:
     train_yes = instances.load_instances(Path(args.yes).read_text())
     train_no = instances.load_instances(Path(args.no).read_text())
     cfg, fspec, _ = _load_config(args)
+    over_band = 0
     for inst in train_yes + train_no:
         pipeline.check_grid(inst, cfg)
+        try:
+            pipeline.check_bandwidth(inst, cfg)
+        except pipeline.BandwidthError as exc:
+            if args.strict:
+                raise
+            print(f"warning: training instance {instances.serialize_instance(inst)}: {exc}",
+                  file=sys.stderr)
+            over_band += 1
 
     # Z compensation is per stage, so it only applies when every training
     # instance runs the same cascade arity.
@@ -220,6 +232,8 @@ def cmd_calibrate(args, argv: list[str]) -> int:
                                           jobs=args.jobs)
     text = calibration.threshold_to_text(thr, z_compensation=cfg_used.z_compensation,
                                          offsets=report)
+    if over_band:
+        text += f"bandwidth_warnings={over_band}\n"
     print(text, end="")
     if args.out:
         out = Path(args.out)
@@ -317,7 +331,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strict", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every later call.
+
+    Sharing it is safe: ``parse_args`` returns a fresh namespace each time and
+    no option has a mutable default, so one call's flags never reach the next.
+    """
     parser = argparse.ArgumentParser(
         prog="cospart",
         description="Simulated analogue oracle for balanced-partition decisions")
@@ -330,19 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", help="calibration file from cospart calibrate")
     p.add_argument("--batch", action="store_true", help="decide every instance in a file")
     _add_common(p)
-    p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("spectrum", help="emit analytic (and measured) spectra")
     p.add_argument("instance")
     p.add_argument("--simulate", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("calibrate", help="measure offsets and learn the threshold")
     p.add_argument("--yes", required=True, help="file of known YES instances")
     p.add_argument("--no", required=True, help="file of known NO instances")
     _add_common(p)
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("sat", help="solve a DIMACS CNF file via the reduction")
     p.add_argument("dimacs")
@@ -350,12 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exact", "exact-dp", "exact-bf", "analog", "analog-ideal"])
     p.add_argument("--calibration")
     _add_common(p)
-    p.set_defaults(func=cmd_sat)
 
     p = sub.add_parser("netlist", help="emit a SPICE netlist for an instance")
     p.add_argument("instance")
     _add_common(p)
-    p.set_defaults(func=cmd_netlist)
 
     p = sub.add_parser("gen", help="generate labeled random instances")
     p.add_argument("--n", type=int, required=True)
@@ -363,17 +378,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["YES", "NO"], default="YES")
     p.add_argument("--count", type=int, default=1)
     _add_common(p)
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; calls in one process are independent of each other.
+
+    The parser is built once per process (`build_parser`); the command's
+    ``cmd_<name>`` function is looked up when the call runs.  Any exception
+    becomes ``error: ...`` and exit 2; with ``COSPART_DEBUG=1`` the traceback
+    is printed to standard error first.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args, argv)
+        return command(args, argv)
     except Exception as exc:  # error contract: anything >= 2 is a failure
+        if os.environ.get("COSPART_DEBUG") == "1":
+            import traceback  # only on failure: the normal path never loads it
+            print(traceback.format_exc(), end="", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

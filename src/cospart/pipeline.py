@@ -196,6 +196,13 @@ def bandwidth_exceeded(inst: CpiInstance, cfg: NonidealityConfig) -> bool:
     return math.isfinite(cfg.bandwidth_f_star) and inst.total * cfg.f_base > cfg.bandwidth_f_star
 
 
+def check_bandwidth(inst: CpiInstance, cfg: NonidealityConfig) -> None:
+    """Raise `BandwidthError`, naming both frequencies, when `bandwidth_exceeded`."""
+    if bandwidth_exceeded(inst, cfg):
+        raise BandwidthError(f"sum of frequencies {inst.total * cfg.f_base:.6g} Hz exceeds "
+                             f"f*={cfg.bandwidth_f_star:.6g} Hz")
+
+
 def _source_maker(inst: CpiInstance, cfg: NonidealityConfig,
                   periods: int) -> Callable[[int], Signal]:
     """Draw every source's frequency error and phase, build the time grid, return ``source(i)``.

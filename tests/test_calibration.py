@@ -236,3 +236,43 @@ def test_threshold_round_trip():
     loaded, z = threshold_from_text(text)
     assert loaded == thr
     assert z == pytest.approx((-0.004, -0.0041))
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps in this process."""
+
+    created: list = []
+
+    def __init__(self, max_workers=None, mp_context=None):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("affinity, cpu_count, jobs, items, workers", [
+    ({0, 1}, 64, 5000, 10, 2),     # capped by the CPUs this process may use
+    ({0, 1, 2, 3}, 64, 3, 10, 3),  # capped by jobs
+    ({0, 1, 2, 3}, 64, 5000, 3, 3),  # capped by the items
+    (None, 3, 5000, 10, 3),        # no affinity call: os.cpu_count()
+    ({0}, 64, 5000, 10, None),     # one CPU: no pool at all
+])
+def test_parallel_map_caps_workers(monkeypatch, affinity, cpu_count, jobs, items, workers):
+    import concurrent.futures
+    import os
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "created", [])
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert calibration.parallel_map(abs, list(range(-items, 0)), jobs) == \
+        list(range(items, 0, -1))
+    assert _SerialPool.created == ([] if workers is None else [workers])

@@ -296,3 +296,156 @@ def test_decide_strict_escalates(capsys):
     code, _, err = _run(capsys, "decide", "--oracle", "analog", "--strict", "3 6 4")
     assert code >= 2
     assert "exceeds" in err
+
+
+def test_calibrate_warns_on_bandwidth(tmp_path, capsys, monkeypatch):
+    from cospart import calibration, pipeline
+    # tones near 1e12 Hz against the default 120 kHz multiplier pole
+    (tmp_path / "yes.txt").write_text("100000000 300000000 200000000\n"
+                                      "100000000 100000000 200000000\n")
+    (tmp_path / "no.txt").write_text("200000000 300000000 400000000\n"
+                                     "100000000 300000000 500000000\n")
+    argv = ["calibrate", "--yes", str(tmp_path / "yes.txt"), "--no", str(tmp_path / "no.txt")]
+    code, out, err = _run(capsys, *argv, "--out", str(tmp_path / "cal"))
+    assert code == 0
+    assert ("warning: training instance 100000000 300000000 200000000: "
+            "sum of frequencies 6e+12 Hz exceeds f*=120000 Hz\n") in err
+    assert err.count("warning: training instance") == 4
+    assert out.endswith("bandwidth_warnings=4\n")
+    assert "\nbandwidth_warnings=4\n" in (tmp_path / "cal" / "calibration.txt").read_text()
+
+    def never(*args, **kwargs):
+        raise AssertionError("strict calibration simulated an out-of-band instance")
+
+    monkeypatch.setattr(calibration, "run_cascade", never)
+    monkeypatch.setattr(pipeline, "run_cascade", never)
+    code, out, err = _run(capsys, *argv, "--strict", "--out", str(tmp_path / "strict"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: sum of frequencies 6e+12 Hz exceeds f*=120000 Hz\n"
+    assert not (tmp_path / "strict").exists()
+
+
+def test_calibrate_in_band_writes_no_bandwidth_line(tmp_path, capsys):
+    (tmp_path / "yes.txt").write_text("3 2 5\n")
+    (tmp_path / "no.txt").write_text("2 3 4\n")
+    code, out, err = _run(capsys, "calibrate", "--yes", str(tmp_path / "yes.txt"),
+                          "--no", str(tmp_path / "no.txt"), "--strict")
+    assert code == 0
+    assert "bandwidth" not in out and "warning" not in err
+
+
+@pytest.mark.parametrize("debug", [None, "1"])
+def test_debug_prints_traceback(capsys, monkeypatch, debug):
+    if debug is None:
+        monkeypatch.delenv("COSPART_DEBUG", raising=False)
+    else:
+        monkeypatch.setenv("COSPART_DEBUG", debug)
+    code, _, err = _run(capsys, "decide", "--oracle", "exact", "garbage")
+    assert code == 2
+    assert ("Traceback (most recent call last):" in err) == (debug == "1")
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+def _outputs(capsys, tmp_path, argv):
+    """Exit code, stdout, stderr and every file under ``tmp_path`` after one call."""
+    code, out, err = _run(capsys, *argv)
+    files = {str(p.relative_to(tmp_path)): p.read_text()
+             for p in sorted(tmp_path.rglob("*")) if p.is_file() and p.suffix != ".record"}
+    return code, out, err, files
+
+
+def test_calls_share_one_parser_and_stay_independent(tmp_path, capsys):
+    from cospart import cli
+    cal = tmp_path / "cal.txt"
+    cal.write_text("cut=0.1\nno_band_max=0\nyes_band_min=0.2\ntraining_size=2\nseparable=1\n")
+    batch = tmp_path / "batch.txt"
+    batch.write_text("3 2 5\n3 6 4\n")
+    out_dir = str(tmp_path / "o")
+    sequence = [
+        ["decide", "--oracle", "analog-ideal", "--strict", "--seed", "5", "--out", out_dir,
+         "3 2 5"],
+        ["decide", "3 2 5"],
+        ["decide", "--batch", "--oracle", "exact-bf", str(batch)],
+        ["decide", str(batch)],
+        ["decide", "--oracle", "exact", "--calibration", str(cal), "--out", out_dir, "3 6 4"],
+        ["decide", "--oracle", "analog-ideal", "3 6 4"],
+        ["decide", "--oracle", "analog", "--strict", "3 6 4"],
+        ["decide", "--oracle", "analog", "3 2 5"],
+        ["gen", "--n", "3", "--seed", "7"],
+        ["decide", "--seed", "2", "3 2 5"],
+    ]
+    shared = [_outputs(capsys, tmp_path, argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        assert vars(cli.build_parser.__wrapped__().parse_args(argv)) == \
+            vars(cli.build_parser().parse_args(argv))
+        fresh.append(_outputs(capsys, tmp_path, argv))
+    assert shared == fresh
+    assert shared[6][0] == 2 and shared[7][0] == 1  # --strict did not carry over
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    import argparse
+    from cospart import cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    _run(capsys, "decide", "--oracle", "exact", "3 2 5")
+    assert len(built) == 7  # the root parser and six subcommands
+    built.clear()
+    _run(capsys, "decide", "--oracle", "exact-dp", "3 6 4")
+    _run(capsys, "gen", "--n", "3")
+    _run(capsys, "spectrum", "2 3 5")
+    assert built == []
+    # dispatch reaches the command function as it is when the call runs
+    monkeypatch.setattr(cli, "cmd_gen", lambda args, argv: 7)
+    assert cli.main(["gen", "--n", "3"]) == 7
+
+
+def test_import_builds_no_parser():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cospart
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
+            "import cospart.cli\n"
+            "print(len(built), cospart.cli.build_parser.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cospart.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.split() == ["0", "0"]
+
+
+def test_exact_decision_counts_once(capsys, monkeypatch):
+    from cospart import exact
+    calls = []
+    for name in ("decide_meet_in_middle", "decide_dp", "solve_exact"):
+        def counted(*args, _name=name, _fn=getattr(exact, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(exact, name, counted)
+    # 24 values: the counted DC gives the answer; no solver runs
+    code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["1"] * 24))
+    assert code == 1 and "answer=YES" in out
+    assert calls == []
+    code, out, _ = _run(capsys, "decide", "--oracle", "exact-dp", " ".join(["1"] * 23))
+    assert code == 0 and "answer=NO" in out and "dc_volts=0\n" in out
+    assert calls == []
+    # 45 values are past the counting guard: one solve_exact call, and no DC
+    code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["1"] * 45))
+    assert code == 0 and "answer=NO" in out and "dc_volts=nan\n" in out
+    assert calls.count("solve_exact") == 1
