@@ -32,6 +32,10 @@ class NonSeparableError(RuntimeError):
     """The calibrated bands overlap; no decision threshold exists."""
 
 
+class ChainMismatchError(ValueError):
+    """A calibrated threshold is applied to a chain it was not learned on."""
+
+
 @dataclass(frozen=True)
 class OffsetReport:
     """DC measured at each multiplier output under a given configuration."""
@@ -50,6 +54,7 @@ class DecisionThreshold:
     yes_band_min: float
     training_size: int
     separable: bool = True
+    chain: str = ""  # `chain_digest` of the chain the bands were measured on; "" if none
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,28 @@ def measure_stage_offsets(inst: CpiInstance, cfg: NonidealityConfig) -> OffsetRe
     return OffsetReport(per_stage_dc=per_stage, instance_used=inst, is_no_instance=is_no)
 
 
+def pick_offset_instance(train_no: Sequence[CpiInstance]) -> CpiInstance:
+    """The first NO instance none of whose runs of consecutive values balances.
+
+    A balanced run of two or more values carries an earlier stage's offset
+    to a later multiplier output at DC, where `compensate` would cancel it a
+    second time as that stage's own.
+
+    Raises:
+        ValueError: when every instance has such a run; names the first one.
+    """
+    first = ""
+    for inst in train_no:
+        runs = (CpiInstance(inst.values[i:j])
+                for i in range(inst.n) for j in range(i + 2, inst.n + 1))
+        run = next((r for r in runs if solve_exact(r)), None)
+        if run is None:
+            return inst
+        first = first or f": {serialize_instance(inst)} has the balanced run " \
+                         f"{serialize_instance(run)}"
+    raise ValueError("no NO training instance to measure offsets on" + first)
+
+
 def compensate(cfg: NonidealityConfig, report: OffsetReport) -> NonidealityConfig:
     """Wire each Z input against the measured stage DC.
 
@@ -165,7 +192,8 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
     ``jobs`` processes by `parallel_map`.  The cut is the geometric mean of
     the band edges when both are positive, half the YES band's bottom when
     only that one is, and the midpoint otherwise (overlapping bands, or
-    both at or below 0 V).
+    both at or below 0 V).  The threshold is stamped with the
+    `chain_digest` of ``cfg`` and ``spec``.
     """
     if not train_yes or not train_no:
         raise ValueError("both training sets must be non-empty")
@@ -191,7 +219,7 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
         cut = 0.5 * (no_max + yes_min)
     return DecisionThreshold(cut=cut, no_band_max=no_max, yes_band_min=yes_min,
                              training_size=len(train_yes) + len(train_no),
-                             separable=separable)
+                             separable=separable, chain=chain_digest(cfg, spec))
 
 
 def fixed_threshold(cut: float) -> DecisionThreshold:
@@ -206,13 +234,21 @@ def auto_threshold(inst: CpiInstance, spec: FilterSpec) -> DecisionThreshold:
 
 
 def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
-                  thr: DecisionThreshold, strict: bool = False,
+                  thr: Optional[DecisionThreshold] = None, strict: bool = False,
                   burn_in_periods: int = 0, window_periods: int = 1) -> Decision:
     """Run the full chain and compare the DC estimate against the threshold.
 
-    With ``strict``, an instance above the multiplier bandwidth raises
-    `BandwidthError` before anything is simulated.
+    ``thr`` defaults to `auto_threshold`.  A threshold stamped with a chain
+    (one from `bootstrap_threshold`) raises `ChainMismatchError` unless
+    ``cfg`` and ``spec`` are that chain, whatever the seed.  With
+    ``strict``, an instance above the multiplier bandwidth raises
+    `BandwidthError`.  Both checks run before anything is simulated.
     """
+    thr = thr or auto_threshold(inst, spec)
+    if thr.chain and thr.chain != chain_digest(cfg, spec):
+        raise ChainMismatchError(
+            f"the calibration was learned on chain {thr.chain}, but this chain is "
+            f"{chain_digest(cfg, spec)}; recalibrate with this --config and filter")
     if not thr.separable:
         raise NonSeparableError("threshold bands overlap; recalibrate before deciding")
     if strict:
@@ -230,6 +266,11 @@ def config_digest(cfg: NonidealityConfig, spec: Optional[FilterSpec] = None) -> 
         text += f"kind={spec.kind}\ncutoff_f0={spec.cutoff_f0:.12g}\n" \
                 f"order={spec.order}\nper_stage_gain={spec.per_stage_gain:.12g}\n"
     return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def chain_digest(cfg: NonidealityConfig, spec: FilterSpec) -> str:
+    """`config_digest` of everything but the noise seed, Z (and so the arity) included."""
+    return config_digest(replace(cfg, seed=0), spec)
 
 
 def decision_record(decision: Decision, inst: CpiInstance, cfg: NonidealityConfig,
@@ -257,6 +298,7 @@ def threshold_to_text(thr: DecisionThreshold,
         f"yes_band_min={thr.yes_band_min:.12g}",
         f"training_size={thr.training_size}",
         f"separable={int(thr.separable)}",
+        f"chain={thr.chain}",
     ]
     if len(z_compensation):
         lines.append("z_compensation=" + ",".join(f"{z:.12g}" for z in z_compensation))
@@ -267,14 +309,22 @@ def threshold_to_text(thr: DecisionThreshold,
 
 
 def threshold_from_text(text: str) -> tuple[DecisionThreshold, tuple[float, ...]]:
-    """Load a persisted calibration; returns (threshold, z_compensation)."""
+    """Load a persisted calibration; returns (threshold, z_compensation).
+
+    Raises:
+        ValueError: when the text names no chain (a calibration written
+            before thresholds were bound to their chain).
+    """
     items = parse_kv(text)
+    if "chain" not in items:
+        raise ValueError("calibration has no chain= line; recalibrate with cospart calibrate")
     thr = DecisionThreshold(
         cut=float(items["cut"]),
         no_band_max=float(items["no_band_max"]),
         yes_band_min=float(items["yes_band_min"]),
         training_size=int(items["training_size"]),
         separable=bool(int(items["separable"])),
+        chain=items["chain"],
     )
     z = ()
     if items.get("z_compensation"):

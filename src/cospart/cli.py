@@ -87,16 +87,16 @@ def _provenance(argv: list[str], cfg_hash: str, seed: int, comment: str = "#") -
             f"{comment} seed={seed}\n")
 
 
-def _analog_setup(inst: CpiInstance, oracle: str, cfg: NonidealityConfig,
-                  fspec: FilterSpec, thr: Optional[calibration.DecisionThreshold]):
-    if oracle == "analog-ideal":
-        cfg = NonidealityConfig.ideal(seed=cfg.seed, f_base=cfg.f_base,
-                                      oversample=cfg.oversample)
-        fspec = FilterSpec(kind="brickwall", cutoff_f0=min(fspec.cutoff_f0, 0.5 * cfg.f_base))
-        thr = None
-    if thr is None:
-        thr = calibration.auto_threshold(inst, fspec)
-    return cfg, fspec, thr
+def _make_backend(name: str, cfg: NonidealityConfig, fspec: FilterSpec,
+                  thr: Optional[calibration.DecisionThreshold]) -> reductions.OracleBackend:
+    """The oracle ``decide`` and ``sat`` name; every analogue one keeps ``thr``."""
+    if name in ("exact", "exact-dp"):
+        return reductions.OracleBackend(kind="exact-dp")
+    if name == "exact-bf":
+        return reductions.OracleBackend(kind="exact-bruteforce")
+    if name == "analog-ideal":
+        return reductions.OracleBackend.ideal(cfg, fspec, thr)
+    return reductions.OracleBackend(kind="analog-simulated", cfg=cfg, fspec=fspec, threshold=thr)
 
 
 def _decide_one(task: tuple[CpiInstance, NonidealityConfig], oracle: str,
@@ -119,8 +119,9 @@ def _decide_one(task: tuple[CpiInstance, NonidealityConfig], oracle: str,
         return calibration.Decision(answer="YES" if yes else "NO", dc_measured=dc,
                                     threshold=calibration.fixed_threshold(cut),
                                     margin=abs(dc - cut))
-    cfg, fspec, thr = _analog_setup(inst, oracle, cfg, fspec, thr)
-    decision = calibration.decide_analog(inst, cfg, fspec, thr, strict=strict)
+    chain = _make_backend(oracle, cfg, fspec, thr)
+    decision = calibration.decide_analog(inst, chain.cfg, chain.fspec, chain.threshold,
+                                         strict=strict)
     return decision if keep_sampled else replace(decision, sampled=None)
 
 
@@ -177,9 +178,8 @@ def cmd_spectrum(args, argv: list[str]) -> int:
     analytic = exact.analytic_spectrum(inst).to_csv(units="instance")
     outputs = {"spectrum_analytic.csv": head + analytic}
     if args.simulate:
-        sim_cfg = NonidealityConfig.ideal(seed=cfg.seed, f_base=cfg.f_base,
-                                          oversample=cfg.oversample)
-        trace = pipeline.run_cascade(inst, sim_cfg, periods=1)
+        trace = pipeline.run_cascade(inst, reductions.OracleBackend.ideal(cfg, fspec).cfg,
+                                     periods=1)
         sampled = dsp.sample_after_filter(
             trace.final, FilterSpec(kind="none", cutoff_f0=0.5 / trace.final.dt),
             t_start=0.0, duration=trace.final.alignment_period, tau=trace.final.dt)
@@ -208,6 +208,10 @@ def cmd_calibrate(args, argv: list[str]) -> int:
     train_yes = instances.load_instances(Path(args.yes).read_text())
     train_no = instances.load_instances(Path(args.no).read_text())
     cfg, fspec, _ = _load_config(args)
+    sizes = sorted({inst.n for inst in train_yes + train_no})
+    if len(sizes) > 1:
+        raise ValueError(f"training instances have {sizes} values; Z compensation is "
+                         "per stage, so calibrate one size at a time")
     over_band = 0
     for inst in train_yes + train_no:
         pipeline.check_grid(inst, cfg)
@@ -220,14 +224,8 @@ def cmd_calibrate(args, argv: list[str]) -> int:
                   file=sys.stderr)
             over_band += 1
 
-    # Z compensation is per stage, so it only applies when every training
-    # instance runs the same cascade arity.
-    sizes = {inst.n for inst in train_yes + train_no}
-    report = None
-    cfg_used = cfg
-    if len(sizes) == 1:
-        report = calibration.measure_stage_offsets(train_no[0], cfg)
-        cfg_used = calibration.compensate(cfg, report)
+    report = calibration.measure_stage_offsets(calibration.pick_offset_instance(train_no), cfg)
+    cfg_used = calibration.compensate(cfg, report)
     thr = calibration.bootstrap_threshold(train_yes, train_no, cfg_used, fspec,
                                           jobs=args.jobs)
     text = calibration.threshold_to_text(thr, z_compensation=cfg_used.z_compensation,
@@ -248,21 +246,6 @@ def cmd_calibrate(args, argv: list[str]) -> int:
         print("warning: training bands overlap; calibration is not separable",
               file=sys.stderr)
     return 0
-
-
-def _make_backend(name: str, cfg: NonidealityConfig, fspec: FilterSpec,
-                  thr: Optional[calibration.DecisionThreshold]) -> reductions.OracleBackend:
-    if name in ("exact", "exact-dp"):
-        return reductions.OracleBackend(kind="exact-dp")
-    if name == "exact-bf":
-        return reductions.OracleBackend(kind="exact-bruteforce")
-    if name == "analog-ideal":
-        return reductions.OracleBackend(
-            kind="analog-simulated",
-            cfg=NonidealityConfig.ideal(seed=cfg.seed, f_base=cfg.f_base,
-                                        oversample=cfg.oversample))
-    return reductions.OracleBackend(kind="analog-simulated", cfg=cfg,
-                                    fspec=None, threshold=thr)
 
 
 def cmd_sat(args, argv: list[str]) -> int:
@@ -321,14 +304,20 @@ def cmd_gen(args, argv: list[str]) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--filter", choices=dsp.FILTER_KINDS, default=None)
-    p.add_argument("--f0", type=float, default=None, help="filter cutoff in Hz")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--strict", action="store_true")
+_FLAGS = {
+    "--config": dict(help="key=value config file"),
+    "--seed": dict(type=int, default=0),
+    "--filter": dict(choices=dsp.FILTER_KINDS, default=None),
+    "--f0": dict(type=float, default=None, help="filter cutoff in Hz"),
+    "--jobs": dict(type=int, default=1),
+    "--out": dict(help="output directory"),
+    "--strict": dict(action="store_true"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 @functools.cache
@@ -349,35 +338,35 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exact", "exact-dp", "exact-bf", "analog", "analog-ideal"])
     p.add_argument("--calibration", help="calibration file from cospart calibrate")
     p.add_argument("--batch", action="store_true", help="decide every instance in a file")
-    _add_common(p)
+    _add_flags(p, "--config", "--seed", "--filter", "--f0", "--out", "--jobs", "--strict")
 
     p = sub.add_parser("spectrum", help="emit analytic (and measured) spectra")
     p.add_argument("instance")
     p.add_argument("--simulate", action="store_true")
-    _add_common(p)
+    _add_flags(p, "--config", "--seed", "--filter", "--f0", "--out")
 
     p = sub.add_parser("calibrate", help="measure offsets and learn the threshold")
     p.add_argument("--yes", required=True, help="file of known YES instances")
     p.add_argument("--no", required=True, help="file of known NO instances")
-    _add_common(p)
+    _add_flags(p, "--config", "--seed", "--filter", "--f0", "--out", "--jobs", "--strict")
 
     p = sub.add_parser("sat", help="solve a DIMACS CNF file via the reduction")
     p.add_argument("dimacs")
     p.add_argument("--backend", default="exact-dp",
                    choices=["exact", "exact-dp", "exact-bf", "analog", "analog-ideal"])
     p.add_argument("--calibration")
-    _add_common(p)
+    _add_flags(p, "--config", "--seed", "--filter", "--f0", "--out", "--strict")
 
     p = sub.add_parser("netlist", help="emit a SPICE netlist for an instance")
     p.add_argument("instance")
-    _add_common(p)
+    _add_flags(p, "--config", "--seed", "--filter", "--f0", "--out")
 
     p = sub.add_parser("gen", help="generate labeled random instances")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-mag", type=int, default=50)
     p.add_argument("--kind", choices=["YES", "NO"], default="YES")
     p.add_argument("--count", type=int, default=1)
-    _add_common(p)
+    _add_flags(p, "--seed", "--out")
     return parser
 
 

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .calibration import DecisionThreshold, auto_threshold, decide_analog
+from .calibration import DecisionThreshold, decide_analog
 from .dsp import FilterSpec
 from .exact import InstanceTooLargeError, decide_bruteforce, solve_exact
 from .instances import CpiInstance, scale_instance
@@ -234,7 +234,11 @@ class OracleBackend:
     ``exact-dp`` calls `solve_exact`, which takes the cheaper of the
     reachability table and meet-in-the-middle (reductions have huge
     magnitudes but few values, so mostly the latter).  ``analog-simulated``
-    squeezes the instance under the multiplier bandwidth first;
+    is the analogue chain: ``cfg``, ``fspec`` and ``threshold`` (default the
+    ideal config, a brickwall at ``0.5 * f_base`` and `auto_threshold`).  It
+    squeezes an instance above the multiplier bandwidth by scaling ``f_base``
+    and the filter cutoff by the same factor, kept in ``last_scale``; a
+    calibrated threshold refuses the squeezed chain (`ChainMismatchError`).
     `run_cascade` raises `GridTooLargeError` for instances whose dense grid
     would be unreasonably large.
     """
@@ -249,6 +253,21 @@ class OracleBackend:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"kind must be one of {BACKEND_KINDS}")
+        self.cfg = self.cfg or NonidealityConfig.ideal()
+        self.fspec = self.fspec or FilterSpec(kind="brickwall", cutoff_f0=0.5 * self.cfg.f_base)
+
+    @classmethod
+    def ideal(cls, cfg: NonidealityConfig, fspec: FilterSpec,
+              threshold: Optional[DecisionThreshold] = None) -> "OracleBackend":
+        """The error-free chain with ``cfg``'s seed, ``f_base`` and ``oversample``.
+
+        Its brickwall sits at ``fspec``'s cutoff, or at ``0.5 * f_base`` if lower.
+        """
+        ideal = NonidealityConfig.ideal(seed=cfg.seed, f_base=cfg.f_base,
+                                        oversample=cfg.oversample)
+        return cls(kind="analog-simulated", cfg=ideal, threshold=threshold,
+                   fspec=FilterSpec(kind="brickwall",
+                                    cutoff_f0=min(fspec.cutoff_f0, 0.5 * cfg.f_base)))
 
     def decide(self, inst: CpiInstance) -> bool:
         self.calls += 1
@@ -256,20 +275,14 @@ class OracleBackend:
             return solve_exact(inst)
         if self.kind == "exact-bruteforce":
             return decide_bruteforce(inst)
-        return self._decide_analog(inst)
-
-    def _decide_analog(self, inst: CpiInstance) -> bool:
-        cfg = self.cfg or NonidealityConfig.ideal()
-        f_base = cfg.f_base
+        cfg, spec = self.cfg, self.fspec
         self.last_scale = 1.0
         if bandwidth_exceeded(inst, cfg):
-            scaled = scale_instance(inst, cfg.bandwidth_f_star / cfg.f_base, _SQUEEZE_MARGIN)
-            self.last_scale = scaled.scale
-            f_base = scaled.scale * cfg.f_base
-        cfg_eff = replace(cfg, f_base=f_base)
-        spec = self.fspec or FilterSpec(kind="brickwall", cutoff_f0=0.5 * f_base)
-        thr = self.threshold or auto_threshold(inst, spec)
-        return decide_analog(inst, cfg_eff, spec, thr).answer == "YES"
+            lam = scale_instance(inst, cfg.bandwidth_f_star / cfg.f_base, _SQUEEZE_MARGIN).scale
+            self.last_scale = lam
+            cfg = replace(cfg, f_base=lam * cfg.f_base)
+            spec = replace(spec, cutoff_f0=lam * spec.cutoff_f0)
+        return decide_analog(inst, cfg, spec, self.threshold).answer == "YES"
 
 
 def extract_witness(f: CnfFormula, oracle: OracleBackend) -> Optional[Assignment]:

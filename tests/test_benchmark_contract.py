@@ -1,0 +1,51 @@
+"""The benchmark under ``perfbench/`` drives cospart by name.
+
+Its tracer patches functions and one method named by strings, and its
+workloads type command lines.  These tests fail when a rename or a flag
+change in cospart would break a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import cospart.cli
+from cospart import reductions
+from cospart.instances import parse_instance
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(monkeypatch, name):
+    """Import ``perfbench/<name>.py`` by path, registered for the length of the test."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_binds_every_traced_name(monkeypatch):
+    tracer = _load(monkeypatch, "tracer").Tracer()
+    decide = reductions.OracleBackend.decide
+    try:
+        tracer.install()
+        assert reductions.OracleBackend(kind="exact-dp").decide(parse_instance("3 2 5"))
+    finally:
+        tracer.uninstall()
+    assert reductions.OracleBackend.decide is decide
+    assert {"reductions.oracle_call", "exact.solve_exact"} <= {s.name for s in tracer.spans}
+
+
+def test_workload_command_lines_parse(monkeypatch, tmp_path):
+    _load(monkeypatch, "reference")
+    workloads = _load(monkeypatch, "workloads")
+    parser = cospart.cli.build_parser()
+    for name, cls in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        workload = cls(2, tmp_path / name, round_size=4)
+        argvs = [op.argv for op in workload.ops]
+        if workload.setup_argv is not None:
+            argvs.append(workload.setup_argv)
+        for argv in argvs:
+            assert parser.parse_args(list(argv)).command == argv[0]

@@ -358,7 +358,8 @@ def _outputs(capsys, tmp_path, argv):
 def test_calls_share_one_parser_and_stay_independent(tmp_path, capsys):
     from cospart import cli
     cal = tmp_path / "cal.txt"
-    cal.write_text("cut=0.1\nno_band_max=0\nyes_band_min=0.2\ntraining_size=2\nseparable=1\n")
+    cal.write_text("cut=0.1\nno_band_max=0\nyes_band_min=0.2\ntraining_size=2\nseparable=1\n"
+                   "chain=\n")
     batch = tmp_path / "batch.txt"
     batch.write_text("3 2 5\n3 6 4\n")
     out_dir = str(tmp_path / "o")
@@ -449,3 +450,133 @@ def test_exact_decision_counts_once(capsys, monkeypatch):
     code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["1"] * 45))
     assert code == 0 and "answer=NO" in out and "dc_volts=nan\n" in out
     assert calls.count("solve_exact") == 1
+
+
+def _calibrate(capsys, tmp_path, yes, no, config=None):
+    """Calibrate on the given instance lines; returns calibrate's exit, stdout, stderr."""
+    (tmp_path / "yes.txt").write_text("".join(v + "\n" for v in yes))
+    (tmp_path / "no.txt").write_text("".join(v + "\n" for v in no))
+    argv = ["calibrate", "--yes", str(tmp_path / "yes.txt"), "--no", str(tmp_path / "no.txt"),
+            "--out", str(tmp_path / "cal")]
+    if config is not None:
+        (tmp_path / "chain.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "chain.cfg")]
+    return _run(capsys, *argv)
+
+
+# A compensating one-pole filter with DC gain 4 and an amplifier offset
+_GAIN_CHAIN = "amp_offset=0.05\nkind=one-pole\norder=2\nper_stage_gain=2\n"
+
+
+def test_sat_decides_on_the_calibrated_chain(tmp_path, capsys):
+    code, out, _ = _calibrate(capsys, tmp_path, ["1 1", "2 2"], ["1 2", "1 3"], _GAIN_CHAIN)
+    assert code == 0 and "cut=0.663324958071\n" in out
+    chain = ["--config", str(tmp_path / "chain.cfg"),
+             "--calibration", str(tmp_path / "cal" / "calibration.txt")]
+    code, out, _ = _run(capsys, "decide", "--oracle", "analog", *chain, "1 1")
+    assert code == 1 and "dc_volts=2.2\n" in out
+    # the empty formula reduces to that same `1 1`, decided on the same chain
+    (tmp_path / "empty.cnf").write_text("p cnf 1 0\n")
+    code, out, _ = _run(capsys, "sat", "--backend", "analog", *chain, str(tmp_path / "empty.cnf"))
+    assert (code, out) == (1, "s SATISFIABLE\nv 1 0\n")
+    # the noise seed and batch sub-seeds are not part of the chain
+    code, _, _ = _run(capsys, "decide", "--oracle", "analog", *chain, "--seed", "5", "1 1")
+    assert code == 1
+    (tmp_path / "batch.txt").write_text("1 1\n1 2\n")
+    code, out, _ = _run(capsys, "decide", "--oracle", "analog", *chain, "--batch",
+                        str(tmp_path / "batch.txt"))
+    assert code == 0 and "answer=YES" in out and "answer=NO" in out
+
+
+def test_calibration_refuses_another_chain(tmp_path, capsys):
+    from cospart.calibration import chain_digest, threshold_from_text
+    from cospart.dsp import FilterSpec
+    from cospart.pipeline import NonidealityConfig
+    code, _, _ = _calibrate(capsys, tmp_path, ["1 1", "2 2"], ["1 2", "1 3"], _GAIN_CHAIN)
+    assert code == 0
+    cal = tmp_path / "cal" / "calibration.txt"
+    thr, z = threshold_from_text(cal.read_text())
+    default_chain = chain_digest(NonidealityConfig(z_compensation=z),
+                                 FilterSpec(kind="brickwall", cutoff_f0=5000.0))
+    code, out, err = _run(capsys, "decide", "--oracle", "analog", "--calibration", str(cal),
+                          "1 1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: the calibration was learned on chain {thr.chain}, but this chain "
+                   f"is {default_chain}; recalibrate with this --config and filter\n")
+    # the ideal chain takes the calibration too, and refuses it the same way
+    code, out, err = _run(capsys, "decide", "--oracle", "analog-ideal", "--config",
+                          str(tmp_path / "chain.cfg"), "--calibration", str(cal), "1 1")
+    assert (code, out) == (2, "")
+    assert f"learned on chain {thr.chain}, but this chain is " in err
+
+
+def test_sat_squeeze_refuses_a_calibration(tmp_path, capsys):
+    code, _, _ = _calibrate(capsys, tmp_path, ["1 1"], ["1 2"])
+    assert code == 0
+    # its reduction sums above the default 120 kHz bandwidth, so every call is squeezed
+    (tmp_path / "f.cnf").write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+    code, out, err = _run(capsys, "sat", "--backend", "analog", "--calibration",
+                          str(tmp_path / "cal" / "calibration.txt"), str(tmp_path / "f.cnf"))
+    assert code == 2 and out == ""
+    assert "the calibration was learned on chain" in err
+
+
+def test_calibration_without_chain_line_is_refused(tmp_path, capsys):
+    cal = tmp_path / "cal.txt"
+    cal.write_text("cut=0.1\nno_band_max=0\nyes_band_min=0.2\ntraining_size=2\nseparable=1\n")
+    code, _, err = _run(capsys, "decide", "--oracle", "analog", "--calibration", str(cal),
+                        "3 2 5")
+    assert code == 2
+    assert err == "error: calibration has no chain= line; recalibrate with cospart calibrate\n"
+
+
+def test_calibrate_refuses_mixed_sizes(tmp_path, capsys, monkeypatch):
+    from cospart import calibration, pipeline
+
+    def never(*args, **kwargs):
+        raise AssertionError("calibrate simulated mixed-size training sets")
+
+    monkeypatch.setattr(calibration, "run_cascade", never)
+    monkeypatch.setattr(pipeline, "run_cascade", never)
+    code, out, err = _calibrate(capsys, tmp_path, ["3 2 5"], ["3 6 4", "1 2"])
+    assert code == 2 and out == ""
+    assert err == ("error: training instances have [2, 3] values; Z compensation is "
+                   "per stage, so calibrate one size at a time\n")
+    assert not (tmp_path / "cal").exists()
+
+
+# a NO instance with balanced runs of consecutive values: 185 - 206 - 188 - 176 + 225 + 160 = 0
+_UNSAFE_NO = "47 204 164 6 185 206 188 176 225 160"
+
+
+def test_calibrate_measures_offsets_on_a_safe_instance(tmp_path, capsys):
+    yes = ["1 1 2 2 3 3 4 4 5 5", "2 1 1 3 5 4 6 6 7 9"]
+    code, out, _ = _calibrate(capsys, tmp_path, yes,
+                              [_UNSAFE_NO, "1 2 4 8 16 32 64 128 256 1024"],
+                              "bandwidth_f_star=1e9\n")
+    assert code == 0
+    assert "offset_instance=1 2 4 8 16 32 64 128 256 1024\n" in out
+
+    (tmp_path / "unsafe").mkdir()
+    code, out, err = _calibrate(capsys, tmp_path / "unsafe", yes, [_UNSAFE_NO],
+                                "bandwidth_f_star=1e9\n")
+    assert code == 2 and out == ""
+    assert err == (f"error: no NO training instance to measure offsets on: {_UNSAFE_NO} "
+                   "has the balanced run 6 185 206 188 176 225 160\n")
+
+
+_BASE_ARGV = {"gen": ["gen", "--n", "3"], "sat": ["sat", "f.cnf"],
+              "spectrum": ["spectrum", "3 2 5"], "netlist": ["netlist", "3 2 5"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[("gen", flag) for flag in ("--config=x.cfg", "--filter=one-pole", "--f0=1", "--jobs=2",
+                                 "--strict")],
+    *[(command, "--jobs=2") for command in ("sat", "spectrum", "netlist")],
+    *[(command, "--strict") for command in ("spectrum", "netlist")],
+])
+def test_commands_refuse_flags_they_do_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(_BASE_ARGV[command] + [flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}\n" in capsys.readouterr().err

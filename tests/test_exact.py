@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cospart import exact
+from cospart.calibration import decide_analog
+from cospart.dsp import FilterSpec
 from cospart.exact import (DpBudgetError, InstanceTooLargeError, analytic_spectrum,
                            decide_bruteforce, decide_dp, decide_meet_in_middle,
                            find_partition, ideal_dc, solve_exact)
 from cospart.instances import CpiInstance, parse_instance
-from cospart.reductions import CnfFormula, sat_to_partition
+from cospart.pipeline import NonidealityConfig
+from cospart.reductions import CnfFormula, OracleBackend, sat_to_partition
 from conftest import tracemalloc_peak
 
 
@@ -69,6 +72,11 @@ def test_exact_routes_agree(values):
     assert (ideal_dc(inst) > 0) == answer
     balanced = exact._zero_sign_count(inst.values)
     assert ideal_dc(inst) * 2**inst.n == balanced == analytic_spectrum(inst).dc * 2**inst.n
+    if inst.n <= 10:  # the chain `decide --oracle analog-ideal` simulates
+        chain = OracleBackend.ideal(NonidealityConfig(), FilterSpec("brickwall", 5000.0))
+        d = decide_analog(inst, chain.cfg, chain.fspec, chain.threshold)
+        assert (d.answer == "YES") == answer
+        assert abs(d.dc_measured - float(ideal_dc(inst))) <= 1e-12
 
 
 @settings(max_examples=100)
