@@ -68,12 +68,12 @@ class Decision:
 
 
 def run_and_measure(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
-                    burn_in_periods: int = 0, window_periods: int = 1,
-                    tau: Optional[float] = None) -> tuple[float, PipelineTrace, SampledTrace]:
+                    burn_in_periods: int = 0,
+                    window_periods: int = 1) -> tuple[float, PipelineTrace, SampledTrace]:
     """Full chain: cascade, filter, aligned sampling, DC estimate.
 
-    Defaults sample every grid point of one alignment period, which makes
-    the DC estimate exact for periodic signals.
+    Samples every grid point of the window; the default window, one
+    alignment period, makes the DC estimate exact for periodic signals.
     """
     trace = run_cascade(inst, cfg, periods=burn_in_periods + window_periods)
     t_align = trace.final.alignment_period
@@ -81,13 +81,12 @@ def run_and_measure(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
         trace.final, spec,
         t_start=burn_in_periods * t_align,
         duration=window_periods * t_align,
-        tau=trace.final.dt if tau is None else tau)
+        tau=trace.final.dt)
     return dsp.dc_component(sampled), trace, sampled
 
 
-def _measured_dc(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
-                 burn_in_periods: int, window_periods: int) -> float:
-    return run_and_measure(inst, cfg, spec, burn_in_periods, window_periods)[0]
+def _measured_dc(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> float:
+    return run_and_measure(inst, cfg, spec)[0]
 
 
 def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -184,7 +183,6 @@ def perturb_to_no_instance(inst: CpiInstance, sigma: float, delta: float,
 
 def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[CpiInstance],
                         cfg: NonidealityConfig, spec: FilterSpec,
-                        burn_in_periods: int = 0, window_periods: int = 1,
                         jobs: int = 1) -> DecisionThreshold:
     """Learn the YES/NO voltage bands from labeled training runs.
 
@@ -204,9 +202,7 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
         if solve_exact(inst):
             raise LabelError(f"training NO instance {serialize_instance(inst)} is a YES instance")
 
-    dcs = parallel_map(functools.partial(_measured_dc, cfg=cfg, spec=spec,
-                                         burn_in_periods=burn_in_periods,
-                                         window_periods=window_periods),
+    dcs = parallel_map(functools.partial(_measured_dc, cfg=cfg, spec=spec),
                        [*train_yes, *train_no], jobs)
     yes_min = min(dcs[:len(train_yes)])
     no_max = max(dcs[len(train_yes):])
@@ -234,8 +230,7 @@ def auto_threshold(inst: CpiInstance, spec: FilterSpec) -> DecisionThreshold:
 
 
 def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
-                  thr: Optional[DecisionThreshold] = None, strict: bool = False,
-                  burn_in_periods: int = 0, window_periods: int = 1) -> Decision:
+                  thr: Optional[DecisionThreshold] = None, strict: bool = False) -> Decision:
     """Run the full chain and compare the DC estimate against the threshold.
 
     ``thr`` defaults to `auto_threshold`.  A threshold stamped with a chain
@@ -253,37 +248,35 @@ def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
         raise NonSeparableError("threshold bands overlap; recalibrate before deciding")
     if strict:
         check_bandwidth(inst, cfg)
-    dc, _, sampled = run_and_measure(inst, cfg, spec, burn_in_periods, window_periods)
+    dc, _, sampled = run_and_measure(inst, cfg, spec)
     answer = "YES" if dc > thr.cut else "NO"
     return Decision(answer=answer, dc_measured=dc, threshold=thr,
                     margin=abs(dc - thr.cut), sampled=sampled)
 
 
-def config_digest(cfg: NonidealityConfig, spec: Optional[FilterSpec] = None) -> str:
-    """Short stable hash of the configuration (and filter) for provenance."""
-    text = config_to_text(cfg)
-    if spec is not None:
-        text += f"kind={spec.kind}\ncutoff_f0={spec.cutoff_f0:.12g}\n" \
-                f"order={spec.order}\nper_stage_gain={spec.per_stage_gain:.12g}\n"
+def chain_digest(cfg: NonidealityConfig, spec: FilterSpec) -> str:
+    """Short stable hash of a chain: config and filter, Z (and so the arity) included.
+
+    The noise seed is left out; it is reported next to the hash wherever the
+    hash is, so one chain has one digest whatever seed it runs with.
+    """
+    # the seed line reads 0 at every seed (cheaper than hashing `replace(cfg, seed=0)`)
+    text = config_to_text(cfg).replace(f"\nseed={cfg.seed}\n", "\nseed=0\n") + \
+        f"kind={spec.kind}\ncutoff_f0={spec.cutoff_f0:.12g}\n" \
+        f"order={spec.order}\nper_stage_gain={spec.per_stage_gain:.12g}\n"
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def chain_digest(cfg: NonidealityConfig, spec: FilterSpec) -> str:
-    """`config_digest` of everything but the noise seed, Z (and so the arity) included."""
-    return config_digest(replace(cfg, seed=0), spec)
-
-
-def decision_record(decision: Decision, inst: CpiInstance, cfg: NonidealityConfig,
-                    spec: Optional[FilterSpec] = None) -> str:
-    """Key=value export of one decision."""
+def decision_record(decision: Decision, inst: CpiInstance, chain: str, seed: int) -> str:
+    """Key=value export of one decision on the chain with `chain_digest` ``chain``."""
     lines = [
         f"instance={serialize_instance(inst)}",
         f"answer={decision.answer}",
         f"dc_volts={decision.dc_measured:.9g}",
         f"cut_volts={decision.threshold.cut:.9g}",
         f"margin_volts={decision.margin:.9g}",
-        f"config_hash={config_digest(cfg, spec)}",
-        f"seed={cfg.seed}",
+        f"config_hash={chain}",
+        f"seed={seed}",
     ]
     return "\n".join(lines) + "\n"
 

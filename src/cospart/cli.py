@@ -12,12 +12,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import calibration, dsp, exact, instances, netlist, pipeline, reductions
-from .calibration import config_digest, decision_record
+from .calibration import chain_digest, decision_record
 from .dsp import FilterSpec
 from .instances import CpiInstance
 from .pipeline import NonidealityConfig
@@ -27,24 +27,6 @@ EXIT_YES = 1
 EXIT_ERROR = 2
 
 _FILTER_KEYS = {"kind", "cutoff_f0", "order", "per_stage_gain"}
-
-
-@dataclass
-class RunRecord:
-    """Reproducibility record for one CLI run."""
-
-    command: str
-    config_hash: str
-    seed: int
-    outputs: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    def to_text(self) -> str:
-        return (f"command={self.command}\n"
-                f"config_hash={self.config_hash}\n"
-                f"seed={self.seed}\n"
-                f"outputs={','.join(self.outputs)}\n"
-                f"wall_time={self.wall_time:.3f}\n")
 
 
 def _load_config(args) -> tuple[NonidealityConfig, FilterSpec,
@@ -75,21 +57,46 @@ def _load_config(args) -> tuple[NonidealityConfig, FilterSpec,
 
 def _load_instance_arg(arg: str) -> list[CpiInstance]:
     path = Path(arg)
-    if path.is_file():
-        return instances.load_instances(path.read_text())
-    return [instances.parse_instance(arg)]
+    if not path.is_file():
+        return [instances.parse_instance(arg)]
+    insts = instances.load_instances(path.read_text())
+    if not insts:
+        raise instances.InstanceError(f"no instance in {arg}")
+    return insts
 
 
-def _provenance(argv: list[str], cfg_hash: str, seed: int, comment: str = "#") -> str:
-    cmd = "cospart " + " ".join(argv)
-    return (f"{comment} command={cmd}\n"
-            f"{comment} config_hash={cfg_hash}\n"
-            f"{comment} seed={seed}\n")
+def _provenance(argv: list[str], digest: str, seed: int, comment: str = "#") -> str:
+    """The run's command, chain digest and seed, one ``comment``-led line each."""
+    lead = comment + " " if comment else ""
+    return (f"{lead}command=cospart {' '.join(argv)}\n"
+            f"{lead}config_hash={digest}\n"
+            f"{lead}seed={seed}\n")
+
+
+def _write_out(args, argv: list[str], t0: float, digest: str, files: dict[str, str],
+               comment: str = "#") -> list[Path]:
+    """Write each file into ``--out`` behind the provenance header, then the run's record.
+
+    The record, ``<command>.record``, holds the provenance lines, the files
+    written and the wall time since ``t0``.  Returns the files' paths, sorted.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    head = _provenance(argv, digest, args.seed, comment)
+    for name, text in files.items():
+        (out / name).write_text(head + text)
+    (out / f"{args.command}.record").write_text(
+        _provenance(argv, digest, args.seed, comment="")
+        + f"outputs={','.join(sorted(files))}\nwall_time={time.monotonic() - t0:.3f}\n")
+    return [out / name for name in sorted(files)]
 
 
 def _make_backend(name: str, cfg: NonidealityConfig, fspec: FilterSpec,
                   thr: Optional[calibration.DecisionThreshold]) -> reductions.OracleBackend:
-    """The oracle ``decide`` and ``sat`` name; every analogue one keeps ``thr``."""
+    """The oracle ``decide`` and ``sat`` name; every analogue one keeps ``thr``.
+
+    An exact one keeps the default ideal chain, which its provenance names.
+    """
     if name in ("exact", "exact-dp"):
         return reductions.OracleBackend(kind="exact-dp")
     if name == "exact-bf":
@@ -99,19 +106,21 @@ def _make_backend(name: str, cfg: NonidealityConfig, fspec: FilterSpec,
     return reductions.OracleBackend(kind="analog-simulated", cfg=cfg, fspec=fspec, threshold=thr)
 
 
-def _decide_one(task: tuple[CpiInstance, NonidealityConfig], oracle: str,
-                fspec: FilterSpec, thr: Optional[calibration.DecisionThreshold],
+def _decide_one(task: tuple[CpiInstance, int], chain: reductions.OracleBackend,
                 strict: bool, keep_sampled: bool) -> calibration.Decision:
-    """One decision; an analogue one keeps its filtered samples only with ``keep_sampled``."""
-    inst, cfg = task
-    if oracle in ("exact", "exact-dp", "exact-bf"):
-        if oracle == "exact-bf":
+    """One decision on ``chain`` at the task's seed.
+
+    An analogue decision keeps its filtered samples only with ``keep_sampled``.
+    """
+    inst, seed = task
+    if chain.kind != "analog-simulated":
+        if chain.kind == "exact-bruteforce":
             yes = exact.decide_bruteforce(inst)  # the independent enumeration
         try:
             counted = exact.ideal_dc(inst)
         except exact.InstanceTooLargeError:
             counted = None  # beyond the meet-in-the-middle guard the DC is unknown
-        if oracle != "exact-bf":
+        if chain.kind != "exact-bruteforce":
             # some sign vector balances exactly when the counted DC is above 0
             yes = exact.solve_exact(inst) if counted is None else counted > 0
         dc = math.nan if counted is None else float(counted)
@@ -119,9 +128,8 @@ def _decide_one(task: tuple[CpiInstance, NonidealityConfig], oracle: str,
         return calibration.Decision(answer="YES" if yes else "NO", dc_measured=dc,
                                     threshold=calibration.fixed_threshold(cut),
                                     margin=abs(dc - cut))
-    chain = _make_backend(oracle, cfg, fspec, thr)
-    decision = calibration.decide_analog(inst, chain.cfg, chain.fspec, chain.threshold,
-                                         strict=strict)
+    decision = calibration.decide_analog(inst, replace(chain.cfg, seed=seed), chain.fspec,
+                                         chain.threshold, strict=strict)
     return decision if keep_sampled else replace(decision, sampled=None)
 
 
@@ -130,39 +138,28 @@ def cmd_decide(args, argv: list[str]) -> int:
     insts = _load_instance_arg(args.instance)
     if len(insts) > 1 and not args.batch:
         raise ValueError(f"{len(insts)} instances given; pass --batch to decide them all")
-    cfg, fspec, thr = _load_config(args)
+    chain = _make_backend(args.oracle, *_load_config(args))
+    digest = chain_digest(chain.cfg, chain.fspec)
 
     # deterministic per-instance sub-seeds keep batch runs reproducible
-    tasks = [(inst, replace(cfg, seed=cfg.seed + i) if args.batch else cfg)
-             for i, inst in enumerate(insts)]
-    write_trace = bool(args.out) and not args.batch and args.oracle in ("analog", "analog-ideal")
+    tasks = [(inst, args.seed + i if args.batch else args.seed) for i, inst in enumerate(insts)]
+    write_trace = bool(args.out) and not args.batch and chain.kind == "analog-simulated"
     decisions = calibration.parallel_map(
-        functools.partial(_decide_one, oracle=args.oracle, fspec=fspec, thr=thr,
-                          strict=args.strict, keep_sampled=write_trace),
+        functools.partial(_decide_one, chain=chain, strict=args.strict,
+                          keep_sampled=write_trace),
         tasks, args.jobs)
-    records = [decision_record(d, inst, c, fspec)
-               for d, (inst, c) in zip(decisions, tasks)]
+    records = [decision_record(d, inst, digest, seed) for d, (inst, seed) in zip(decisions, tasks)]
     last_answer = decisions[-1].answer
     text = "\n".join(records)
     print(text, end="")
 
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        digest = config_digest(cfg, fspec)
-        head = _provenance(argv, digest, args.seed)
-        (out / "decisions.txt").write_text(head + text)
-        written = ["decisions.txt"]
+        files = {"decisions.txt": text}
         if write_trace:
             sampled = decisions[0].sampled
-            trace_csv = pipeline.volts_csv(sampled.times(), sampled.values)
-            (out / "trace.csv").write_text(head + trace_csv)
-            (out / "spectrum.csv").write_text(head + dsp.dft(sampled).to_csv(units="Hz"))
-            written += ["spectrum.csv", "trace.csv"]
-        record = RunRecord(command="cospart " + " ".join(argv), config_hash=digest,
-                           seed=args.seed, outputs=written,
-                           wall_time=time.monotonic() - t0)
-        (out / "decide.record").write_text(record.to_text())
+            files["trace.csv"] = pipeline.volts_csv(sampled.times(), sampled.values)
+            files["spectrum.csv"] = dsp.dft(sampled).to_csv(units="Hz")
+        _write_out(args, argv, t0, digest, files)
     if args.batch:
         return 0
     return EXIT_YES if last_answer == "YES" else EXIT_NO
@@ -172,34 +169,24 @@ def cmd_spectrum(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     inst = _load_instance_arg(args.instance)[0]
     cfg, fspec, _ = _load_config(args)
-    digest = config_digest(cfg, fspec)
-    head = _provenance(argv, digest, args.seed)
+    chain = reductions.OracleBackend.ideal(cfg, fspec)
+    digest = chain_digest(chain.cfg, chain.fspec)
 
-    analytic = exact.analytic_spectrum(inst).to_csv(units="instance")
-    outputs = {"spectrum_analytic.csv": head + analytic}
+    outputs = {"spectrum_analytic.csv": exact.analytic_spectrum(inst).to_csv(units="instance")}
     if args.simulate:
-        trace = pipeline.run_cascade(inst, reductions.OracleBackend.ideal(cfg, fspec).cfg,
-                                     periods=1)
+        trace = pipeline.run_cascade(inst, chain.cfg, periods=1)
         sampled = dsp.sample_after_filter(
             trace.final, FilterSpec(kind="none", cutoff_f0=0.5 / trace.final.dt),
             t_start=0.0, duration=trace.final.alignment_period, tau=trace.final.dt)
-        measured = dsp.dft(sampled).to_csv(units="Hz")
-        outputs["spectrum_measured.csv"] = head + measured
+        outputs["spectrum_measured.csv"] = dsp.dft(sampled).to_csv(units="Hz")
 
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in outputs.items():
-            (out / name).write_text(text)
-        record = RunRecord(command="cospart " + " ".join(argv), config_hash=digest,
-                           seed=args.seed, outputs=sorted(outputs),
-                           wall_time=time.monotonic() - t0)
-        (out / "spectrum.record").write_text(record.to_text())
-        print("\n".join(str(Path(args.out) / name) for name in sorted(outputs)))
+        print(*_write_out(args, argv, t0, digest, outputs), sep="\n")
     else:
+        head = _provenance(argv, digest, args.seed)
         for name, text in outputs.items():
             print(f"== {name} ==")
-            print(text, end="")
+            print(head + text, end="")
     return 0
 
 
@@ -234,14 +221,7 @@ def cmd_calibrate(args, argv: list[str]) -> int:
         text += f"bandwidth_warnings={over_band}\n"
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        digest = config_digest(cfg, fspec)
-        (out / "calibration.txt").write_text(_provenance(argv, digest, args.seed) + text)
-        record = RunRecord(command="cospart " + " ".join(argv), config_hash=digest,
-                           seed=args.seed, outputs=["calibration.txt"],
-                           wall_time=time.monotonic() - t0)
-        (out / "calibrate.record").write_text(record.to_text())
+        _write_out(args, argv, t0, thr.chain, {"calibration.txt": text})
     if not thr.separable:
         print("warning: training bands overlap; calibration is not separable",
               file=sys.stderr)
@@ -249,9 +229,9 @@ def cmd_calibrate(args, argv: list[str]) -> int:
 
 
 def cmd_sat(args, argv: list[str]) -> int:
+    t0 = time.monotonic()
     formula = reductions.parse_dimacs(Path(args.dimacs).read_text(), strict=args.strict)
-    cfg, fspec, thr = _load_config(args)
-    backend = _make_backend(args.backend, cfg, fspec, thr)
+    backend = _make_backend(args.backend, *_load_config(args))
     try:
         assignment = reductions.extract_witness(formula, backend)
     except reductions.ReductionOverflowError as exc:
@@ -260,47 +240,40 @@ def cmd_sat(args, argv: list[str]) -> int:
     text = reductions.format_solution(assignment)
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        head = _provenance(argv, config_digest(cfg, fspec), args.seed, comment="c")
-        (out / "solution.txt").write_text(head + text)
+        _write_out(args, argv, t0, chain_digest(backend.cfg, backend.fspec),
+                   {"solution.txt": text}, comment="c")
     return EXIT_YES if assignment is not None else EXIT_NO
 
 
 def cmd_netlist(args, argv: list[str]) -> int:
+    t0 = time.monotonic()
     inst = _load_instance_arg(args.instance)[0]
     cfg, fspec, _ = _load_config(args)
     doc = netlist.emit_netlist(inst, cfg, fspec)
     netlist.validate_netlist(doc)
-    digest = config_digest(cfg, fspec)
-    text = _provenance(argv, digest, args.seed, comment="*") + doc.text()
+    digest = chain_digest(cfg, fspec)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "cascade.cir"
-        path.write_text(text)
-        print(str(path))
+        print(*_write_out(args, argv, t0, digest, {"cascade.cir": doc.text()}, comment="*"))
     else:
-        print(text, end="")
+        print(_provenance(argv, digest, args.seed, comment="*") + doc.text(), end="")
     return 0
 
 
 def cmd_gen(args, argv: list[str]) -> int:
+    t0 = time.monotonic()
     lines = []
     for i in range(args.count):
         inst = instances.random_instance(args.n, max_mag=args.max_mag,
                                          kind=args.kind, seed=args.seed + i)
         lines.append(instances.serialize_instance(inst))
-    head = _provenance(argv, config_digest(NonidealityConfig()), args.seed)
-    text = head + "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    # the instances are labelled by the exact oracles, so name their chain
+    chain = reductions.OracleBackend(kind="exact-dp")
+    digest = chain_digest(chain.cfg, chain.fspec)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "instances.txt"
-        path.write_text(text)
-        print(str(path))
+        print(*_write_out(args, argv, t0, digest, {"instances.txt": text}))
     else:
-        print(text, end="")
+        print(_provenance(argv, digest, args.seed) + text, end="")
     return 0
 
 

@@ -39,6 +39,11 @@ from .instances import CpiInstance
 _ENUM_CHUNK = 22
 # Guard of the meet-in-the-middle kernel: each half lists at most 2**22 sums.
 MAX_MIM_N = 44
+# Guard of the 2**n sign-vector enumeration in `decide_bruteforce`.
+MAX_ENUM_N = 30
+# Guards of `analytic_spectrum`: its line count grows with the total.
+MAX_SPECTRUM_N = 20
+MAX_SPECTRUM_TOTAL = 2_000_000
 
 
 class InstanceTooLargeError(ValueError):
@@ -110,15 +115,15 @@ def _check_enum_guard(inst: CpiInstance, max_n: int) -> None:
         raise InstanceTooLargeError(f"n={inst.n} exceeds the n<={max_n} enumeration guard")
 
 
-def decide_bruteforce(inst: CpiInstance, max_n: int = 30) -> bool:
+def decide_bruteforce(inst: CpiInstance) -> bool:
     """True iff some sign vector balances the instance.  Direct 2**n scan."""
-    _check_enum_guard(inst, max_n)
+    _check_enum_guard(inst, MAX_ENUM_N)
     return _zero_sign_count(inst.values) > 0
 
 
-def _check_mim_guard(inst: CpiInstance, max_n: int) -> None:
-    if inst.n > max_n:
-        raise InstanceTooLargeError(f"n={inst.n} exceeds the n<={max_n} meet-in-middle guard")
+def _check_mim_guard(inst: CpiInstance) -> None:
+    if inst.n > MAX_MIM_N:
+        raise InstanceTooLargeError(f"n={inst.n} exceeds the n<={MAX_MIM_N} meet-in-middle guard")
 
 
 def _run_starts(merged: np.ndarray) -> np.ndarray:
@@ -179,14 +184,14 @@ def _match(left: np.ndarray, right: np.ndarray, half: int) -> tuple[np.ndarray, 
     return np.flatnonzero(hit), j[hit]
 
 
-def ideal_dc(inst: CpiInstance, max_n: int = MAX_MIM_N) -> Fraction:
+def ideal_dc(inst: CpiInstance) -> Fraction:
     """Mean of the cosine product over one period: (balanced vectors) / 2**n.
 
     A sign vector balances when its + positions sum to total/2, so the
     numerator is the sum over x of c_L[x] * c_R[total/2 - x], where c_L and
     c_R count the subsets of each half by their sum.  It is at most 2**n.
     """
-    _check_mim_guard(inst, max_n)
+    _check_mim_guard(inst)
     if inst.total % 2:
         return Fraction(0)
     lo, hi = _halves(inst)
@@ -231,9 +236,9 @@ def decide_dp(inst: CpiInstance, max_cells: int = 10**8) -> bool:
     return bool((_dp_reachable(inst.values, half) >> half) & 1)
 
 
-def decide_meet_in_middle(inst: CpiInstance, max_n: int = MAX_MIM_N) -> bool:
+def decide_meet_in_middle(inst: CpiInstance) -> bool:
     """Magnitude-independent exact decision at 2**(n/2) cost (Horowitz-Sahni)."""
-    _check_mim_guard(inst, max_n)
+    _check_mim_guard(inst)
     if inst.total % 2:
         return False
     lo, hi = _halves(inst)
@@ -304,7 +309,7 @@ def find_partition(inst: CpiInstance, max_cells: int = 10**8) -> Optional[Partit
     if _dp_is_cheaper(inst, max_cells):
         subset = _dp_backtrack(inst.values, half)
         return None if subset is None else PartitionWitness(subset)
-    _check_mim_guard(inst, MAX_MIM_N)
+    _check_mim_guard(inst)
     lo, hi = _halves(inst)
     left, m_left = _tagged_subset_sums(lo, counted=False)
     right, m_right = _tagged_subset_sums(hi, counted=False)
@@ -315,18 +320,18 @@ def find_partition(inst: CpiInstance, max_cells: int = 10**8) -> Optional[Partit
     return PartitionWitness(frozenset(k + 1 for k in range(inst.n) if mask >> k & 1))
 
 
-def analytic_spectrum(inst: CpiInstance, max_n: int = 20,
-                      max_total: int = 2_000_000) -> Spectrum:
+def analytic_spectrum(inst: CpiInstance) -> Spectrum:
     """Exact line spectrum of the cosine product.
 
     Lines sit at every signed sum of the values; coincident subsets add
     coherently, so the amplitude at w is (multiplicity of w) / 2**n and the
     DC line equals `ideal_dc`.
     """
-    _check_enum_guard(inst, max_n)
+    _check_enum_guard(inst, MAX_SPECTRUM_N)
     total = inst.total
-    if total > max_total:
-        raise InstanceTooLargeError(f"sum={total} exceeds the spectrum guard of {max_total}")
+    if total > MAX_SPECTRUM_TOTAL:
+        raise InstanceTooLargeError(
+            f"sum={total} exceeds the spectrum guard of {MAX_SPECTRUM_TOTAL}")
     counts = np.zeros(2 * total + 1, dtype=np.int64)
     counts[total] = 1
     for a in inst.values:

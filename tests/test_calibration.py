@@ -6,7 +6,7 @@ import pytest
 from cospart import calibration
 from cospart.calibration import (DecisionThreshold, LabelError,
                                  NonSeparableError, auto_threshold, bootstrap_threshold,
-                                 compensate, config_digest, decide_analog,
+                                 compensate, chain_digest, decide_analog,
                                  decision_record, fixed_threshold, measure_stage_offsets,
                                  perturb_to_no_instance, run_and_measure,
                                  threshold_from_text, threshold_to_text)
@@ -220,12 +220,12 @@ def test_end_to_end_soundness_sample(ideal_cfg, brickwall):
 def test_decision_record_fields(ideal_cfg, brickwall):
     inst = parse_instance("3 2 5")
     d = decide_analog(inst, ideal_cfg, brickwall, fixed_threshold(0.01))
-    record = decision_record(d, inst, ideal_cfg, brickwall)
+    record = decision_record(d, inst, chain_digest(ideal_cfg, brickwall), ideal_cfg.seed)
     items = dict(line.split("=", 1) for line in record.strip().splitlines())
     assert items["instance"] == "3 2 5"
     assert items["answer"] == "YES"
     assert float(items["dc_volts"]) == pytest.approx(0.25)
-    assert items["config_hash"] == config_digest(ideal_cfg, brickwall)
+    assert items["config_hash"] == chain_digest(ideal_cfg, brickwall)
     assert items["seed"] == "0"
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cospart.cli import main
@@ -580,3 +582,83 @@ def test_commands_refuse_flags_they_do_not_read(capsys, command, flag):
         main(_BASE_ARGV[command] + [flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["decide", "--batch"], ["spectrum"], ["netlist"]])
+def test_empty_instance_file_is_refused(tmp_path, capsys, command):
+    empty = tmp_path / "none.txt"
+    empty.write_text("# no instances, only comments\n")
+    code, out, err = _run(capsys, *command, str(empty))
+    assert (code, out) == (2, "")
+    assert err == f"error: no instance in {empty}\n"
+
+
+def _hashes(text):
+    """Every ``config_hash=`` value in ``text``, in order."""
+    return re.findall(r"config_hash=(\S+)", text)
+
+
+def test_calibration_header_names_its_chain(tmp_path, capsys):
+    code, out, _ = _calibrate(capsys, tmp_path, ["1 1", "2 2"], ["1 2", "1 3"], _GAIN_CHAIN)
+    assert code == 0
+    chain = re.search(r"^chain=(\S+)$", out, re.M).group(1)
+    assert _hashes((tmp_path / "cal" / "calibration.txt").read_text()) == [chain]
+    assert _hashes((tmp_path / "cal" / "calibrate.record").read_text()) == [chain]
+
+
+def test_calibrated_decisions_name_the_calibrated_chain(tmp_path, capsys):
+    code, out, _ = _calibrate(capsys, tmp_path, ["1 1", "2 2"], ["1 2", "1 3"], _GAIN_CHAIN)
+    assert code == 0
+    chain = re.search(r"^chain=(\S+)$", out, re.M).group(1)
+    (tmp_path / "batch.txt").write_text("1 1\n1 2\n")
+    argv = ["decide", "--oracle", "analog", "--config", str(tmp_path / "chain.cfg"),
+            "--calibration", str(tmp_path / "cal" / "calibration.txt"), "--seed", "5"]
+    for name, extra in [("one", ["1 1"]), ("batch", ["--batch", str(tmp_path / "batch.txt")])]:
+        code, out, _ = _run(capsys, *argv, "--out", str(tmp_path / name), *extra)
+        assert code == (1 if name == "one" else 0)
+        lines = out.count("answer=")
+        assert _hashes(out) == [chain] * lines
+        # the header, then one line per decision
+        assert _hashes((tmp_path / name / "decisions.txt").read_text()) == [chain] * (lines + 1)
+        assert _hashes((tmp_path / name / "decide.record").read_text()) == [chain]
+
+
+def test_ideal_chain_hash_ignores_the_config(tmp_path, capsys):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(_GAIN_CHAIN)
+    seen = set()
+    for config in ([], ["--config", str(cfg)]):
+        _, out, _ = _run(capsys, "decide", "--oracle", "analog-ideal", *config, "1 1")
+        seen.update(_hashes(out))
+        _, out, _ = _run(capsys, "spectrum", "--simulate", *config, "1 1")
+        seen.update(_hashes(out))
+    assert len(seen) == 1
+    _, out, _ = _run(capsys, "decide", "--oracle", "analog", "--config", str(cfg), "1 1")
+    assert _hashes(out) and seen.isdisjoint(_hashes(out))
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--oracle", "analog-ideal", "3 2 5"],
+    ["decide", "--batch", "{batch}"],
+    ["spectrum", "--simulate", "2 3"],
+    ["calibrate", "--yes", "{yes}", "--no", "{no}"],
+    ["sat", "{cnf}"],
+    ["netlist", "3 6 4"],
+    ["gen", "--n", "3", "--seed", "4"],
+], ids=["decide", "decide-batch", "spectrum", "calibrate", "sat", "netlist", "gen"])
+def test_every_out_run_records_what_it_wrote(tmp_path, capsys, argv):
+    inputs = {"batch": "3 2 5\n3 6 4\n", "yes": "1 1\n2 2\n", "no": "1 2\n1 3\n",
+              "cnf": "p cnf 2 1\n1 -2 0\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(**{name: tmp_path / name for name in inputs}) for a in argv]
+    out = tmp_path / "out"
+    code, _, _ = _run(capsys, *argv, "--out", str(out))
+    assert code in (0, 1)
+    record = dict(line.split("=", 1)
+                  for line in (out / f"{argv[0]}.record").read_text().splitlines())
+    written = sorted(p.name for p in out.iterdir() if p.suffix != ".record")
+    assert record["outputs"].split(",") == written
+    assert record["command"] == "cospart " + " ".join(argv + ["--out", str(out)])
+    for name in written:
+        assert _hashes((out / name).read_text())[0] == record["config_hash"]
