@@ -305,11 +305,11 @@ def threshold_from_text(text: str) -> tuple[DecisionThreshold, tuple[float, ...]
     """Load a persisted calibration; returns (threshold, z_compensation).
 
     Raises:
-        ValueError: when the text names no chain (a calibration written
-            before thresholds were bound to their chain).
+        ValueError: when the text names no chain, or an empty one (a
+            calibration written before thresholds were bound to their chain).
     """
     items = parse_kv(text)
-    if "chain" not in items:
+    if not items.get("chain"):
         raise ValueError("calibration has no chain= line; recalibrate with cospart calibrate")
     thr = DecisionThreshold(
         cut=float(items["cut"]),

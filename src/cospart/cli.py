@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 import time
@@ -91,45 +90,14 @@ def _write_out(args, argv: list[str], t0: float, digest: str, files: dict[str, s
     return [out / name for name in sorted(files)]
 
 
-def _make_backend(name: str, cfg: NonidealityConfig, fspec: FilterSpec,
-                  thr: Optional[calibration.DecisionThreshold]) -> reductions.OracleBackend:
-    """The oracle ``decide`` and ``sat`` name; every analogue one keeps ``thr``.
-
-    An exact one keeps the default ideal chain, which its provenance names.
-    """
-    if name in ("exact", "exact-dp"):
-        return reductions.OracleBackend(kind="exact-dp")
-    if name == "exact-bf":
-        return reductions.OracleBackend(kind="exact-bruteforce")
-    if name == "analog-ideal":
-        return reductions.OracleBackend.ideal(cfg, fspec, thr)
-    return reductions.OracleBackend(kind="analog-simulated", cfg=cfg, fspec=fspec, threshold=thr)
-
-
 def _decide_one(task: tuple[CpiInstance, int], chain: reductions.OracleBackend,
                 strict: bool, keep_sampled: bool) -> calibration.Decision:
-    """One decision on ``chain`` at the task's seed.
+    """`OracleBackend.decision` at the task's seed, as a picklable call for `parallel_map`.
 
     An analogue decision keeps its filtered samples only with ``keep_sampled``.
     """
     inst, seed = task
-    if chain.kind != "analog-simulated":
-        if chain.kind == "exact-bruteforce":
-            yes = exact.decide_bruteforce(inst)  # the independent enumeration
-        try:
-            counted = exact.ideal_dc(inst)
-        except exact.InstanceTooLargeError:
-            counted = None  # beyond the meet-in-the-middle guard the DC is unknown
-        if chain.kind != "exact-bruteforce":
-            # some sign vector balances exactly when the counted DC is above 0
-            yes = exact.solve_exact(inst) if counted is None else counted > 0
-        dc = math.nan if counted is None else float(counted)
-        cut = 0.5 ** min(inst.n + 1, 60)
-        return calibration.Decision(answer="YES" if yes else "NO", dc_measured=dc,
-                                    threshold=calibration.fixed_threshold(cut),
-                                    margin=abs(dc - cut))
-    decision = calibration.decide_analog(inst, replace(chain.cfg, seed=seed), chain.fspec,
-                                         chain.threshold, strict=strict)
+    decision = chain.decision(inst, seed, strict)
     return decision if keep_sampled else replace(decision, sampled=None)
 
 
@@ -138,12 +106,12 @@ def cmd_decide(args, argv: list[str]) -> int:
     insts = _load_instance_arg(args.instance)
     if len(insts) > 1 and not args.batch:
         raise ValueError(f"{len(insts)} instances given; pass --batch to decide them all")
-    chain = _make_backend(args.oracle, *_load_config(args))
+    chain = reductions.OracleBackend(args.oracle, *_load_config(args))
     digest = chain_digest(chain.cfg, chain.fspec)
 
     # deterministic per-instance sub-seeds keep batch runs reproducible
     tasks = [(inst, args.seed + i if args.batch else args.seed) for i, inst in enumerate(insts)]
-    write_trace = bool(args.out) and not args.batch and chain.kind == "analog-simulated"
+    write_trace = bool(args.out) and not args.batch and chain.kind.startswith("analog")
     decisions = calibration.parallel_map(
         functools.partial(_decide_one, chain=chain, strict=args.strict,
                           keep_sampled=write_trace),
@@ -169,7 +137,7 @@ def cmd_spectrum(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     inst = _load_instance_arg(args.instance)[0]
     cfg, fspec, _ = _load_config(args)
-    chain = reductions.OracleBackend.ideal(cfg, fspec)
+    chain = reductions.OracleBackend("analog-ideal", cfg, fspec)
     digest = chain_digest(chain.cfg, chain.fspec)
 
     outputs = {"spectrum_analytic.csv": exact.analytic_spectrum(inst).to_csv(units="instance")}
@@ -231,7 +199,7 @@ def cmd_calibrate(args, argv: list[str]) -> int:
 def cmd_sat(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     formula = reductions.parse_dimacs(Path(args.dimacs).read_text(), strict=args.strict)
-    backend = _make_backend(args.backend, *_load_config(args))
+    backend = reductions.OracleBackend(args.backend, *_load_config(args))
     try:
         assignment = reductions.extract_witness(formula, backend)
     except reductions.ReductionOverflowError as exc:
@@ -268,7 +236,7 @@ def cmd_gen(args, argv: list[str]) -> int:
         lines.append(instances.serialize_instance(inst))
     text = "\n".join(lines) + "\n"
     # the instances are labelled by the exact oracles, so name their chain
-    chain = reductions.OracleBackend(kind="exact-dp")
+    chain = reductions.OracleBackend("exact")
     digest = chain_digest(chain.cfg, chain.fspec)
     if args.out:
         print(*_write_out(args, argv, t0, digest, {"instances.txt": text}))
@@ -307,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide one instance (exit 1=YES, 0=NO)")
     p.add_argument("instance", help="inline values like '3 2 5' or an instance file")
-    p.add_argument("--oracle", default="exact-dp",
-                   choices=["exact", "exact-dp", "exact-bf", "analog", "analog-ideal"])
+    p.add_argument("--oracle", default="exact-dp", choices=reductions.ORACLES)
     p.add_argument("--calibration", help="calibration file from cospart calibrate")
     p.add_argument("--batch", action="store_true", help="decide every instance in a file")
     _add_flags(p, "--config", "--seed", "--filter", "--f0", "--out", "--jobs", "--strict")
@@ -325,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat", help="solve a DIMACS CNF file via the reduction")
     p.add_argument("dimacs")
-    p.add_argument("--backend", default="exact-dp",
-                   choices=["exact", "exact-dp", "exact-bf", "analog", "analog-ideal"])
+    p.add_argument("--backend", default="exact-dp", choices=reductions.ORACLES)
     p.add_argument("--calibration")
     _add_flags(p, "--config", "--seed", "--filter", "--f0", "--out", "--strict")
 

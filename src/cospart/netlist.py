@@ -14,7 +14,8 @@ import numpy as np
 
 from .dsp import FilterSpec, SampledTrace
 from .instances import CpiInstance, alignment_time, nyquist_frequency
-from .pipeline import NonidealityConfig
+from .pipeline import NonidealityConfig, _per_stage, bandwidth_exceeded, \
+    validate_stage_sequences
 
 BURN_IN_PERIODS = 12
 WINDOW_PERIODS = 18
@@ -47,6 +48,7 @@ def emit_netlist(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) ->
     """
     if inst.n < 2:
         raise ValueError("a netlist needs at least two sources")
+    validate_stage_sequences(cfg, inst.n)
     t_align = float(alignment_time(inst)) / cfg.f_base
     start = BURN_IN_PERIODS * t_align
     stop = start + WINDOW_PERIODS * t_align
@@ -57,7 +59,7 @@ def emit_netlist(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) ->
     cards = doc.cards
     cards.append(f"* {doc.title}")
     cards.append(f"* instance: {' '.join(str(v) for v in inst.values)}")
-    if math.isfinite(cfg.bandwidth_f_star) and inst.total * cfg.f_base > cfg.bandwidth_f_star:
+    if bandwidth_exceeded(inst, cfg):
         cards.append(f"* WARNING: sum of source frequencies {_si(inst.total * cfg.f_base)} Hz "
                      f"exceeds the multiplier bandwidth f*={_si(cfg.bandwidth_f_star)} Hz")
     cards.append("* multipliers are behavioral; substitute the vendor 4-quadrant")
@@ -66,11 +68,8 @@ def emit_netlist(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) ->
     cards.append("* .option cshunt=2e-15")
 
     for i, a in enumerate(inst.values, start=1):
-        amp = cfg.source_amplitude
-        if not isinstance(amp, (int, float)):
-            amp = amp[i - 1]
-        freq = a * cfg.f_base
-        cards.append(f"V{i} src{i} 0 SINE(0 {_si(amp)} {_si(freq)} 0 0 90)")
+        amp = _per_stage(cfg.source_amplitude, i - 1)
+        cards.append(f"V{i} src{i} 0 SINE(0 {_si(amp)} {_si(a * cfg.f_base)} 0 0 90)")
 
     z = cfg.z_compensation
     prev = "src1"

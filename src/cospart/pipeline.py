@@ -182,6 +182,19 @@ def points_per_period(inst: CpiInstance, cfg: NonidealityConfig) -> int:
     return next_smooth_length(cfg.oversample * (inst.total // inst.gcd))
 
 
+def validate_stage_sequences(cfg: NonidealityConfig, n: int) -> None:
+    """Refuse a per-stage or per-source sequence whose length does not fit ``n`` values."""
+    n_stages = n - 1
+    for name in ("mult_output_offset", "mult_input_offset"):
+        v = getattr(cfg, name)
+        if not isinstance(v, (int, float)) and len(v) != n_stages:
+            raise ValueError(f"{name} sequence must have {n_stages} entries")
+    if len(cfg.z_compensation) not in (0, n_stages):
+        raise ValueError(f"z_compensation must have 0 or {n_stages} entries")
+    if not isinstance(cfg.source_amplitude, (int, float)) and len(cfg.source_amplitude) != n:
+        raise ValueError(f"source_amplitude sequence must have {n} entries")
+
+
 def check_grid(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> None:
     """Refuse a run whose grid, ``periods`` alignment periods long, exceeds `MAX_GRID_POINTS`."""
     points = periods * points_per_period(inst, cfg)
@@ -315,18 +328,6 @@ def _summarize(pin: Signal, out: Signal, cfg: NonidealityConfig) -> StageSummary
                         out_min=lo, out_max=hi)
 
 
-def _validate_stage_sequences(cfg: NonidealityConfig, n: int) -> None:
-    n_stages = n - 1
-    for name in ("mult_output_offset", "mult_input_offset"):
-        v = getattr(cfg, name)
-        if not isinstance(v, (int, float)) and len(v) != n_stages:
-            raise ValueError(f"{name} sequence must have {n_stages} entries")
-    if len(cfg.z_compensation) not in (0, n_stages):
-        raise ValueError(f"z_compensation must have 0 or {n_stages} entries")
-    if not isinstance(cfg.source_amplitude, (int, float)) and len(cfg.source_amplitude) != n:
-        raise ValueError(f"source_amplitude sequence must have {n} entries")
-
-
 def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> PipelineTrace:
     """Fold the sources left to right through multiplier+amplifier stages.
 
@@ -347,7 +348,7 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
         GridTooLargeError: before any synthesis, when the grid of ``periods``
             alignment periods would exceed `MAX_GRID_POINTS` (see `check_grid`).
     """
-    _validate_stage_sequences(cfg, inst.n)
+    validate_stage_sequences(cfg, inst.n)
     check_grid(inst, cfg, periods)
     source = _source_maker(inst, cfg, periods)
     acc = source(0)

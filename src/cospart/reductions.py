@@ -10,13 +10,14 @@ formula: at most 1 + num_vars oracle calls.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .calibration import DecisionThreshold, decide_analog
+from . import exact
+from .calibration import Decision, DecisionThreshold, decide_analog, fixed_threshold
 from .dsp import FilterSpec
-from .exact import InstanceTooLargeError, decide_bruteforce, solve_exact
 from .instances import CpiInstance, scale_instance
 from .pipeline import GridTooLargeError, NonidealityConfig, bandwidth_exceeded
 
@@ -221,7 +222,8 @@ def sat_to_partition(f: CnfFormula, max_bits: int = 62) -> tuple[CpiInstance, Sa
     return inst, meta
 
 
-BACKEND_KINDS = ("exact-dp", "exact-bruteforce", "analog-simulated")
+# The oracle names `decide --oracle` and `sat --backend` take.
+ORACLES = ("exact", "exact-dp", "exact-bf", "analog", "analog-ideal")
 
 # Squeezed instances sum to this fraction of the multiplier bandwidth.
 _SQUEEZE_MARGIN = 0.9
@@ -229,18 +231,15 @@ _SQUEEZE_MARGIN = 0.9
 
 @dataclass
 class OracleBackend:
-    """A PARTITION decision procedure usable by the extraction loop.
+    """The PARTITION oracle for `decide` and `sat`, named by one of `ORACLES`.
 
-    ``exact-dp`` calls `solve_exact`, which takes the cheaper of the
-    reachability table and meet-in-the-middle (reductions have huge
-    magnitudes but few values, so mostly the latter).  ``analog-simulated``
-    is the analogue chain: ``cfg``, ``fspec`` and ``threshold`` (default the
-    ideal config, a brickwall at ``0.5 * f_base`` and `auto_threshold`).  It
-    squeezes an instance above the multiplier bandwidth by scaling ``f_base``
-    and the filter cutoff by the same factor, kept in ``last_scale``; a
-    calibrated threshold refuses the squeezed chain (`ChainMismatchError`).
-    `run_cascade` raises `GridTooLargeError` for instances whose dense grid
-    would be unreasonably large.
+    ``exact``/``exact-dp`` count or solve exactly, ``exact-bf`` enumerates;
+    they drop ``cfg``, ``fspec`` and ``threshold`` and name the default ideal
+    chain.  ``analog`` is the chain ``cfg``, ``fspec``, ``threshold`` (default
+    the ideal config, a brickwall at ``0.5 * f_base``, `auto_threshold`).
+    ``analog-ideal`` is the error-free chain with ``cfg``'s seed, ``f_base``
+    and ``oversample``, its brickwall at ``fspec``'s cutoff or ``0.5 * f_base``
+    if lower.  `decision` answers ``cospart decide``; `decide` is a SAT call.
     """
 
     kind: str
@@ -251,30 +250,61 @@ class OracleBackend:
     last_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"kind must be one of {BACKEND_KINDS}")
-        self.cfg = self.cfg or NonidealityConfig.ideal()
-        self.fspec = self.fspec or FilterSpec(kind="brickwall", cutoff_f0=0.5 * self.cfg.f_base)
+        if self.kind not in ORACLES:
+            raise ValueError(f"oracle {self.kind!r} is not one of {', '.join(ORACLES)}")
+        if self.kind.startswith("exact"):
+            self.cfg = self.fspec = self.threshold = None
+        cfg = self.cfg or NonidealityConfig.ideal()
+        cutoff = 0.5 * cfg.f_base
+        if self.kind == "analog-ideal":
+            cutoff = min(self.fspec.cutoff_f0, cutoff) if self.fspec else cutoff
+            self.fspec = FilterSpec(kind="brickwall", cutoff_f0=cutoff)
+            cfg = NonidealityConfig.ideal(seed=cfg.seed, f_base=cfg.f_base,
+                                          oversample=cfg.oversample)
+        self.cfg = cfg
+        self.fspec = self.fspec or FilterSpec(kind="brickwall", cutoff_f0=cutoff)
 
-    @classmethod
-    def ideal(cls, cfg: NonidealityConfig, fspec: FilterSpec,
-              threshold: Optional[DecisionThreshold] = None) -> "OracleBackend":
-        """The error-free chain with ``cfg``'s seed, ``f_base`` and ``oversample``.
+    def decision(self, inst: CpiInstance, seed: Optional[int] = None,
+                 strict: bool = False) -> Decision:
+        """The `Decision` ``cospart decide`` prints; never squeezed, never counted.
 
-        Its brickwall sits at ``fspec``'s cutoff, or at ``0.5 * f_base`` if lower.
+        The exact oracles answer from the sign of the counted `exact.ideal_dc`
+        (`exact.solve_exact` past its guard, where the DC is NaN); ``exact-bf``
+        answers by enumeration and reports the same DC.  Their cut is
+        ``0.5**min(n+1, 60)``.  An analogue oracle runs `decide_analog` at
+        ``seed`` (default ``cfg``'s) and ``strict``.
         """
-        ideal = NonidealityConfig.ideal(seed=cfg.seed, f_base=cfg.f_base,
-                                        oversample=cfg.oversample)
-        return cls(kind="analog-simulated", cfg=ideal, threshold=threshold,
-                   fspec=FilterSpec(kind="brickwall",
-                                    cutoff_f0=min(fspec.cutoff_f0, 0.5 * cfg.f_base)))
+        if self.kind.startswith("analog"):
+            cfg = self.cfg if seed is None else replace(self.cfg, seed=seed)
+            return decide_analog(inst, cfg, self.fspec, self.threshold, strict=strict)
+        if self.kind == "exact-bf":
+            yes = exact.decide_bruteforce(inst)  # the independent enumeration
+        try:
+            counted = exact.ideal_dc(inst)
+        except exact.InstanceTooLargeError:
+            counted = None  # beyond the meet-in-the-middle guard the DC is unknown
+        if self.kind != "exact-bf":
+            # some sign vector balances exactly when the counted DC is above 0
+            yes = exact.solve_exact(inst) if counted is None else counted > 0
+        dc = math.nan if counted is None else float(counted)
+        cut = 0.5 ** min(inst.n + 1, 60)
+        return Decision(answer="YES" if yes else "NO", dc_measured=dc,
+                        threshold=fixed_threshold(cut), margin=abs(dc - cut))
 
     def decide(self, inst: CpiInstance) -> bool:
+        """One SAT oracle call, counted in ``calls``.
+
+        The exact oracles take `exact.solve_exact`, the cheaper of the DP and
+        meet-in-the-middle; ``exact-bf`` enumerates.  An analogue oracle
+        squeezes an instance above the multiplier bandwidth, scaling ``f_base``
+        and the cutoff by ``last_scale``; a calibrated threshold then refuses
+        the squeezed chain (`ChainMismatchError`).
+        """
         self.calls += 1
-        if self.kind == "exact-dp":
-            return solve_exact(inst)
-        if self.kind == "exact-bruteforce":
-            return decide_bruteforce(inst)
+        if self.kind == "exact-bf":
+            return exact.decide_bruteforce(inst)
+        if self.kind.startswith("exact"):
+            return exact.solve_exact(inst)
         cfg, spec = self.cfg, self.fspec
         self.last_scale = 1.0
         if bandwidth_exceeded(inst, cfg):
@@ -311,7 +341,7 @@ def extract_witness(f: CnfFormula, oracle: OracleBackend) -> Optional[Assignment
             else:
                 g = simplify(g, var, False)
                 prefix.append(False)
-    except (GridTooLargeError, ReductionOverflowError, InstanceTooLargeError) as exc:
+    except (GridTooLargeError, ReductionOverflowError, exact.InstanceTooLargeError) as exc:
         raise ExtractionError(f"oracle failed after fixing {len(prefix)} variables: {exc}",
                               partial=tuple(prefix)) from exc
     assignment = Assignment(tuple(prefix))

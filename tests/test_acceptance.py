@@ -184,7 +184,7 @@ def test_criterion_07_sat_end_to_end():
     # demonstration through the simulated analogue backend with squeezing
     demo = CnfFormula(2, ((1, 2), (-1,)))
     cfg = NonidealityConfig(bandwidth_model="none")  # finite f* = 120 kHz
-    backend = OracleBackend(kind="analog-simulated", cfg=cfg)
+    backend = OracleBackend(kind="analog", cfg=cfg)
     inst, _ = sat_to_partition(demo)
     assert inst.total * cfg.f_base > cfg.bandwidth_f_star  # squeezing required
     assert backend.decide(inst) is True

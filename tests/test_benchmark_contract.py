@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import cospart.cli
 from cospart import reductions
 from cospart.instances import parse_instance
@@ -35,6 +37,28 @@ def test_tracer_binds_every_traced_name(monkeypatch):
         tracer.uninstall()
     assert reductions.OracleBackend.decide is decide
     assert {"reductions.oracle_call", "exact.solve_exact"} <= {s.name for s in tracer.spans}
+
+
+def _oracle_calls(monkeypatch, argv):
+    """Exit code of ``cospart argv`` under the tracer, and its ``reductions.oracle_call`` spans."""
+    tracer = _load(monkeypatch, "tracer").Tracer()
+    try:
+        tracer.install()
+        code = cospart.cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert tracer.spans  # the tracer saw the command run
+    return code, sum(s.name == "reductions.oracle_call" for s in tracer.spans)
+
+
+@pytest.mark.parametrize("name", reductions.ORACLES)
+def test_an_oracle_call_is_a_sat_call(monkeypatch, capsys, tmp_path, name):
+    # `decide` opens none, so `analog-calibrated` and `exact-reference` read 0 per op
+    assert _oracle_calls(monkeypatch, ["decide", "--oracle", name, "3 2 5"]) == (1, 0)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+    code, calls = _oracle_calls(monkeypatch, ["sat", "--backend", name, str(cnf)])
+    assert code == 1 and 1 <= calls <= 3  # at most 1 + num_vars
 
 
 def test_workload_command_lines_parse(monkeypatch, tmp_path):

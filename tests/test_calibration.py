@@ -231,7 +231,7 @@ def test_decision_record_fields(ideal_cfg, brickwall):
 
 def test_threshold_round_trip():
     thr = DecisionThreshold(cut=0.12, no_band_max=0.07, yes_band_min=0.2,
-                            training_size=4, separable=True)
+                            training_size=4, separable=True, chain="0123456789ab")
     text = threshold_to_text(thr, z_compensation=(-0.004, -0.0041))
     loaded, z = threshold_from_text(text)
     assert loaded == thr

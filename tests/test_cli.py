@@ -361,7 +361,7 @@ def test_calls_share_one_parser_and_stay_independent(tmp_path, capsys):
     from cospart import cli
     cal = tmp_path / "cal.txt"
     cal.write_text("cut=0.1\nno_band_max=0\nyes_band_min=0.2\ntraining_size=2\nseparable=1\n"
-                   "chain=\n")
+                   "chain=0123456789ab\n")
     batch = tmp_path / "batch.txt"
     batch.write_text("3 2 5\n3 6 4\n")
     out_dir = str(tmp_path / "o")
@@ -530,6 +530,69 @@ def test_calibration_without_chain_line_is_refused(tmp_path, capsys):
                         "3 2 5")
     assert code == 2
     assert err == "error: calibration has no chain= line; recalibrate with cospart calibrate\n"
+
+
+def test_calibration_with_empty_chain_is_refused(tmp_path, capsys):
+    cal = tmp_path / "cal.txt"
+    cal.write_text("cut=0.1\nno_band_max=0\nyes_band_min=0.2\ntraining_size=2\nseparable=1\n"
+                   "chain=\n")
+    (tmp_path / "c.cfg").write_text(_GAIN_CHAIN)
+    # `1 2` reads 0.2 V on this chain: an unbound 0.1 V cut would answer the NO instance YES
+    code, out, err = _run(capsys, "decide", "--oracle", "analog", "--config",
+                          str(tmp_path / "c.cfg"), "--calibration", str(cal), "1 2")
+    assert (code, out) == (2, "")
+    assert err == "error: calibration has no chain= line; recalibrate with cospart calibrate\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    ("source_amplitude=1,1\n", "source_amplitude sequence must have 3 entries"),
+    ("mult_output_offset=0.001,0.002,0.003\n", "mult_output_offset sequence must have 2 entries"),
+], ids=["source_amplitude", "mult_output_offset"])
+def test_netlist_refuses_what_decide_refuses(tmp_path, capsys, config, message):
+    (tmp_path / "c.cfg").write_text(config)
+    for command in (["netlist"], ["decide", "--oracle", "analog"]):
+        code, out, err = _run(capsys, *command, "--config", str(tmp_path / "c.cfg"), "3 2 5")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _choices(command, dest):
+    import argparse
+    from cospart import cli
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_oracle_and_backend_take_one_name_set():
+    from cospart.reductions import ORACLES
+    assert tuple(_choices("decide", "oracle")) == ORACLES
+    assert tuple(_choices("sat", "backend")) == ORACLES
+
+
+@pytest.mark.parametrize("retired", ["exact-bruteforce", "analog-simulated"])
+def test_oracle_refuses_retired_names(retired):
+    from cospart.reductions import ORACLES, OracleBackend
+    with pytest.raises(ValueError) as err:
+        OracleBackend(retired)
+    assert retired in str(err.value)
+    assert all(name in str(err.value) for name in ORACLES)
+
+
+@pytest.mark.parametrize("name", ["exact", "exact-dp", "exact-bf", "analog", "analog-ideal"])
+@pytest.mark.parametrize("text", ["3 2 5", "3 6 4"])
+def test_library_decision_matches_decide(capsys, name, text):
+    from cospart.calibration import chain_digest, decision_record
+    from cospart.instances import parse_instance
+    from cospart.reductions import OracleBackend
+    oracle = OracleBackend(name)
+    inst = parse_instance(text)
+    decision = oracle.decision(inst)
+    code, out, _ = _run(capsys, "decide", "--oracle", name, text)
+    assert code == (1 if decision.answer == "YES" else 0)
+    assert decision.answer == ("YES" if text == "3 2 5" else "NO")
+    assert oracle.calls == 0
+    if name != "analog":  # the CLI's `analog` chain is `NonidealityConfig()`, not the ideal one
+        assert out == decision_record(decision, inst, chain_digest(oracle.cfg, oracle.fspec), 0)
 
 
 def test_calibrate_refuses_mixed_sizes(tmp_path, capsys, monkeypatch):

@@ -73,7 +73,7 @@ def test_exact_routes_agree(values):
     balanced = exact._zero_sign_count(inst.values)
     assert ideal_dc(inst) * 2**inst.n == balanced == analytic_spectrum(inst).dc * 2**inst.n
     if inst.n <= 10:  # the chain `decide --oracle analog-ideal` simulates
-        chain = OracleBackend.ideal(NonidealityConfig(), FilterSpec("brickwall", 5000.0))
+        chain = OracleBackend("analog-ideal", NonidealityConfig(), FilterSpec("brickwall", 5000.0))
         d = decide_analog(inst, chain.cfg, chain.fspec, chain.threshold)
         assert (d.answer == "YES") == answer
         assert abs(d.dc_measured - float(ideal_dc(inst))) <= 1e-12

@@ -177,7 +177,7 @@ def test_backend_equivalence(seed):
     rng = random.Random(2000 + seed)
     f = _random_formula(rng, max_vars=3, max_clauses=4)
     a = extract_witness(f, OracleBackend(kind="exact-dp"))
-    b = extract_witness(f, OracleBackend(kind="exact-bruteforce"))
+    b = extract_witness(f, OracleBackend(kind="exact-bf"))
     assert (a is None) == (b is None)
     if a is not None:
         assert evaluate(f, a.values) and evaluate(f, b.values)
@@ -185,14 +185,14 @@ def test_backend_equivalence(seed):
 
 def test_analog_backend_small_formula():
     f = CnfFormula(2, ((1, 2), (-1,)))
-    backend = OracleBackend(kind="analog-simulated",
+    backend = OracleBackend(kind="analog",
                             cfg=NonidealityConfig(bandwidth_model="none"))
     assignment = extract_witness(f, backend)
     assert assignment == Assignment((False, True))
 
 
 def test_analog_backend_squeezes():
-    backend = OracleBackend(kind="analog-simulated",
+    backend = OracleBackend(kind="analog",
                             cfg=NonidealityConfig(bandwidth_model="none"))
     inst, _ = sat_to_partition(CnfFormula(2, ((1, 2), (-1,))))
     assert inst.total * 1e4 > 120e3
@@ -206,7 +206,7 @@ _OVERSIZED = CnfFormula(3, ((1, 2, 3), (-1, 2), (-2, -3), (1, -3)))
 
 
 def test_analog_backend_refuses_oversized():
-    backend = OracleBackend(kind="analog-simulated")
+    backend = OracleBackend(kind="analog")
     inst, _ = sat_to_partition(_OVERSIZED)
     assert points_per_period(inst, NonidealityConfig.ideal()) == 7_200_000
     with pytest.raises(GridTooLargeError):
@@ -214,7 +214,7 @@ def test_analog_backend_refuses_oversized():
 
 
 def test_extraction_error_carries_prefix():
-    backend = OracleBackend(kind="analog-simulated")
+    backend = OracleBackend(kind="analog")
     with pytest.raises(ExtractionError) as err:
         extract_witness(_OVERSIZED, backend)
     assert err.value.partial == ()
