@@ -235,10 +235,11 @@ class OracleBackend:
 
     ``exact``/``exact-dp`` count or solve exactly, ``exact-bf`` enumerates;
     they drop ``cfg``, ``fspec`` and ``threshold`` and name the default ideal
-    chain.  ``analog`` is the chain ``cfg``, ``fspec``, ``threshold`` (default
-    the ideal config, a brickwall at ``0.5 * f_base``, `auto_threshold`).
-    ``analog-ideal`` is the error-free chain with ``cfg``'s seed, ``f_base``
-    and ``oversample``, its brickwall at ``fspec``'s cutoff or ``0.5 * f_base``
+    chain.  ``analog`` is the chain ``cfg``, ``fspec``, ``threshold``; its
+    defaults, ``NonidealityConfig()``, a brickwall at ``0.5 * f_base`` and
+    `auto_threshold`, are the CLI's without ``--config``.  ``analog-ideal``
+    is the error-free chain with ``cfg``'s seed, ``f_base`` and
+    ``oversample``, its brickwall at ``fspec``'s cutoff or ``0.5 * f_base``
     if lower.  `decision` answers ``cospart decide``; `decide` is a SAT call.
     """
 
@@ -254,7 +255,8 @@ class OracleBackend:
             raise ValueError(f"oracle {self.kind!r} is not one of {', '.join(ORACLES)}")
         if self.kind.startswith("exact"):
             self.cfg = self.fspec = self.threshold = None
-        cfg = self.cfg or NonidealityConfig.ideal()
+        cfg = self.cfg or (NonidealityConfig() if self.kind == "analog"
+                           else NonidealityConfig.ideal())
         cutoff = 0.5 * cfg.f_base
         if self.kind == "analog-ideal":
             cutoff = min(self.fspec.cutoff_f0, cutoff) if self.fspec else cutoff

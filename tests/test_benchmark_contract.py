@@ -61,6 +61,22 @@ def test_an_oracle_call_is_a_sat_call(monkeypatch, capsys, tmp_path, name):
     assert code == 1 and 1 <= calls <= 3  # at most 1 + num_vars
 
 
+def test_each_stage_is_one_multiply_stage_span_in_run_cascade(monkeypatch, capsys):
+    # the tracer's span stack is not thread-safe: `run_cascade`'s helper thread
+    # calls no traced name, and the main thread opens one span per stage
+    tracer = _load(monkeypatch, "tracer").Tracer()
+    try:
+        tracer.install()
+        assert cospart.cli.main(["decide", "--oracle", "analog", "1 2 3 4 5 6 7 8 9 10"]) == 0
+    finally:
+        tracer.uninstall()
+    cascades = [i for i, s in enumerate(tracer.spans) if s.name == "pipeline.run_cascade"]
+    stages = [s for s in tracer.spans if s.name == "pipeline.multiply_stage"]
+    assert len(cascades) == 1 and len(stages) == 9
+    assert all(s.parent == cascades[0] for s in stages)
+    assert not any(s.name == "pipeline.synthesize_sources" for s in tracer.spans)
+
+
 def test_workload_command_lines_parse(monkeypatch, tmp_path):
     _load(monkeypatch, "reference")
     workloads = _load(monkeypatch, "workloads")

@@ -591,8 +591,7 @@ def test_library_decision_matches_decide(capsys, name, text):
     assert code == (1 if decision.answer == "YES" else 0)
     assert decision.answer == ("YES" if text == "3 2 5" else "NO")
     assert oracle.calls == 0
-    if name != "analog":  # the CLI's `analog` chain is `NonidealityConfig()`, not the ideal one
-        assert out == decision_record(decision, inst, chain_digest(oracle.cfg, oracle.fspec), 0)
+    assert out == decision_record(decision, inst, chain_digest(oracle.cfg, oracle.fspec), 0)
 
 
 def test_calibrate_refuses_mixed_sizes(tmp_path, capsys, monkeypatch):

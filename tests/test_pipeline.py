@@ -1,17 +1,21 @@
 import bisect
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cospart import pipeline
 from cospart.calibration import run_and_measure
 from cospart.dsp import FilterSpec, dft, sample_after_filter
 from cospart.exact import analytic_spectrum, ideal_dc
 from cospart.instances import CpiInstance, parse_instance
-from cospart.pipeline import (NonidealityConfig, Signal, amplify, config_from_items,
-                              GridTooLargeError, config_to_text, multiply_stage,
-                              next_smooth_length, parse_kv, points_per_period,
-                              run_cascade, synthesize_sources)
+from cospart.pipeline import (NonidealityConfig, Signal, StageSummary, amplify,
+                              config_from_items, GridTooLargeError, config_to_text,
+                              multiply_stage, next_smooth_length, parse_kv,
+                              points_per_period, run_cascade, synthesize_sources)
 from conftest import tracemalloc_peak
 
 
@@ -343,6 +347,120 @@ def test_stage_summaries_match_hand_fold(cfg):
         assert summary.clip_fraction == pytest.approx(np.count_nonzero(rail) / len(out))
         assert (summary.out_min, summary.out_max) == (out.min(), out.max())
     assert np.array_equal(trace.final.samples, acc.samples)
+
+
+# the three chains of test_stage_summaries_match_hand_fold, cut to fit n values by `_fit`
+_HAND_FOLD_CONFIGS = {
+    "one-pole": NonidealityConfig(mult_output_offset=(4e-3, 5e-3, 6e-3), mult_input_offset=1e-3,
+                                  freq_error_sigma=1e-3, phase_error_sigma=0.1, noise_sigma=1e-3,
+                                  z_compensation=(-4e-3, -5e-3, -6e-3), seed=4),
+    "clipping-hard": NonidealityConfig(mult_output_offset=5.0, amp_offset=8.0, noise_sigma=0.5,
+                                       bandwidth_model="hard", seed=3),
+    "ideal": NonidealityConfig.ideal(source_amplitude=(1.0, 1.1, 0.9, 1.2)),
+}
+
+
+def _fit(cfg, n):
+    """``cfg`` with its per-stage and per-source sequences cut to n values."""
+    cut = {name: getattr(cfg, name)[:n - 1]
+           for name in ("mult_output_offset", "z_compensation")
+           if isinstance(getattr(cfg, name), tuple)}
+    if isinstance(cfg.source_amplitude, tuple):
+        cut["source_amplitude"] = cfg.source_amplitude[:n]
+    return replace(cfg, **cut)
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_FOLD_CONFIGS))
+@pytest.mark.parametrize("text, periods", [("7", 1), ("2 3", 1), ("2 3 5 4", 2)],
+                         ids=["n=1", "n=2", "periods=2"])
+def test_cascade_edges_match_hand_fold(name, text, periods):
+    # n = 1 makes no helper job, n = 2 makes one, and two periods double the grid
+    inst = parse_instance(text)
+    cfg = _fit(_HAND_FOLD_CONFIGS[name], inst.n)
+    trace = run_cascade(inst, cfg, periods=periods)
+    sources = synthesize_sources(inst, cfg, periods=periods)
+    acc = sources[0]
+    hand = []
+    for k in range(inst.n - 1):
+        pin = multiply_stage(acc, sources[k + 1], cfg, stage=k)
+        acc = amplify(pin, cfg)
+        out = acc.samples
+        rail = np.abs(out) == cfg.supply_voltage
+        hand.append(StageSummary(pin_dc=float(np.mean(pin.samples)),
+                                 clip_fraction=np.count_nonzero(rail) / len(out),
+                                 out_min=float(out.min()), out_max=float(out.max())))
+    assert trace.final.m == periods * points_per_period(inst, cfg)
+    assert trace.stages == tuple(hand)  # bit-equal
+    assert np.array_equal(trace.final.samples, acc.samples)
+
+
+def test_helper_error_reaches_the_caller(monkeypatch):
+    inst = parse_instance("2 3 5 4")
+    cfg = _HAND_FOLD_CONFIGS["one-pole"]
+    before = run_cascade(inst, cfg)
+    failure = RuntimeError("source synthesis failed")
+    threads = []
+    maker = pipeline._source_maker
+
+    def failing_maker(*args):
+        source = maker(*args)
+
+        def failing_source(i):
+            if i == 2:  # made ahead, while stage 1 runs
+                threads.append(threading.current_thread())
+                raise failure
+            return source(i)
+
+        return failing_source
+
+    monkeypatch.setattr(pipeline, "_source_maker", failing_maker)
+    with pytest.raises(RuntimeError) as err:
+        run_cascade(inst, cfg)
+    assert err.value is failure
+    assert threads and threads[0] is not threading.main_thread()
+    monkeypatch.undo()
+    after = run_cascade(inst, cfg)
+    assert after.stages == before.stages
+    assert np.array_equal(after.final.samples, before.final.samples)
+
+
+def test_concurrent_cascades_stay_bit_identical():
+    # four callers, each with its own helper thread, on two cores or fewer,
+    # switching threads as often as the interpreter allows
+    inst = parse_instance("2 3 5 4")
+    cfg = _HAND_FOLD_CONFIGS["one-pole"]
+    reference = run_cascade(inst, cfg)
+    results = []
+
+    def worker():
+        for _ in range(5):
+            results.append(run_cascade(inst, cfg))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 20
+    for trace in results:
+        assert trace.stages == reference.stages
+        assert np.array_equal(trace.final.samples, reference.final.samples)
+
+
+def test_run_cascade_peak_under_six_grid_arrays():
+    # at most 5.5, during a stage's product: the accumulator, the stage's source
+    # and noise, the pole's gains, and the next stage's source and noise
+    inst = _total_22044(10)
+    cfg = NonidealityConfig(mult_output_offset=4e-3, amp_offset=2.5e-4,
+                            bandwidth_f_star=1e9, noise_sigma=1e-4, seed=10)
+    m = points_per_period(inst, cfg)
+    _, peak = tracemalloc_peak(lambda: run_cascade(inst, cfg))
+    assert peak <= 6 * m * 8
 
 
 def test_config_rejects_unknown_key():
