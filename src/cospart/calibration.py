@@ -21,7 +21,7 @@ from .dsp import FilterSpec, SampledTrace
 from .exact import solve_exact
 from .instances import CpiInstance, serialize_instance
 from .pipeline import NonidealityConfig, PipelineTrace, check_bandwidth, config_to_text, \
-    parse_kv, run_cascade
+    parse_kv, points_per_period, run_cascade
 
 
 class LabelError(ValueError):
@@ -181,16 +181,34 @@ def perturb_to_no_instance(inst: CpiInstance, sigma: float, delta: float,
     return perturbed, p_false_dc
 
 
+def residue_floor(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> float:
+    """The most DC that float64 rounding alone can leave on a one-period run of ``inst``.
+
+    The final signal is bounded by V = dc_gain · min(supply_voltage,
+    Π|A_i| · (mult_scale·amp_gain)^(n−1)), the ideal chain's peak for source
+    amplitudes A_i, and its DC is the mean of m = `points_per_period`
+    samples.  Rounding the samples and summing them moves that mean by at
+    most m·ε·V, with ε = 2.2e-16 the float64 epsilon.  The floor is that
+    bound: 7.8e-11 V for a unit-amplitude chain on 352,800 points.
+    """
+    amps = cfg.source_amplitude
+    gain = abs(amps) ** inst.n if isinstance(amps, (int, float)) else math.prod(map(abs, amps))
+    peak = min(cfg.supply_voltage, gain * abs(cfg.mult_scale * cfg.amp_gain) ** (inst.n - 1))
+    return points_per_period(inst, cfg) * np.finfo(float).eps * abs(spec.dc_gain) * peak
+
+
 def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[CpiInstance],
                         cfg: NonidealityConfig, spec: FilterSpec,
                         jobs: int = 1) -> DecisionThreshold:
     """Learn the YES/NO voltage bands from labeled training runs.
 
     Labels are verified with `solve_exact` first; the runs are spread over
-    ``jobs`` processes by `parallel_map`.  The cut is the geometric mean of
-    the band edges when both are positive, half the YES band's bottom when
-    only that one is, and the midpoint otherwise (overlapping bands, or
-    both at or below 0 V).  The threshold is stamped with the
+    ``jobs`` processes by `parallel_map`.  An edge at or below the largest
+    `residue_floor` of the training runs is float rounding, not a level, and
+    counts as at or below 0 V.  The cut is the geometric mean of the band
+    edges when both lie above that floor, half the YES band's bottom when
+    only that one does, and the midpoint otherwise (overlapping bands, or
+    both within the floor or below it).  The threshold is stamped with the
     `chain_digest` of ``cfg`` and ``spec``.
     """
     if not train_yes or not train_no:
@@ -206,10 +224,11 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
                        [*train_yes, *train_no], jobs)
     yes_min = min(dcs[:len(train_yes)])
     no_max = max(dcs[len(train_yes):])
+    floor = max(residue_floor(inst, cfg, spec) for inst in [*train_yes, *train_no])
     separable = no_max < yes_min
-    if separable and no_max > 0:
+    if separable and no_max > floor:
         cut = math.sqrt(no_max * yes_min)
-    elif separable and yes_min > 0:
+    elif separable and yes_min > floor:
         cut = 0.5 * yes_min
     else:
         cut = 0.5 * (no_max + yes_min)

@@ -129,8 +129,9 @@ def sample_after_filter(sig: Signal, spec: FilterSpec, t_start: float, duration:
     j0 = (start - filtered.t0) / filtered.dt
     k = tau_eff / filtered.dt
     if abs(j0 - round(j0)) < 1e-6 and abs(k - round(k)) < 1e-9 * max(1.0, k) and round(k) >= 1:
-        idx = round(j0) + round(k) * np.arange(m)
-        values = filtered.samples[idx]
+        i0, step = round(j0), round(k)
+        # a copy: with no filter, ``filtered`` is ``sig`` itself, which the values must not alias
+        values = filtered.samples[i0:i0 + step * m:step].copy()
     else:
         values = np.interp(start + tau_eff * np.arange(m), filtered.times(), filtered.samples)
     return SampledTrace(t_start=start, tau=tau_eff, values=values, snap_distance=snap)

@@ -8,9 +8,10 @@ from cospart.calibration import (DecisionThreshold, LabelError,
                                  NonSeparableError, auto_threshold, bootstrap_threshold,
                                  compensate, chain_digest, decide_analog,
                                  decision_record, fixed_threshold, measure_stage_offsets,
-                                 perturb_to_no_instance, run_and_measure,
+                                 perturb_to_no_instance, residue_floor, run_and_measure,
                                  threshold_from_text, threshold_to_text)
 from cospart.dsp import FilterSpec
+from cospart.exact import solve_exact
 from cospart.instances import parse_instance, random_instance
 from cospart.pipeline import BandwidthError, NonidealityConfig
 
@@ -127,6 +128,36 @@ def test_bootstrap_cut_between_bands_below_zero(brickwall):
     assert thr.separable
     assert thr.yes_band_min < 0
     assert thr.no_band_max < thr.cut < thr.yes_band_min
+
+
+def test_bootstrap_cut_treats_residue_band_edge_as_zero(monkeypatch, brickwall):
+    # a NO band of float residue once pulled the geometric-mean cut to 4.7e-10 V
+    yes, no = [parse_instance("3 2 5")], [parse_instance("3 6 4")]
+    cfg = NonidealityConfig.ideal()
+
+    def bands(yes_min, no_max):
+        monkeypatch.setattr(calibration, "_measured_dc",
+                            lambda inst, cfg, spec: yes_min if solve_exact(inst) else no_max)
+        return bootstrap_threshold(yes, no, cfg, brickwall)
+
+    thr = bands(2.2e-3, 1.1e-16)
+    assert thr.separable and (thr.no_band_max, thr.yes_band_min) == (1.1e-16, 2.2e-3)
+    assert thr.cut == 0.5 * 2.2e-3
+    assert bands(2.2e-3, 2.5e-4).cut == math.sqrt(2.5e-4 * 2.2e-3)  # a level, not residue
+    assert bands(1.1e-16, -1e-3).cut == 0.5 * (1.1e-16 - 1e-3)  # both within or below
+
+
+def test_residue_floor_from_amplitudes_and_sample_count(brickwall):
+    inst = parse_instance("3 6 4")  # 210 points per period
+    eps = np.finfo(float).eps
+    assert residue_floor(inst, NonidealityConfig.ideal(), brickwall) == pytest.approx(210 * eps)
+    # peak (2 * 1 * 0.5) * (0.1 * 20)^2 = 4 V, within the rails; DC gain 2^3
+    cfg = NonidealityConfig.ideal(source_amplitude=(2.0, 1.0, 0.5), amp_gain=20.0)
+    gained = FilterSpec("one-pole", 5e3, order=3, per_stage_gain=2.0)
+    assert residue_floor(inst, cfg, gained) == pytest.approx(210 * eps * 8 * 4)
+    # a peak beyond the rails is clamped to them
+    loud = NonidealityConfig.ideal(source_amplitude=5.0)
+    assert residue_floor(inst, loud, brickwall) == pytest.approx(210 * eps * 10)
 
 
 def test_bootstrap_table_like_bands():

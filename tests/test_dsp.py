@@ -161,6 +161,17 @@ def test_dc_invariant_under_halving_tau(ideal_cfg):
     assert dc_component(a) == pytest.approx(dc_component(b), abs=1e-9)
 
 
+def test_commensurate_sampling_reads_grid_points_into_its_own_array(ideal_cfg):
+    final = run_cascade(parse_instance("2 3"), ideal_cfg, periods=2).final
+    per = final.alignment_period
+    out = sample_after_filter(final, FilterSpec("none", cutoff_f0=0.25 / final.dt),
+                              t_start=per, duration=per, tau=2 * final.dt)
+    i0 = round(per / final.dt)
+    assert out.m == i0 // 2
+    assert np.array_equal(out.values, final.samples[i0 + 2 * np.arange(out.m)])
+    assert not np.shares_memory(out.values, final.samples)
+
+
 def test_aliasing_shrinks_with_filter_order(ideal_cfg):
     from cospart.exact import ideal_dc
     inst = parse_instance("3 2 5")

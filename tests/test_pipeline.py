@@ -463,6 +463,48 @@ def test_run_cascade_peak_under_six_grid_arrays():
     assert peak <= 6 * m * 8
 
 
+def test_run_cascade_peak_under_four_grid_arrays():
+    # at most 3.5, during a stage's product: the accumulator, the stage's noise,
+    # the pole's gains and the next stage's noise; tones take 64 KB of scratch
+    inst = _total_22044(10)
+    cfg = NonidealityConfig(mult_output_offset=4e-3, amp_offset=2.5e-4,
+                            bandwidth_f_star=1e9, noise_sigma=1e-4, seed=10)
+    m = points_per_period(inst, cfg)
+    _, peak = tracemalloc_peak(lambda: run_cascade(inst, cfg))
+    assert peak <= 4 * m * 8
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="the reference needs an extended-precision longdouble")
+@pytest.mark.parametrize("text, per_period", [("740 1259 1", 32_000),
+                                              ("9000 13043 1", 352_800)])
+def test_tones_at_least_as_accurate_as_direct_cosines(text, per_period):
+    inst = parse_instance(text)
+    cfg = NonidealityConfig(freq_error_sigma=1e-3, phase_error_sigma=0.1, seed=5)
+    assert points_per_period(inst, cfg) == per_period
+    source = pipeline._source_maker(inst, cfg, periods=2)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    for i in range(inst.n):
+        tone = source(i)
+        k = np.arange(tone.m)
+        exact = tone.amplitude * np.cos(k * np.longdouble(tone.dt) * (two_pi * np.longdouble(tone.freq))
+                                        + np.longdouble(tone.phase))
+        # the float64 phase and np.cos that sources were synthesised with before tones
+        direct = tone.amplitude * np.cos(k * tone.dt * (2.0 * math.pi * tone.freq) + tone.phase)
+        error = np.max(np.abs(tone.signal().samples - exact))
+        assert error <= np.max(np.abs(direct - exact))
+        assert error <= 1e-13
+
+
+def test_amplify_writes_over_its_input_bit_for_bit(ideal_cfg):
+    cfg = NonidealityConfig(amp_offset=2.5e-4)
+    pin = multiply_stage(*synthesize_sources(parse_instance("2 3"), ideal_cfg), cfg)
+    fresh = amplify(pin, cfg).samples
+    out = amplify(pin, cfg, out=pin.samples)
+    assert out.samples is pin.samples
+    assert np.array_equal(out.samples, fresh)
+
+
 def test_config_rejects_unknown_key():
     with pytest.raises(ValueError):
         config_from_items({"not_a_knob": "1"})
