@@ -81,7 +81,9 @@ def apply_lowpass(sig: Signal, spec: FilterSpec) -> Signal:
         x[freqs >= spec.cutoff_f0] = 0.0
         x *= spec.dc_gain
     else:
-        x *= (spec.per_stage_gain / np.sqrt(1.0 + (freqs / spec.cutoff_f0) ** 2)) ** spec.order
+        gain = (spec.per_stage_gain / np.sqrt(1.0 + (freqs / spec.cutoff_f0) ** 2)) ** spec.order
+        x.real *= gain
+        x.imag *= gain
     out = np.fft.irfft(x, n=sig.m)
     return Signal(t0=sig.t0, dt=sig.dt, samples=out, f_max_nominal=sig.f_max_nominal,
                   alignment_period=sig.alignment_period)

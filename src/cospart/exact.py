@@ -13,9 +13,14 @@ Three exact decision routes are kept:
 
 `solve_exact` and `find_partition` take whichever of DP and MIM costs fewer
 operations by these estimates, DP only within its cell budget.  Both halves'
-sorted sums come from one kernel that merges the sorted sums s with the
-sorted s + a at each doubling step.  Its counted form keeps the number of
-subsets behind each sum, which gives `ideal_dc` from the same two halves.
+sorted distinct sums come from one kernel, `_subset_sums`.  Its first 12
+values give one table of all 4096 subset sums, indexed by subset bitmask
+and sorted once; each later value merges the sorted sums s with the sorted
+s + a and drops repeats, which keeps colliding sums (SAT reductions) few.
+It can tag each sum with the number of subsets behind it, which gives
+`ideal_dc` from the same two halves, or with the smallest subset bitmask,
+which gives `find_partition` its witness.  The match searches each sum of
+the half with fewer distinct sums in the other half.
 
 Spectrum amplitudes use the time-average convention: the line at frequency
 w carries (number of sign vectors summing to w) / 2**n, which is directly
@@ -37,6 +42,8 @@ from .instances import CpiInstance
 
 # Block size for the doubling enumeration (2**22 int64 values = 32 MB).
 _ENUM_CHUNK = 22
+# Values listed as one table of every subset sum before the kernel merges.
+_TABLE_BITS = 12
 # Guard of the meet-in-the-middle kernel: each half lists at most 2**22 sums.
 MAX_MIM_N = 44
 # Guard of the 2**n sign-vector enumeration in `decide_bruteforce`.
@@ -134,40 +141,57 @@ def _run_starts(merged: np.ndarray) -> np.ndarray:
     return first
 
 
-def _subset_sums(values: tuple[int, ...]) -> np.ndarray:
-    """Sorted distinct subset sums of `values`.
+def _subset_sums(values: tuple[int, ...],
+                 tag: Optional[str] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sorted distinct subset sums of `values`, with one int64 tag per sum.
 
-    Each step merges the sorted sums s with the sorted s + a: the stable sort
-    finds the two runs and merges them in linear time, and equal neighbours
-    are dropped.
+    ``tag`` None gives no tags.  ``"count"`` tags each sum with the number of
+    subsets behind it; the tags of equal sums add, and all tags sum to
+    2**len(values).  ``"mask"`` tags it with the numerically smallest bitmask
+    (bit i for values[i]) of a subset with that sum, so len(values) must stay
+    below 63.
+
+    The first `_TABLE_BITS` values give one table of every subset sum, in
+    which the index of a sum is its subset's bitmask.  It is sorted once;
+    counts are the lengths of its runs of equal sums, and masks come from a
+    stable argsort, so the smallest index leads each run.  Each later value
+    merges the sorted sums s with the sorted s + a: the stable sort finds the
+    two runs and merges them in linear time, and equal neighbours are
+    dropped.  A sum without values[i] comes first in the merge, and its mask
+    is below every mask with bit i, so the merge keeps the smallest mask too.
     """
-    sums = np.zeros(1, dtype=np.int64)
-    for a in values:
+    k = min(len(values), _TABLE_BITS)
+    table = np.empty(1 << k, dtype=np.int64)
+    table[0] = 0
+    for i, a in enumerate(values[:k]):
+        np.add(table[:1 << i], a, out=table[1 << i:2 << i])
+    tags = None
+    if tag == "mask":
+        tags = table.argsort(kind="stable")
+        table = table[tags]
+    else:
+        table.sort()
+    first = _run_starts(table)
+    if tag == "count":
+        starts = np.flatnonzero(first)
+        tags = np.diff(starts, append=len(table))
+    elif tag == "mask":
+        tags = tags[first]
+    sums = table[first]
+    for i, a in enumerate(values[k:], start=k):
         merged = np.concatenate([sums, sums + a])
-        merged.sort(kind="stable")
-        sums = merged[_run_starts(merged)]
-    return sums
-
-
-def _tagged_subset_sums(values: tuple[int, ...],
-                        counted: bool) -> tuple[np.ndarray, np.ndarray]:
-    """`_subset_sums` with one int64 tag per sum.
-
-    With ``counted`` the tag is the number of subsets with that sum; the tags
-    of equal sums add, and all tags sum to 2**len(values).  Otherwise it is
-    the bitmask (bit i for values[i]) of one subset with that sum, so
-    len(values) must stay below 63.
-    """
-    sums = np.zeros(1, dtype=np.int64)
-    tags = np.array([1 if counted else 0], dtype=np.int64)
-    for i, a in enumerate(values):
-        merged = np.concatenate([sums, sums + a])
+        if tag is None:
+            merged.sort(kind="stable")
+            sums = merged[_run_starts(merged)]
+            continue
         order = merged.argsort(kind="stable")
         merged = merged[order]
-        tagged = np.concatenate([tags, tags if counted else tags | (1 << i)])[order]
         starts = np.flatnonzero(_run_starts(merged))
         sums = merged[starts]
-        tags = np.add.reduceat(tagged, starts) if counted else tagged[starts]
+        if tag == "count":
+            tags = np.add.reduceat(np.concatenate([tags, tags])[order], starts)
+        else:
+            tags = np.concatenate([tags, tags | (1 << i)])[order][starts]
     return sums, tags
 
 
@@ -177,7 +201,15 @@ def _halves(inst: CpiInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _match(left: np.ndarray, right: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices i, j of every pair of sorted distinct sums with left[i] + right[j] == half."""
+    """Indices i, j of every pair of sorted distinct sums with left[i] + right[j] == half.
+
+    The pairs come in ascending i.  The smaller side's needs are searched in
+    the larger side; searched from the right, the pairs come in ascending j,
+    hence descending i, and are returned reversed.
+    """
+    if len(left) > len(right):
+        j, i = _match(right, left, half)
+        return i[::-1], j[::-1]
     need = half - left
     j = np.minimum(np.searchsorted(right, need), len(right) - 1)
     hit = right[j] == need
@@ -195,8 +227,8 @@ def ideal_dc(inst: CpiInstance) -> Fraction:
     if inst.total % 2:
         return Fraction(0)
     lo, hi = _halves(inst)
-    left, c_left = _tagged_subset_sums(lo, counted=True)
-    right, c_right = _tagged_subset_sums(hi, counted=True)
+    left, c_left = _subset_sums(lo, "count")
+    right, c_right = _subset_sums(hi, "count")
     i, j = _match(left, right, inst.total // 2)
     return Fraction(int(np.dot(c_left[i], c_right[j])), 2**inst.n)
 
@@ -242,7 +274,7 @@ def decide_meet_in_middle(inst: CpiInstance) -> bool:
     if inst.total % 2:
         return False
     lo, hi = _halves(inst)
-    hits, _ = _match(_subset_sums(lo), _subset_sums(hi), inst.total // 2)
+    hits, _ = _match(_subset_sums(lo)[0], _subset_sums(hi)[0], inst.total // 2)
     return len(hits) > 0
 
 
@@ -299,9 +331,11 @@ def find_partition(inst: CpiInstance, max_cells: int = 10**8) -> Optional[Partit
     Memory depends on the route.  The DP route (`_dp_backtrack`) keeps about
     2*sqrt(n) reachability masks of total/2+1 bits, 2*sqrt(n)*cells/8 bytes
     (at most 2*sqrt(n)*max_cells/8), and takes under twice the time of the
-    decision alone.  The MIM route keeps each half's sorted sums with one
-    subset bitmask per sum and its merge temporaries, about 70*2**ceil(n/2)
-    bytes whatever the magnitudes (285 MB at n = 44).
+    decision alone.  The MIM route peaks in its last merge, with each
+    half's sorted sums, one subset bitmask per sum and the merge
+    temporaries: about 70*2**ceil(n/2) bytes whatever the magnitudes.  At
+    n = 44 tracemalloc measured 285 MB, as for `ideal_dc`; the decision
+    alone peaks at 172 MB.  The 12-value table head adds 32 KB.
     """
     if inst.total % 2:
         return None
@@ -311,8 +345,8 @@ def find_partition(inst: CpiInstance, max_cells: int = 10**8) -> Optional[Partit
         return None if subset is None else PartitionWitness(subset)
     _check_mim_guard(inst)
     lo, hi = _halves(inst)
-    left, m_left = _tagged_subset_sums(lo, counted=False)
-    right, m_right = _tagged_subset_sums(hi, counted=False)
+    left, m_left = _subset_sums(lo, "mask")
+    right, m_right = _subset_sums(hi, "mask")
     i, j = _match(left, right, half)
     if not len(i):
         return None

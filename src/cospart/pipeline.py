@@ -15,7 +15,7 @@ needs it; the stage's product forms its samples block by block, so no
 source is ever a grid array.  Tones and noise draws depend only on the
 seed and the stage, so one helper thread makes them ahead: the next
 stage's while the main thread runs a stage's product, pole FFTs and
-amplifier.  Peak memory is three and a half grid arrays plus about 128 KB,
+amplifier.  Peak memory is three and a half grid arrays plus about 64 KB,
 whatever the number of values.  The cascade is bit-identical to a hand
 fold of `synthesize_sources`, `multiply_stage` and `amplify`, and a
 unit-amplitude source is within about 2e-14 V of the exact cosine.
@@ -364,7 +364,9 @@ def _stage_noise(cfg: NonidealityConfig, stage: int, m: int) -> Optional[np.ndar
     signal, so `run_cascade` draws it ahead, on its helper thread.
     """
     if cfg.noise_sigma > 0:
-        return np.random.default_rng([cfg.seed, 104729, stage]).normal(0.0, cfg.noise_sigma, m)
+        noise = np.random.default_rng([cfg.seed, 104729, stage]).standard_normal(m)
+        noise *= cfg.noise_sigma  # the bits of normal(0.0, sigma, m), for less work
+        return noise
     return None
 
 
@@ -410,8 +412,9 @@ def multiply_stage(x: Signal, y: Union[Signal, Tone, list], cfg: NonidealityConf
         spec = np.fft.rfft(out)
         if pole.dtype == bool:
             spec[pole] = 0.0
-        else:
-            spec *= pole
+        else:  # float gains on the two halves: no complex copy of the gains
+            spec.real *= pole
+            spec.imag *= pole
         np.fft.irfft(spec, n=len(out), out=out)
         np.clip(out, -cfg.supply_voltage, cfg.supply_voltage, out=out)
     return Signal(t0=x.t0, dt=x.dt, samples=out, f_max_nominal=x.f_max_nominal,
@@ -464,10 +467,11 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
     threads interleave, and whatever n is, at most three and a half grid
     arrays are alive: the accumulator, the stage's noise, the pole's gains
     and the next stage's noise; during the pole's FFTs the spectrum takes
-    the place of the spent noise.  Beside them sit the tone's 64 KB of
-    scratch during the product and numpy's 128 KB buffer while the pole's
-    gains scale the spectrum.  Measured with tracemalloc with the pole and
-    noise: 3.56 arrays at 352,800 points, 4.08 at 32,000.  The bandwidth
+    the place of the spent noise.  Beside them sits the tone's 64 KB of
+    scratch during the product; the pole's float gains scale the spectrum's
+    real and imaginary halves in place, with no complex copy.  Measured with
+    tracemalloc with the pole and noise: 3.54 arrays at 352,800 points, 3.84
+    at 32,256.  The bandwidth
     warning flags instances whose summed frequency exceeds the multiplier
     limit (`bandwidth_exceeded`).
 

@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +78,23 @@ def test_exact_routes_agree(values):
         assert abs(d.dc_measured - float(ideal_dc(inst))) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=64), min_size=26, max_size=30))
+def test_exact_routes_agree_past_the_table(values):
+    # halves of 13-15 values leave the 12-value table head and merge
+    inst = CpiInstance(tuple(values))
+    counts = np.zeros(inst.total + 1, dtype=np.int64)  # subsets by their sum
+    counts[0] = 1
+    for a in inst.values:
+        counts[a:] = counts[a:] + counts[:-a]
+    balanced = 0 if inst.total % 2 else int(counts[inst.total // 2])
+    assert ideal_dc(inst) * 2**inst.n == balanced
+    assert decide_meet_in_middle(inst) == decide_dp(inst) == (balanced > 0)
+    w = find_partition(inst, max_cells=1)
+    assert (w is not None) == (balanced > 0)
+    assert w is None or _balances(inst, w)
+
+
 @settings(max_examples=100)
 @given(st.lists(st.integers(min_value=1, max_value=2**40), min_size=1, max_size=13),
        st.booleans())
@@ -96,20 +112,78 @@ def test_exact_routes_agree_large_magnitudes(values, balance):
 
 
 @settings(max_examples=200)
-@given(st.lists(st.integers(min_value=1, max_value=64), max_size=12))
+@given(st.one_of(st.lists(st.integers(min_value=1, max_value=4), max_size=16),
+                 st.lists(st.integers(min_value=1, max_value=64), max_size=16),
+                 st.lists(st.integers(min_value=1, max_value=2**40), max_size=16)))
 def test_subset_sum_kernel(values):
+    # up to 16 values: past the 12-value table head, merges of colliding
+    # (values <= 4) and of distinct (wide) sums
     values = tuple(values)
-    counts = Counter(sum(c) for r in range(len(values) + 1)
-                     for c in itertools.combinations(values, r))
-    assert exact._subset_sums(values).tolist() == sorted(counts)
-    sums, tags = exact._tagged_subset_sums(values, counted=True)
-    assert sums.tolist() == sorted(counts)
-    assert tags.tolist() == [counts[x] for x in sorted(counts)]
-    assert int(tags.sum()) == 2 ** len(values)
-    sums, masks = exact._tagged_subset_sums(values, counted=False)
-    assert sums.tolist() == sorted(counts)
-    for x, m in zip(sums.tolist(), masks.tolist()):
-        assert sum(v for i, v in enumerate(values) if m >> i & 1) == x
+    masks = np.arange(2 ** len(values))
+    every = ((masks[:, None] >> np.arange(len(values))) & 1) @ np.array(values, dtype=np.int64)
+    distinct, smallest, counts = np.unique(every, return_index=True, return_counts=True)
+    sums, none = exact._subset_sums(values)
+    assert none is None and sums.tolist() == distinct.tolist()
+    sums, tags = exact._subset_sums(values, "count")
+    assert sums.tolist() == distinct.tolist() and tags.tolist() == counts.tolist()
+    sums, tags = exact._subset_sums(values, "mask")
+    # np.unique's first index of each sum is its smallest mask
+    assert sums.tolist() == distinct.tolist() and tags.tolist() == smallest.tolist()
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=1, max_value=8), max_size=14),
+       st.lists(st.integers(min_value=1, max_value=8), max_size=14),
+       st.integers(min_value=0, max_value=112))
+def test_match_pairs_ascend_on_the_left(lo, hi, half):
+    left, right = exact._subset_sums(tuple(lo))[0], exact._subset_sums(tuple(hi))[0]
+    want = [(i, j) for i, x in enumerate(left.tolist())
+            for j, y in enumerate(right.tolist()) if x + y == half]
+    i, j = exact._match(left, right, half)
+    assert list(zip(i.tolist(), j.tolist())) == want
+    j, i = exact._match(right, left, half)
+    assert sorted(zip(i.tolist(), j.tolist())) == want
+    assert np.all(np.diff(j) > 0)
+
+
+def _mim_corpus():
+    """n = 14..34, colliding to wide values, and six n = 34 SAT reductions."""
+    rng = random.Random(15)
+    for k in range(42):
+        n = 14 + k % 21
+        mag = (4, 16, 64, 10**6, 2**40, 10**6)[k % 6]
+        values = [rng.randint(1, mag) for _ in range(n)]
+        if mag > 64 and k % 2:  # the last value balances the alternate others
+            values[-1] = abs(sum(values[:-1:2]) - sum(values[1:-1:2])) or 1
+        yield CpiInstance(tuple(values))
+    for _ in range(6):
+        clauses = tuple(tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), 3))
+                        for _ in range(10))
+        yield sat_to_partition(CnfFormula(6, clauses))[0]
+
+
+# the MIM route's witnesses over `_mim_corpus`, bit k-1 for position k: for the
+# smallest left sum that matches, each half's smallest subset bitmask, as a
+# merge of one value at a time finds them
+_MIM_WITNESSES = (
+    0x1b80, 0x7d10, 0xdf11, 0x1aaaa, None, 0x6aaaa,
+    None, None, None, 0x5638c0, None, 0xbc6098,
+    0x1ffa000, 0x7bff000, None, 0x13ded140, None, 0x7d778832,
+    0xffff0000, None, 0x3fafc0010, 0x2aaa, None, 0x5555,
+    0x1bb00, 0x3fe08, None, 0xaaaaa, None, 0x3d6d14,
+    0x5ff800, 0xfff003, 0x1f7f041, 0x1fd411, None, 0xbb77081,
+    0xeffc000, None, None, 0xb9bf8808, None, 0x1ff7e0c04,
+    0x1c444c596, 0x1555045a5, 0x1f55c5566, 0x15f3e4995, 0x171533656, 0x1c5541aa6,
+)
+
+
+def test_find_partition_mim_witnesses_pinned():
+    found = []
+    for inst in _mim_corpus():
+        w = find_partition(inst, max_cells=1)
+        found.append(None if w is None else sum(1 << (k - 1) for k in w.subset))
+        assert w is None or _balances(inst, w)
+    assert tuple(found) == _MIM_WITNESSES
 
 
 def _refuse(name):
@@ -120,7 +194,6 @@ def _refuse(name):
 
 def test_bruteforce_independent_of_kernel(monkeypatch):
     monkeypatch.setattr(exact, "_subset_sums", _refuse("_subset_sums"))
-    monkeypatch.setattr(exact, "_tagged_subset_sums", _refuse("_tagged_subset_sums"))
     assert decide_bruteforce(parse_instance("3 2 5")) is True
     assert decide_bruteforce(parse_instance("3 6 4")) is False
     assert exact._zero_sign_count((1,) * 24) == 2704156  # C(24, 12)

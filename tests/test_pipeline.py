@@ -474,6 +474,17 @@ def test_run_cascade_peak_under_four_grid_arrays():
     assert peak <= 4 * m * 8
 
 
+def test_multiply_stage_pole_adds_only_the_spectrum():
+    # the spectrum is one grid array of complex bins; scaling it by the float
+    # gains must not cast them to a complex buffer (another 128 KB here)
+    cfg = NonidealityConfig(mult_output_offset=4e-3, bandwidth_f_star=1e9)
+    x, y = synthesize_sources(parse_instance("740 1259 1"), cfg)[:2]
+    assert x.m == 32_000
+    pole = pipeline._pole_response(x.m, x.dt, cfg)
+    _, peak = tracemalloc_peak(lambda: multiply_stage(x, y, cfg, pole=pole, out=x.samples))
+    assert peak <= 1.1 * x.m * 8
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
                     reason="the reference needs an extended-precision longdouble")
 @pytest.mark.parametrize("text, per_period", [("740 1259 1", 32_000),
