@@ -55,10 +55,10 @@ def _load_config(args) -> tuple[NonidealityConfig, FilterSpec,
 
 
 def _load_instance_arg(arg: str) -> list[CpiInstance]:
-    path = Path(arg)
-    if not path.is_file():
+    """The instances in file ``arg``, else ``arg`` inline, as when it is too long for a name."""
+    if not os.path.isfile(arg):
         return [instances.parse_instance(arg)]
-    insts = instances.load_instances(path.read_text())
+    insts = instances.load_instances(Path(arg).read_text())
     if not insts:
         raise instances.InstanceError(f"no instance in {arg}")
     return insts
@@ -142,10 +142,9 @@ def cmd_spectrum(args, argv: list[str]) -> int:
 
     outputs = {"spectrum_analytic.csv": exact.analytic_spectrum(inst).to_csv(units="instance")}
     if args.simulate:
-        trace = pipeline.run_cascade(inst, chain.cfg, periods=1)
-        sampled = dsp.sample_after_filter(
-            trace.final, FilterSpec(kind="none", cutoff_f0=0.5 / trace.final.dt),
-            t_start=0.0, duration=trace.final.alignment_period, tau=trace.final.dt)
+        # no filter; the chain's cutoff bounds the step above dt, so every grid point is read
+        sampled = calibration.run_and_measure(
+            inst, chain.cfg, replace(chain.fspec, kind="none"))[2]
         outputs["spectrum_measured.csv"] = dsp.dft(sampled).to_csv(units="Hz")
 
     if args.out:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .exact import Spectrum
-from .pipeline import Signal
+from .pipeline import Signal, zero_phase_filter
 
 _KIND_ALIASES = {
     "ideal-brickwall": "brickwall",
@@ -67,26 +67,23 @@ class SampledTrace:
 
 
 def apply_lowpass(sig: Signal, spec: FilterSpec) -> Signal:
-    """Filter in the frequency domain over the signal's full grid.
+    """Filter over the signal's full grid by `pipeline.zero_phase_filter`.
 
-    Brickwall zeroes every component at or above the cutoff; the one-pole
-    cascade multiplies each bin by (gain / sqrt(1 + (f/f0)^2))**order, the
-    magnitude (zero-phase) response, since only amplitudes reach the decision.
+    Each rfft bin is scaled by a real gain, the magnitude (zero-phase)
+    response, since only amplitudes reach the decision.  Brickwall: the DC
+    gain below the cutoff, 0.0 at or above it; the one-pole cascade:
+    (gain / sqrt(1 + (f/f0)^2))**order.  The filtered samples are a new
+    array; ``none`` returns ``sig`` itself.
     """
     if spec.kind == "none":
         return sig
-    x = np.fft.rfft(sig.samples)
     freqs = np.fft.rfftfreq(sig.m, d=sig.dt)
     if spec.kind == "brickwall":
-        x[freqs >= spec.cutoff_f0] = 0.0
-        x *= spec.dc_gain
+        gains = np.where(freqs < spec.cutoff_f0, spec.dc_gain, 0.0)
     else:
-        gain = (spec.per_stage_gain / np.sqrt(1.0 + (freqs / spec.cutoff_f0) ** 2)) ** spec.order
-        x.real *= gain
-        x.imag *= gain
-    out = np.fft.irfft(x, n=sig.m)
-    return Signal(t0=sig.t0, dt=sig.dt, samples=out, f_max_nominal=sig.f_max_nominal,
-                  alignment_period=sig.alignment_period)
+        gains = (spec.per_stage_gain / np.sqrt(1.0 + (freqs / spec.cutoff_f0) ** 2)) ** spec.order
+    del freqs  # not alive during the FFTs
+    return replace(sig, samples=zero_phase_filter(sig.samples, gains))
 
 
 def design_compensating_filter(n: int, f0: float) -> FilterSpec:
@@ -123,12 +120,12 @@ def sample_after_filter(sig: Signal, spec: FilterSpec, t_start: float, duration:
     if m < 1:
         raise ValueError("duration too short for the sampling step")
 
-    grid_end = filtered.t0 + (filtered.m - 1) * filtered.dt
+    grid_end = (filtered.m - 1) * filtered.dt
     last = start + (m - 1) * tau_eff
     if last > grid_end + filtered.dt * 1e-6:
         raise ValueError("sampling window extends beyond the simulated signal")
 
-    j0 = (start - filtered.t0) / filtered.dt
+    j0 = start / filtered.dt
     k = tau_eff / filtered.dt
     if abs(j0 - round(j0)) < 1e-6 and abs(k - round(k)) < 1e-9 * max(1.0, k) and round(k) >= 1:
         i0, step = round(j0), round(k)

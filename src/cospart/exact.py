@@ -223,9 +223,9 @@ def ideal_dc(inst: CpiInstance) -> Fraction:
     numerator is the sum over x of c_L[x] * c_R[total/2 - x], where c_L and
     c_R count the subsets of each half by their sum.  It is at most 2**n.
     """
-    _check_mim_guard(inst)
     if inst.total % 2:
         return Fraction(0)
+    _check_mim_guard(inst)
     lo, hi = _halves(inst)
     left, c_left = _subset_sums(lo, "count")
     right, c_right = _subset_sums(hi, "count")
@@ -259,20 +259,20 @@ def _dp_is_cheaper(inst: CpiInstance, max_cells: int) -> bool:
 
 def decide_dp(inst: CpiInstance, max_cells: int = 10**8) -> bool:
     """Pseudo-polynomial decision: subset-sum reachability of total/2."""
+    if inst.total % 2:
+        return False
     cells = _dp_budget_cells(inst)
     if cells > max_cells:
         raise DpBudgetError(f"{cells} reachability cells exceed the budget of {max_cells}")
-    if inst.total % 2:
-        return False
     half = inst.total // 2
     return bool((_dp_reachable(inst.values, half) >> half) & 1)
 
 
 def decide_meet_in_middle(inst: CpiInstance) -> bool:
     """Magnitude-independent exact decision at 2**(n/2) cost (Horowitz-Sahni)."""
-    _check_mim_guard(inst)
     if inst.total % 2:
         return False
+    _check_mim_guard(inst)
     lo, hi = _halves(inst)
     hits, _ = _match(_subset_sums(lo)[0], _subset_sums(hi)[0], inst.total // 2)
     return len(hits) > 0
@@ -281,9 +281,10 @@ def decide_meet_in_middle(inst: CpiInstance) -> bool:
 def solve_exact(inst: CpiInstance, max_cells: int = 10**8) -> bool:
     """Exact decision by whichever of DP and MIM costs less (`_dp_is_cheaper`).
 
-    DP is taken only within ``max_cells`` cells.  MIM raises
-    `InstanceTooLargeError` past n = MAX_MIM_N; from n = 45 on DP is the
-    cheaper route whenever it fits the budget.
+    DP is taken only within ``max_cells`` cells.  An odd total is NO at
+    once; past n = MAX_MIM_N an even one makes MIM raise
+    `InstanceTooLargeError`, and from n = 45 on DP is the cheaper route
+    whenever it fits the budget.
     """
     if _dp_is_cheaper(inst, max_cells):
         return decide_dp(inst, max_cells=max_cells)

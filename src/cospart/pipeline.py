@@ -2,11 +2,13 @@
 
 Every block is memoryless except the output bandwidth pole, so the chain is
 evaluated pointwise on a shared time grid; the pole is applied per stage in
-the frequency domain.  The grid always spans whole alignment periods with an
-integer number of points per period, which keeps FFT bins exactly on the
-product harmonics for nominal (error-free) frequencies.  The per-period
-count is ``oversample * total / gcd`` rounded up to the next 2·3·5·7-smooth
-integer, so every stage's FFT runs at a length numpy transforms quickly.
+the frequency domain by `zero_phase_filter`, a real gain per rfft bin, which
+the decision low-pass (`dsp.apply_lowpass`) runs too.  The grid always spans
+whole alignment periods with an integer number of points per period, which
+keeps FFT bins exactly on the product harmonics for nominal (error-free)
+frequencies.  The per-period count is ``oversample * total / gcd`` rounded
+up to the next 2·3·5·7-smooth integer, so every stage's FFT runs at a length
+numpy transforms quickly.
 
 `run_cascade` streams like the hardware: one signal is in flight, and each
 stage leaves a `StageSummary` instead of its node arrays.  A source is a
@@ -95,24 +97,19 @@ class NonidealityConfig:
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """Uniformly sampled voltage trace on the dense internal grid."""
+    """Voltage trace with sample i at time ``i * dt``; a trace spanning whole
+    alignment periods names the period, which sampling snaps to."""
 
-    t0: float
     dt: float
     samples: np.ndarray
-    f_max_nominal: float
     alignment_period: float | None = None
 
     @property
     def m(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return self.m * self.dt
-
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.m)
+        return self.dt * np.arange(self.m)
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def _per_stage(value: PerStage, stage: int) -> float:
 
 
 def _check_same_grid(x: Signal, y: Signal) -> None:
-    if x.m != y.m or abs(x.dt - y.dt) > 1e-15 * x.dt or abs(x.t0 - y.t0) > 1e-12:
+    if x.m != y.m or abs(x.dt - y.dt) > 1e-15 * x.dt:
         raise ValueError("signals are not on the same grid")
 
 
@@ -251,7 +248,8 @@ class Tone:
     inner[:, r]``, cos(a_r + b_j) by angle addition.  `signal` and
     `multiply_into` form the samples whole blocks at a time, by one matrix
     product per step into the same scratch, so the two give the same bits
-    and the tone never exists as a grid array.
+    and the tone never exists as a grid array.  `signal`'s `Signal` has the
+    tone's ``dt`` and ``alignment_period``.
     """
 
     freq: float
@@ -259,21 +257,19 @@ class Tone:
     amplitude: float
     dt: float
     m: int
-    f_max_nominal: float
     alignment_period: float
     inner: np.ndarray
     starts: np.ndarray
-    t0 = 0.0
 
     @classmethod
     def make(cls, freq: float, phase: float, amplitude: float, dt: float, m: int,
-             f_max_nominal: float, alignment_period: float) -> "Tone":
+             alignment_period: float) -> "Tone":
         width = max(1, math.isqrt(m))
         step = np.longdouble(dt) * np.longdouble(freq)  # cycles per grid point
         a = _turns(width, step)
         b = _turns(-(-m // width), step * width)
         b += phase
-        return cls(freq, phase, amplitude, dt, m, f_max_nominal, alignment_period,
+        return cls(freq, phase, amplitude, dt, m, alignment_period,
                    inner=np.stack([np.cos(a), np.sin(a)]),
                    starts=np.stack([amplitude * np.cos(b), -amplitude * np.sin(b)], axis=1))
 
@@ -292,8 +288,7 @@ class Tone:
         samples = np.empty(self.m)
         for i0, v in self._blocks():
             samples[i0:i0 + v.size] = v
-        return Signal(t0=self.t0, dt=self.dt, samples=samples,
-                      f_max_nominal=self.f_max_nominal, alignment_period=self.alignment_period)
+        return Signal(dt=self.dt, samples=samples, alignment_period=self.alignment_period)
 
     def multiply_into(self, out: np.ndarray, offset: float) -> None:
         """``out *= samples + offset``, bit for bit as on `signal`'s samples."""
@@ -313,7 +308,6 @@ def _source_maker(inst: CpiInstance, cfg: NonidealityConfig,
     if periods < 1:
         raise ValueError("periods must be at least 1")
     t_align = float(alignment_time(inst)) / cfg.f_base
-    f_max = inst.total * cfg.f_base
     per_period = points_per_period(inst, cfg)
     dt = t_align / per_period
     m = periods * per_period
@@ -325,7 +319,7 @@ def _source_maker(inst: CpiInstance, cfg: NonidealityConfig,
     def source(i: int) -> Tone:
         return Tone.make(freq=cfg.f_base * inst.values[i] * (1.0 + eps[i]), phase=phases[i],
                          amplitude=_per_stage(cfg.source_amplitude, i), dt=dt, m=m,
-                         f_max_nominal=f_max, alignment_period=t_align)
+                         alignment_period=t_align)
 
     return source
 
@@ -346,15 +340,28 @@ def synthesize_sources(inst: CpiInstance, cfg: NonidealityConfig,
     return [source(i).signal() for i in range(inst.n)]
 
 
+def zero_phase_filter(samples: np.ndarray, gains: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``samples`` with rfft bin k scaled by the real ``gains[k]``: a zero-phase filter.
+
+    The gains scale the spectrum's real and imaginary parts in place, with no
+    complex copy.  The result is ``out`` when given (``samples`` may be it).
+    """
+    spec = np.fft.rfft(samples)
+    spec.real *= gains
+    spec.imag *= gains
+    return np.fft.irfft(spec, n=len(samples), out=out)
+
+
 def _pole_response(m: int, dt: float, cfg: NonidealityConfig) -> Optional[np.ndarray]:
-    """The output pole on an m-point rfft: per-bin gains (one-pole), a mask
-    of the bins it zeroes (hard), or None without a pole."""
+    """The output pole's gain per bin of an m-point rfft, None without a pole:
+    1/sqrt(1 + (f/f*)^2) (one-pole), or 1.0 up to f* and 0.0 above (hard)."""
     if cfg.bandwidth_model == "none" or not math.isfinite(cfg.bandwidth_f_star):
         return None
     freqs = np.fft.rfftfreq(m, d=dt)
     if cfg.bandwidth_model == "one-pole":
         return 1.0 / np.sqrt(1.0 + (freqs / cfg.bandwidth_f_star) ** 2)
-    return freqs > cfg.bandwidth_f_star
+    return (freqs <= cfg.bandwidth_f_star).astype(float)
 
 
 def _stage_noise(cfg: NonidealityConfig, stage: int, m: int) -> Optional[np.ndarray]:
@@ -377,8 +384,9 @@ def multiply_stage(x: Signal, y: Union[Signal, Tone, list], cfg: NonidealityConf
 
     Order of effects: input offsets -> product * mult_scale -> output offset
     + Z + noise -> supply clamp -> output bandwidth pole (clamped again, the
-    pin cannot leave the rails).  ``pole`` is `_pole_response` for this
-    grid, computed here when not given; the noise is `_stage_noise`'s draw.
+    pin cannot leave the rails).  ``pole`` is `_pole_response`'s gains for
+    this grid, computed here when not given, and `zero_phase_filter` applies
+    them; the noise is `_stage_noise`'s draw.
     ``y`` is a `Signal` or a `Tone`, whose samples are formed block by block
     inside the product; or the list ``[tone, noise]`` that `run_cascade`
     makes ahead, which is emptied so the noise is freed before the pole's
@@ -409,16 +417,9 @@ def multiply_stage(x: Signal, y: Union[Signal, Tone, list], cfg: NonidealityConf
     if pole is None:
         pole = _pole_response(x.m, x.dt, cfg)
     if pole is not None:
-        spec = np.fft.rfft(out)
-        if pole.dtype == bool:
-            spec[pole] = 0.0
-        else:  # float gains on the two halves: no complex copy of the gains
-            spec.real *= pole
-            spec.imag *= pole
-        np.fft.irfft(spec, n=len(out), out=out)
+        zero_phase_filter(out, pole, out=out)
         np.clip(out, -cfg.supply_voltage, cfg.supply_voltage, out=out)
-    return Signal(t0=x.t0, dt=x.dt, samples=out, f_max_nominal=x.f_max_nominal,
-                  alignment_period=x.alignment_period)
+    return replace(x, samples=out)
 
 
 def amplify(x: Signal, cfg: NonidealityConfig, out: Optional[np.ndarray] = None) -> Signal:
@@ -430,8 +431,7 @@ def amplify(x: Signal, cfg: NonidealityConfig, out: Optional[np.ndarray] = None)
     out = np.multiply(x.samples, cfg.amp_gain, out=out)
     out += cfg.amp_offset
     np.clip(out, -cfg.supply_voltage, cfg.supply_voltage, out=out)
-    return Signal(t0=x.t0, dt=x.dt, samples=out, f_max_nominal=x.f_max_nominal,
-                  alignment_period=x.alignment_period)
+    return replace(x, samples=out)
 
 
 def _summarize(pin_dc: float, out: Signal, cfg: NonidealityConfig) -> StageSummary:

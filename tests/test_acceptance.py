@@ -121,8 +121,7 @@ def test_criterion_05_filter_dc_transparency():
              FilterSpec("none", 5e3)]
     for _ in range(100):
         m = int(rng.integers(64, 1024))
-        sig = Signal(t0=0.0, dt=1e-6, samples=rng.normal(0.0, 1.0, m),
-                     f_max_nominal=1e5)
+        sig = Signal(dt=1e-6, samples=rng.normal(0.0, 1.0, m))
         scale = float(np.max(np.abs(sig.samples)))
         dc_in = float(np.mean(sig.samples))
         for spec in specs:

@@ -68,6 +68,28 @@ def test_decide_errors_on_garbage(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("oracle", ["exact", "exact-dp"])
+def test_exact_oracles_answer_odd_totals_past_the_guard(tmp_path, oracle, capsys):
+    # n = 45 is past the meet-in-the-middle guard and the total past the DP
+    # budget, but an odd total has no balanced split: the DC is exactly 0
+    f = tmp_path / "odd.txt"
+    f.write_text(" ".join(["1000000007"] * 44 + ["1"]) + "\n")
+    code, out, err = _run(capsys, "decide", "--oracle", oracle, str(f))
+    assert (code, err) == (0, "")
+    assert "answer=NO\n" in out and "dc_volts=0\n" in out
+    # the enumeration route keeps its own guard
+    code, _, err = _run(capsys, "decide", "--oracle", "exact-bf", str(f))
+    assert code == 2 and "n<=30 enumeration guard" in err
+
+
+def test_long_inline_instance_is_not_a_file_name(capsys):
+    # 30 ten-digit values, 329 characters: longer than a file name may be
+    values = " ".join(str(1000000007 + i) for i in range(15))
+    code, out, err = _run(capsys, "decide", "--oracle", "exact", values + " " + values)
+    assert (code, err) == (1, "")
+    assert "answer=YES\n" in out
+
+
 def test_decide_single_instance_file(tmp_path, capsys):
     f = tmp_path / "one.txt"
     f.write_text("# a single instance\n3 2 5\n")
@@ -448,8 +470,9 @@ def test_exact_decision_counts_once(capsys, monkeypatch):
     code, out, _ = _run(capsys, "decide", "--oracle", "exact-dp", " ".join(["1"] * 23))
     assert code == 0 and "answer=NO" in out and "dc_volts=0\n" in out
     assert calls == []
-    # 45 values are past the counting guard: one solve_exact call, and no DC
-    code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["1"] * 45))
+    # 45 values with an even total are past the counting guard: one solve_exact
+    # call, and no DC
+    code, out, _ = _run(capsys, "decide", "--oracle", "exact", " ".join(["100"] + ["1"] * 44))
     assert code == 0 and "answer=NO" in out and "dc_volts=nan\n" in out
     assert calls.count("solve_exact") == 1
 

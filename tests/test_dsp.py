@@ -11,7 +11,7 @@ def _const_plus_ripple():
     # 40 kHz ripple completing 160 whole cycles over the 4 ms window
     t = np.arange(4000) * 1e-6
     samples = 0.25 + 0.1 * np.cos(2 * np.pi * 40e3 * t)
-    return Signal(t0=0.0, dt=1e-6, samples=samples, f_max_nominal=40e3)
+    return Signal(dt=1e-6, samples=samples)
 
 
 def test_filterspec_aliases_and_validation():
@@ -38,7 +38,7 @@ def test_brickwall_on_product_signal(ideal_cfg):
 
 def test_one_pole_dc_gain():
     t = np.arange(1024) * 1e-6
-    unit_dc = Signal(t0=0.0, dt=1e-6, samples=np.ones_like(t), f_max_nominal=1e3)
+    unit_dc = Signal(dt=1e-6, samples=np.ones_like(t))
     out = apply_lowpass(unit_dc, FilterSpec("one-pole", 5e3, order=3, per_stage_gain=2.0))
     assert np.allclose(out.samples, 8.0)
 
@@ -70,15 +70,13 @@ def test_window_arithmetic_900_samples(ideal_cfg):
 
 
 def test_sampling_constant_signal():
-    sig = Signal(t0=0.0, dt=1e-6, samples=np.full(1000, 0.3), f_max_nominal=1e3,
-                 alignment_period=1e-4)
+    sig = Signal(dt=1e-6, samples=np.full(1000, 0.3), alignment_period=1e-4)
     out = sample_after_filter(sig, FilterSpec("none", 5e3), t_start=0.0, duration=5e-4)
     assert np.allclose(out.values, 0.3)
 
 
 def test_sampling_clamps_tau():
-    sig = Signal(t0=0.0, dt=1e-6, samples=np.zeros(1000), f_max_nominal=1e3,
-                 alignment_period=1e-4)
+    sig = Signal(dt=1e-6, samples=np.zeros(1000), alignment_period=1e-4)
     out = sample_after_filter(sig, FilterSpec("none", 5e3), t_start=0.0,
                               duration=5e-4, tau=1.0)
     assert out.tau == pytest.approx(1.0 / (2 * 5e3))
@@ -140,7 +138,7 @@ def test_filter_dc_transparency_random():
     rng = np.random.default_rng(1)
     for _ in range(20):
         m = int(rng.integers(64, 512))
-        sig = Signal(t0=0.0, dt=1e-6, samples=rng.normal(size=m), f_max_nominal=1e4)
+        sig = Signal(dt=1e-6, samples=rng.normal(size=m))
         kind = rng.choice(["brickwall", "one-pole", "none"])
         spec = FilterSpec(kind, cutoff_f0=float(rng.uniform(1e3, 1e5)),
                           order=int(rng.integers(1, 5)),

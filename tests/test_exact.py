@@ -58,6 +58,18 @@ def test_guards():
     assert solve_exact(parse_instance("1000000 1000000"), max_cells=1000) is True
 
 
+def test_parity_decides_before_the_guards():
+    # an odd total has no balanced split, however large n or the total
+    odd = CpiInstance((1000000007,) * 44 + (1,))
+    assert ideal_dc(odd) == 0
+    assert decide_meet_in_middle(odd) is False
+    assert decide_dp(odd) is False and decide_dp(parse_instance("1000001 1000000"),
+                                                 max_cells=1000) is False
+    assert solve_exact(odd) is False and find_partition(odd) is None
+    with pytest.raises(InstanceTooLargeError):  # the independent route keeps its guard
+        decide_bruteforce(odd)
+
+
 def _balances(inst, witness):
     return 2 * sum(inst.values[i - 1] for i in witness.subset) == inst.total
 

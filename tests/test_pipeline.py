@@ -9,7 +9,7 @@ import pytest
 
 from cospart import pipeline
 from cospart.calibration import run_and_measure
-from cospart.dsp import FilterSpec, dft, sample_after_filter
+from cospart.dsp import FilterSpec, apply_lowpass, dft, sample_after_filter
 from cospart.exact import analytic_spectrum, ideal_dc
 from cospart.instances import CpiInstance, parse_instance
 from cospart.pipeline import (NonidealityConfig, Signal, StageSummary, amplify,
@@ -33,15 +33,16 @@ def test_sources_are_pure_cosines(ideal_cfg):
     assert np.allclose(s1.samples, np.cos(2 * np.pi * 20e3 * t), atol=1e-12)
     assert np.allclose(s2.samples, np.cos(2 * np.pi * 30e3 * t), atol=1e-12)
     assert s1.dt == s2.dt and s1.m == s2.m
-    assert s1.f_max_nominal == 5 * ideal_cfg.f_base
     assert s1.alignment_period == pytest.approx(1e-4)
 
 
 def test_source_amplitude_and_grid(ideal_cfg):
-    src, = synthesize_sources(parse_instance("1"), ideal_cfg)
+    inst = parse_instance("1")
+    src, = synthesize_sources(inst, ideal_cfg)
     assert np.max(src.samples) == pytest.approx(1.0)
     # grid resolves the highest nominal harmonic with >= oversample points
-    assert src.dt <= 1.0 / (ideal_cfg.oversample * src.f_max_nominal) * (1 + 1e-12)
+    f_max = inst.total * ideal_cfg.f_base
+    assert src.dt <= 1.0 / (ideal_cfg.oversample * f_max) * (1 + 1e-12)
 
 
 def _is_smooth(m):
@@ -127,8 +128,7 @@ def test_multiply_product_to_sum(ideal_cfg):
 
 def test_multiply_zero_gives_offset(ideal_cfg):
     x, y = synthesize_sources(parse_instance("2 3"), ideal_cfg)
-    zero = Signal(t0=y.t0, dt=y.dt, samples=np.zeros(y.m), f_max_nominal=y.f_max_nominal,
-                  alignment_period=y.alignment_period)
+    zero = Signal(dt=y.dt, samples=np.zeros(y.m), alignment_period=y.alignment_period)
     cfg = NonidealityConfig.ideal(mult_output_offset=0.00422)
     out = multiply_stage(x, zero, cfg, stage=0)
     assert np.allclose(out.samples, 0.00422)
@@ -150,18 +150,15 @@ def test_multiply_grid_mismatch(ideal_cfg):
 
 def test_amplify_gain_offset_clamp(ideal_cfg):
     base = synthesize_sources(parse_instance("1"), ideal_cfg)[0]
-    const = Signal(t0=0.0, dt=base.dt, samples=np.full(base.m, 0.1),
-                   f_max_nominal=base.f_max_nominal)
+    const = Signal(dt=base.dt, samples=np.full(base.m, 0.1))
     assert np.allclose(amplify(const, ideal_cfg).samples, 1.0)
-    sat = Signal(t0=0.0, dt=base.dt, samples=np.full(base.m, 2.0),
-                 f_max_nominal=base.f_max_nominal)
+    sat = Signal(dt=base.dt, samples=np.full(base.m, 2.0))
     assert np.allclose(amplify(sat, ideal_cfg).samples, 10.0)
 
 
 def test_amplify_undoes_mult_scale(ideal_cfg):
     src = synthesize_sources(parse_instance("1"), ideal_cfg)[0]
-    scaled = Signal(t0=0.0, dt=src.dt, samples=src.samples / 10.0,
-                    f_max_nominal=src.f_max_nominal)
+    scaled = Signal(dt=src.dt, samples=src.samples / 10.0)
     assert np.max(np.abs(amplify(scaled, ideal_cfg).samples - src.samples)) <= 1e-9
 
 
@@ -323,33 +320,7 @@ def test_run_and_measure_memory_independent_of_n(n, brickwall):
     assert peak <= 8 * m * 8  # eight grid arrays of float64, whatever n is
 
 
-@pytest.mark.parametrize("cfg", [
-    NonidealityConfig(mult_output_offset=(4e-3, 5e-3, 6e-3), mult_input_offset=1e-3,
-                      freq_error_sigma=1e-3, phase_error_sigma=0.1, noise_sigma=1e-3,
-                      z_compensation=(-4e-3, -5e-3, -6e-3), seed=4),
-    NonidealityConfig(mult_output_offset=5.0, amp_offset=8.0, noise_sigma=0.5,
-                      bandwidth_model="hard", seed=3),
-    NonidealityConfig.ideal(source_amplitude=(1.0, 1.1, 0.9, 1.2)),
-], ids=["one-pole", "clipping-hard", "ideal"])
-def test_stage_summaries_match_hand_fold(cfg):
-    inst = parse_instance("2 3 5 4")
-    trace = run_cascade(inst, cfg)
-    sources = synthesize_sources(inst, cfg)
-    acc = sources[0]
-    assert len(trace.stages) == inst.n - 1
-    for k, summary in enumerate(trace.stages):
-        pin = multiply_stage(acc, sources[k + 1], cfg, stage=k)
-        acc = amplify(pin, cfg)
-        out = acc.samples
-        assert np.max(np.abs(pin.samples)) <= cfg.supply_voltage  # the pin is clamped too
-        assert summary.pin_dc == float(np.mean(pin.samples))  # bit-equal
-        rail = np.abs(out) == cfg.supply_voltage
-        assert summary.clip_fraction == pytest.approx(np.count_nonzero(rail) / len(out))
-        assert (summary.out_min, summary.out_max) == (out.min(), out.max())
-    assert np.array_equal(trace.final.samples, acc.samples)
-
-
-# the three chains of test_stage_summaries_match_hand_fold, cut to fit n values by `_fit`
+# three chains for n <= 4 values, cut to fit n values by `_fit`
 _HAND_FOLD_CONFIGS = {
     "one-pole": NonidealityConfig(mult_output_offset=(4e-3, 5e-3, 6e-3), mult_input_offset=1e-3,
                                   freq_error_sigma=1e-3, phase_error_sigma=0.1, noise_sigma=1e-3,
@@ -371,10 +342,11 @@ def _fit(cfg, n):
 
 
 @pytest.mark.parametrize("name", sorted(_HAND_FOLD_CONFIGS))
-@pytest.mark.parametrize("text, periods", [("7", 1), ("2 3", 1), ("2 3 5 4", 2)],
-                         ids=["n=1", "n=2", "periods=2"])
+@pytest.mark.parametrize("text, periods", [("7", 1), ("2 3", 1), ("2 3 5 4", 1), ("2 3 5 4", 2)],
+                         ids=["n=1", "n=2", "n=4", "periods=2"])
 def test_cascade_edges_match_hand_fold(name, text, periods):
-    # n = 1 makes no helper job, n = 2 makes one, and two periods double the grid
+    # n = 1 makes no helper job, n = 2 makes one, n = 4 makes them ahead of
+    # running stages, and two periods double the grid
     inst = parse_instance(text)
     cfg = _fit(_HAND_FOLD_CONFIGS[name], inst.n)
     trace = run_cascade(inst, cfg, periods=periods)
@@ -385,6 +357,7 @@ def test_cascade_edges_match_hand_fold(name, text, periods):
         pin = multiply_stage(acc, sources[k + 1], cfg, stage=k)
         acc = amplify(pin, cfg)
         out = acc.samples
+        assert np.max(np.abs(pin.samples)) <= cfg.supply_voltage  # the pin is clamped too
         rail = np.abs(out) == cfg.supply_voltage
         hand.append(StageSummary(pin_dc=float(np.mean(pin.samples)),
                                  clip_fraction=np.count_nonzero(rail) / len(out),
@@ -452,26 +425,39 @@ def test_concurrent_cascades_stay_bit_identical():
         assert np.array_equal(trace.final.samples, reference.final.samples)
 
 
-def test_run_cascade_peak_under_six_grid_arrays():
-    # at most 5.5, during a stage's product: the accumulator, the stage's source
-    # and noise, the pole's gains, and the next stage's source and noise
-    inst = _total_22044(10)
-    cfg = NonidealityConfig(mult_output_offset=4e-3, amp_offset=2.5e-4,
-                            bandwidth_f_star=1e9, noise_sigma=1e-4, seed=10)
-    m = points_per_period(inst, cfg)
-    _, peak = tracemalloc_peak(lambda: run_cascade(inst, cfg))
-    assert peak <= 6 * m * 8
-
-
-def test_run_cascade_peak_under_four_grid_arrays():
+@pytest.mark.parametrize("model", ["one-pole", "hard"])
+def test_run_cascade_peak_under_four_grid_arrays(model):
     # at most 3.5, during a stage's product: the accumulator, the stage's noise,
-    # the pole's gains and the next stage's noise; tones take 64 KB of scratch
+    # the pole's gains and the next stage's noise; tones take 64 KB of scratch.
+    # Both pole models hold float gains, half a grid array.
     inst = _total_22044(10)
     cfg = NonidealityConfig(mult_output_offset=4e-3, amp_offset=2.5e-4,
-                            bandwidth_f_star=1e9, noise_sigma=1e-4, seed=10)
+                            bandwidth_f_star=1e9, bandwidth_model=model,
+                            noise_sigma=1e-4, seed=10)
     m = points_per_period(inst, cfg)
     _, peak = tracemalloc_peak(lambda: run_cascade(inst, cfg))
     assert peak <= 4 * m * 8
+
+
+def test_filter_edges_at_the_cutoff_bin():
+    # the 210-point grid of "3 6 4" has bins at 110, 120 and 130 kHz, and
+    # 120 kHz is the default f*: the hard pole keeps it, a brickwall there cuts it
+    cfg = NonidealityConfig(bandwidth_model="hard", mult_scale=1.0)
+    src = synthesize_sources(parse_instance("3 6 4"), cfg)[0]
+    freqs = np.fft.rfftfreq(src.m, src.dt)
+    assert src.m == 210 and freqs[12] == cfg.bandwidth_f_star == 120_000.0
+    t = src.times()  # phases put every line in both parts of its bin
+    lines = sum(np.cos(2 * np.pi * f * t + phase)
+                for f, phase in ((110e3, 0.3), (120e3, 1.1), (130e3, 2.0)))
+    sig = Signal(dt=src.dt, samples=lines, alignment_period=src.alignment_period)
+
+    def amplitudes(x):
+        return np.abs(np.fft.rfft(x.samples))[11:14] / (x.m / 2)
+
+    one = Signal(dt=src.dt, samples=np.ones(src.m))
+    assert amplitudes(multiply_stage(sig, one, cfg)) == pytest.approx([1, 1, 0], abs=1e-12)
+    cut = apply_lowpass(sig, FilterSpec("brickwall", 120e3))
+    assert amplitudes(cut) == pytest.approx([1, 0, 0], abs=1e-12)
 
 
 def test_multiply_stage_pole_adds_only_the_spectrum():
