@@ -13,16 +13,15 @@ from .calibration import (Decision, DecisionThreshold, OffsetReport, bootstrap_t
                           measure_stage_offsets, perturb_to_no_instance)
 from .dsp import FilterSpec, SampledTrace, apply_lowpass, dc_component, \
     design_compensating_filter, dft, sample_after_filter
-from .exact import (PartitionWitness, Spectrum, analytic_spectrum, decide_bruteforce,
-                    decide_dp, decide_meet_in_middle, find_partition, ideal_dc,
-                    solve_exact)
-from .instances import (CpiInstance, ScaledInstance, alignment_time, load_instances,
-                        nyquist_frequency, parse_instance, random_instance,
-                        scale_instance, serialize_instance)
+from .exact import (Spectrum, analytic_spectrum, decide_bruteforce, decide_dp,
+                    decide_meet_in_middle, find_partition, ideal_dc, solve_exact)
+from .instances import (CpiInstance, alignment_time, load_instances, nyquist_frequency,
+                        parse_instance, random_instance, scale_instance,
+                        serialize_instance)
 from .netlist import NetlistDoc, emit_netlist, parse_trace_csv, validate_netlist
 from .pipeline import (NonidealityConfig, PipelineTrace, Signal, StageSummary, amplify,
                        multiply_stage, run_cascade, synthesize_sources)
-from .reductions import (Assignment, CnfFormula, OracleBackend, extract_witness,
-                         format_solution, parse_dimacs, sat_to_partition, simplify)
+from .reductions import (CnfFormula, OracleBackend, extract_witness, format_solution,
+                         parse_dimacs, sat_to_partition, simplify)
 
 __version__ = "0.1.0"

@@ -67,21 +67,17 @@ class Decision:
     sampled: Optional[SampledTrace] = field(default=None, repr=False, compare=False)
 
 
-def run_and_measure(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
-                    burn_in_periods: int = 0,
-                    window_periods: int = 1) -> tuple[float, PipelineTrace, SampledTrace]:
+def run_and_measure(inst: CpiInstance, cfg: NonidealityConfig,
+                    spec: FilterSpec) -> tuple[float, PipelineTrace, SampledTrace]:
     """Full chain: cascade, filter, aligned sampling, DC estimate.
 
-    Samples every grid point of the window; the default window, one
-    alignment period, makes the DC estimate exact for periodic signals.
+    Samples every grid point of one alignment period, which makes the DC
+    estimate exact for periodic signals.
     """
-    trace = run_cascade(inst, cfg, periods=burn_in_periods + window_periods)
-    t_align = trace.final.alignment_period
-    sampled = dsp.sample_after_filter(
-        trace.final, spec,
-        t_start=burn_in_periods * t_align,
-        duration=window_periods * t_align,
-        tau=trace.final.dt)
+    trace = run_cascade(inst, cfg)
+    sampled = dsp.sample_after_filter(trace.final, spec, t_start=0.0,
+                                      duration=trace.final.alignment_period,
+                                      tau=trace.final.dt)
     return dsp.dc_component(sampled), trace, sampled
 
 

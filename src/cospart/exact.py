@@ -12,8 +12,8 @@ Three exact decision routes are kept:
   magnitudes.
 
 `solve_exact` and `find_partition` take whichever of DP and MIM costs fewer
-operations by these estimates, DP only within its cell budget.  Both halves'
-sorted distinct sums come from one kernel, `_subset_sums`.  Its first 12
+operations by these estimates, DP only within `DP_MAX_CELLS` cells.  Both
+halves' sorted distinct sums come from one kernel, `_subset_sums`.  Its first 12
 values give one table of all 4096 subset sums, indexed by subset bitmask
 and sorted once; each later value merges the sorted sums s with the sorted
 s + a and drops repeats, which keeps colliding sums (SAT reductions) few.
@@ -51,6 +51,8 @@ MAX_ENUM_N = 30
 # Guards of `analytic_spectrum`: its line count grows with the total.
 MAX_SPECTRUM_N = 20
 MAX_SPECTRUM_TOTAL = 2_000_000
+# Budget of the DP reachability table: total/2+1 cells, one bit each.
+DP_MAX_CELLS = 10**8
 
 
 class InstanceTooLargeError(ValueError):
@@ -58,14 +60,7 @@ class InstanceTooLargeError(ValueError):
 
 
 class DpBudgetError(RuntimeError):
-    """Reachability table would exceed the configured cell budget."""
-
-
-@dataclass(frozen=True)
-class PartitionWitness:
-    """A subset of 1-based positions whose values sum to half the total."""
-
-    subset: frozenset[int]
+    """Reachability table would exceed `DP_MAX_CELLS`."""
 
 
 @dataclass
@@ -247,23 +242,23 @@ def _dp_budget_cells(inst: CpiInstance) -> int:
     return inst.total // 2 + 1
 
 
-def _dp_is_cheaper(inst: CpiInstance, max_cells: int) -> bool:
-    """True when DP fits ``max_cells`` and costs no more than MIM.
+def _dp_is_cheaper(inst: CpiInstance) -> bool:
+    """True when DP fits `DP_MAX_CELLS` and costs no more than MIM.
 
     DP shifts a (total/2+1)-bit mask once per value, n*cells/64 words; MIM
     merges up to 2**ceil(n/2) sums in n/2+1 steps, (n/2+1)*2**ceil(n/2).
     """
     n, cells = inst.n, _dp_budget_cells(inst)
-    return cells <= max_cells and n * cells <= 32 * (n + 2) * 2 ** ((n + 1) // 2)
+    return cells <= DP_MAX_CELLS and n * cells <= 32 * (n + 2) * 2 ** ((n + 1) // 2)
 
 
-def decide_dp(inst: CpiInstance, max_cells: int = 10**8) -> bool:
+def decide_dp(inst: CpiInstance) -> bool:
     """Pseudo-polynomial decision: subset-sum reachability of total/2."""
     if inst.total % 2:
         return False
     cells = _dp_budget_cells(inst)
-    if cells > max_cells:
-        raise DpBudgetError(f"{cells} reachability cells exceed the budget of {max_cells}")
+    if cells > DP_MAX_CELLS:
+        raise DpBudgetError(f"{cells} reachability cells exceed the budget of {DP_MAX_CELLS}")
     half = inst.total // 2
     return bool((_dp_reachable(inst.values, half) >> half) & 1)
 
@@ -278,16 +273,16 @@ def decide_meet_in_middle(inst: CpiInstance) -> bool:
     return len(hits) > 0
 
 
-def solve_exact(inst: CpiInstance, max_cells: int = 10**8) -> bool:
+def solve_exact(inst: CpiInstance) -> bool:
     """Exact decision by whichever of DP and MIM costs less (`_dp_is_cheaper`).
 
-    DP is taken only within ``max_cells`` cells.  An odd total is NO at
+    DP is taken only within `DP_MAX_CELLS` cells.  An odd total is NO at
     once; past n = MAX_MIM_N an even one makes MIM raise
     `InstanceTooLargeError`, and from n = 45 on DP is the cheaper route
     whenever it fits the budget.
     """
-    if _dp_is_cheaper(inst, max_cells):
-        return decide_dp(inst, max_cells=max_cells)
+    if _dp_is_cheaper(inst):
+        return decide_dp(inst)
     return decide_meet_in_middle(inst)
 
 
@@ -326,12 +321,12 @@ def _dp_backtrack(values: tuple[int, ...], half: int) -> Optional[frozenset[int]
     return frozenset(subset)
 
 
-def find_partition(inst: CpiInstance, max_cells: int = 10**8) -> Optional[PartitionWitness]:
-    """Balanced subset (1-based positions), by the route `solve_exact` takes.
+def find_partition(inst: CpiInstance) -> Optional[frozenset[int]]:
+    """1-based positions of a balanced subset, by the route `solve_exact` takes.
 
     Memory depends on the route.  The DP route (`_dp_backtrack`) keeps about
     2*sqrt(n) reachability masks of total/2+1 bits, 2*sqrt(n)*cells/8 bytes
-    (at most 2*sqrt(n)*max_cells/8), and takes under twice the time of the
+    (at most 2*sqrt(n)*DP_MAX_CELLS/8), and takes under twice the time of the
     decision alone.  The MIM route peaks in its last merge, with each
     half's sorted sums, one subset bitmask per sum and the merge
     temporaries: about 70*2**ceil(n/2) bytes whatever the magnitudes.  At
@@ -341,9 +336,8 @@ def find_partition(inst: CpiInstance, max_cells: int = 10**8) -> Optional[Partit
     if inst.total % 2:
         return None
     half = inst.total // 2
-    if _dp_is_cheaper(inst, max_cells):
-        subset = _dp_backtrack(inst.values, half)
-        return None if subset is None else PartitionWitness(subset)
+    if _dp_is_cheaper(inst):
+        return _dp_backtrack(inst.values, half)
     _check_mim_guard(inst)
     lo, hi = _halves(inst)
     left, m_left = _subset_sums(lo, "mask")
@@ -352,7 +346,7 @@ def find_partition(inst: CpiInstance, max_cells: int = 10**8) -> Optional[Partit
     if not len(i):
         return None
     mask = int(m_left[i[0]]) | int(m_right[j[0]]) << len(lo)
-    return PartitionWitness(frozenset(k + 1 for k in range(inst.n) if mask >> k & 1))
+    return frozenset(k + 1 for k in range(inst.n) if mask >> k & 1)
 
 
 def analytic_spectrum(inst: CpiInstance) -> Spectrum:

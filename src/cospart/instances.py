@@ -15,6 +15,8 @@ from fractions import Fraction
 
 # Signed sums must stay inside int64 for the vectorized solvers.
 MAX_TOTAL = 2**62
+# Draws `random_instance` makes before giving up on the requested label.
+MAX_TRIES = 10_000
 
 
 class InstanceError(ValueError):
@@ -59,21 +61,6 @@ class CpiInstance:
         return math.gcd(*self.values)
 
 
-@dataclass(frozen=True)
-class ScaledInstance:
-    """An instance squeezed by a positive factor to fit a bandwidth limit.
-
-    ``min_spectral_gap`` is the guaranteed lower bound on the separation of
-    distinct frequencies after scaling (the scale factor itself, since
-    distinct integers are at least 1 apart).
-    """
-
-    base: CpiInstance
-    scale: float
-    scaled_values: tuple[float, ...]
-    min_spectral_gap: float
-
-
 def parse_instance(text: str) -> CpiInstance:
     """Parse whitespace/comma separated integers into an instance.
 
@@ -114,19 +101,18 @@ def load_instances(text: str) -> list[CpiInstance]:
     return out
 
 
-def scale_instance(inst: CpiInstance, f_star: float, margin: float) -> ScaledInstance:
-    """Squeeze all frequencies below a bandwidth limit ``f_star``.
+def scale_instance(inst: CpiInstance, f_star: float, margin: float) -> float:
+    """The factor that squeezes all frequencies below a bandwidth limit ``f_star``.
 
     The factor is ``margin * f_star / sum(values)``, so the scaled sum is
-    strictly below ``f_star``.  Scaling never changes the yes/no answer.
+    strictly below ``f_star``.  Scaling never changes the yes/no answer, and
+    distinct scaled frequencies stay at least the factor apart.
     """
     if f_star <= 0:
         raise ValueError("f_star must be positive")
     if not 0 < margin < 1:
         raise ValueError("margin must lie in (0, 1)")
-    lam = margin * f_star / inst.total
-    scaled = tuple(lam * v for v in inst.values)
-    return ScaledInstance(base=inst, scale=lam, scaled_values=scaled, min_spectral_gap=lam)
+    return margin * f_star / inst.total
 
 
 def alignment_time(inst: CpiInstance) -> Fraction:
@@ -143,8 +129,7 @@ def nyquist_frequency(inst: CpiInstance) -> int:
     return 2 * inst.total
 
 
-def random_instance(n: int, max_mag: int = 50, kind: str = "YES", seed: int = 0,
-                    max_tries: int = 10_000) -> CpiInstance:
+def random_instance(n: int, max_mag: int = 50, kind: str = "YES", seed: int = 0) -> CpiInstance:
     """Generate an instance with a known yes/no label, verified digitally.
 
     YES instances are built by drawing ``n - 1`` values and repairing the
@@ -153,7 +138,7 @@ def random_instance(n: int, max_mag: int = 50, kind: str = "YES", seed: int = 0,
 
     Raises:
         GenerationError: when no instance with the requested label exists
-            within the retry budget (e.g. NO with n=2, max_mag=1).
+            within `MAX_TRIES` draws (e.g. NO with n=2, max_mag=1).
     """
     from .exact import solve_exact  # deferred: exact imports this module
 
@@ -168,7 +153,7 @@ def random_instance(n: int, max_mag: int = 50, kind: str = "YES", seed: int = 0,
         raise ValueError("n must be at least 1")
 
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         if label == "YES":
             head = [rng.randint(1, max_mag) for _ in range(n - 1)]
             signs = [rng.choice((1, -1)) for _ in range(n - 1)]
@@ -183,4 +168,4 @@ def random_instance(n: int, max_mag: int = 50, kind: str = "YES", seed: int = 0,
         if solve_exact(inst) == (label == "YES"):
             return inst
     raise GenerationError(f"could not generate a {label} instance "
-                          f"(n={n}, max_mag={max_mag}) in {max_tries} tries")
+                          f"(n={n}, max_mag={max_mag}) in {MAX_TRIES} tries")

@@ -28,7 +28,6 @@ class NetlistDoc:
     title: str
     cards: list[str] = field(default_factory=list)
     node_map: dict[int, str] = field(default_factory=dict)
-    output_node: str = "out"
     tran: tuple[float, float, float] = (0.0, 0.0, 0.0)  # (maxstep, start, stop)
 
     def text(self) -> str:
@@ -93,7 +92,6 @@ def emit_netlist(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) ->
             cards.append(f"EF{k} lpb{k} 0 lp{k} 0 {_si(spec.per_stage_gain)}")
             out = f"lpb{k}"
     cards.append(f"EOUT out 0 {out} 0 1")
-    doc.output_node = "out"
 
     cards.append(f".tran 0 {_si(stop)} {_si(start)} {_si(maxstep)}")
     cards.append(f".four {_si(inst.gcd * cfg.f_base)} V(out)")

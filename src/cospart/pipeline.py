@@ -36,6 +36,9 @@ from .instances import CpiInstance, alignment_time
 PerStage = Union[float, Sequence[float]]
 
 BANDWIDTH_MODELS = ("one-pole", "hard", "none")
+# `NonidealityConfig` fields that take one value or one per stage.
+_SEQ_FIELDS = ("source_amplitude", "mult_output_offset", "mult_input_offset",
+               "z_compensation")
 
 # Largest grid simulated, over all periods of a run (16 MB per grid array).
 MAX_GRID_POINTS = 2_000_000
@@ -82,8 +85,7 @@ class NonidealityConfig:
             raise ValueError(f"bandwidth_model must be one of {BANDWIDTH_MODELS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("source_amplitude", "mult_output_offset", "mult_input_offset",
-                     "z_compensation"):
+        for name in _SEQ_FIELDS:
             v = getattr(self, name)
             if not isinstance(v, (int, float)):
                 object.__setattr__(self, name, tuple(float(x) for x in v))
@@ -516,8 +518,6 @@ def volts_csv(times: Sequence[float], volts: Sequence[float]) -> str:
     return "\n".join(rows) + "\n"
 
 
-_SEQ_FIELDS = ("source_amplitude", "mult_output_offset", "mult_input_offset",
-               "z_compensation")
 _INT_FIELDS = ("oversample", "seed")
 
 
@@ -553,17 +553,12 @@ def parse_kv(text: str) -> dict[str, str]:
     return items
 
 
-def config_field_names() -> set[str]:
-    return {f.name for f in fields(NonidealityConfig)}
-
-
-def config_from_items(items: dict[str, str],
-                      base: NonidealityConfig | None = None) -> NonidealityConfig:
+def config_from_items(items: dict[str, str]) -> NonidealityConfig:
     """Build a config from string key=value pairs (e.g. a parsed config file)."""
-    cfg = base or NonidealityConfig()
+    names = {f.name for f in fields(NonidealityConfig)}
     kwargs = {}
     for key, raw in items.items():
-        if key not in config_field_names():
+        if key not in names:
             raise ValueError(f"unknown config key {key!r}")
         if key == "bandwidth_model":
             kwargs[key] = raw.strip()
@@ -574,4 +569,4 @@ def config_from_items(items: dict[str, str],
             kwargs[key] = tuple(float(p) for p in parts)
         else:
             kwargs[key] = float(raw)
-    return replace(cfg, **kwargs)
+    return NonidealityConfig(**kwargs)

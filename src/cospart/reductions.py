@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import exact
 from .calibration import Decision, DecisionThreshold, decide_analog, fixed_threshold
 from .dsp import FilterSpec
-from .instances import CpiInstance, scale_instance
+from .instances import MAX_TOTAL, CpiInstance, scale_instance
 from .pipeline import GridTooLargeError, NonidealityConfig, bandwidth_exceeded
 
 
@@ -29,10 +29,10 @@ class ParseError(ValueError):
 class ReductionOverflowError(OverflowError):
     """The digit construction exceeds the integer budget."""
 
-    def __init__(self, required_bits: int, max_bits: int):
+    def __init__(self, required_bits: int, budget_bits: int):
         self.required_bits = required_bits
         super().__init__(f"reduction needs {required_bits}-bit integers "
-                         f"(budget is {max_bits} bits)")
+                         f"(budget is {budget_bits} bits)")
 
 
 class ExtractionError(RuntimeError):
@@ -57,13 +57,6 @@ class CnfFormula:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ParseError(f"literal {lit} out of range 1..{self.num_vars}")
         object.__setattr__(self, "clauses", clauses)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """One boolean per variable, in variable order."""
-
-    values: tuple[bool, ...]
 
 
 def parse_dimacs(text: str, strict: bool = False) -> CnfFormula:
@@ -136,58 +129,50 @@ def simplify(f: CnfFormula, var: int, val: bool) -> CnfFormula:
     return CnfFormula(num_vars=f.num_vars, clauses=tuple(out))
 
 
-@dataclass(frozen=True)
-class SatReduction:
-    """Maps positions of the produced instance back to the formula."""
-
-    active_vars: tuple[int, ...]
-    fresh_vars: tuple[int, ...]
-    literal_positions: dict  # var -> (pos of true-number, pos of false-number), 1-based
-    slack_positions: tuple[int, ...]
-    padding_positions: tuple[int, int]
-    num_clauses: int
-    trivial: Optional[str] = None  # "sat" | "unsat" when no construction was needed
-
-
-def _widen_to_3cnf(clauses: Sequence[tuple[int, ...]],
-                   next_var: int) -> tuple[list[tuple[int, ...]], list[int]]:
+def _widen_to_3cnf(clauses: Sequence[tuple[int, ...]], next_var: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
-    fresh: list[int] = []
     for clause in clauses:
         cur = list(dict.fromkeys(clause))  # dedupe, keep order
         while len(cur) > 3:
-            fresh.append(next_var)
             out.append((cur[0], cur[1], next_var))
             cur = [-next_var] + cur[2:]
             next_var += 1
         out.append(tuple(cur))
-    return out, fresh
+    return out
 
 
-def sat_to_partition(f: CnfFormula, max_bits: int = 62) -> tuple[CpiInstance, SatReduction]:
+# The finished instance sums to 4*total, which must stay below `MAX_TOTAL`:
+# (4*total).bit_length() <= 62 is exactly `CpiInstance`'s int64 guard.
+_BUDGET_BITS = (MAX_TOTAL - 1).bit_length()
+
+
+def sat_to_partition(f: CnfFormula) -> CpiInstance:
     """Digit-vector reduction; the result is balanced iff ``f`` is satisfiable.
+
+    Positions follow the formula: the true and false numbers of each active
+    variable in ascending order (fresh variables of widened clauses last),
+    then two slacks per clause, then the two padding numbers.  A formula
+    with an empty clause gives ``1 2``, one without clauses ``1 1``.
 
     Raises:
         ReductionOverflowError: when the construction needs integers wider
-            than ``max_bits`` bits (the required width is reported).
+            than `CpiInstance`'s budget (the required width is reported).
     """
     if any(len(cl) == 0 for cl in f.clauses):
-        return CpiInstance((1, 2)), SatReduction((), (), {}, (), (1, 2), 0, trivial="unsat")
+        return CpiInstance((1, 2))
     if not f.clauses:
-        return CpiInstance((1, 1)), SatReduction((), (), {}, (), (1, 2), 0, trivial="sat")
+        return CpiInstance((1, 1))
 
     max_var = max(abs(l) for cl in f.clauses for l in cl)
-    clauses, fresh = _widen_to_3cnf(f.clauses, max_var + 1)
+    clauses = _widen_to_3cnf(f.clauses, max_var + 1)
     active = sorted({abs(l) for cl in clauses for l in cl})
-    col = {v: i for i, v in enumerate(active)}
     n_clauses = len(clauses)
     n_vars = len(active)
 
     numbers: list[int] = []
-    literal_positions = {}
-    for v in active:
-        t_num = 6 ** (n_clauses + col[v])
-        f_num = 6 ** (n_clauses + col[v])
+    for col, v in enumerate(active):
+        t_num = 6 ** (n_clauses + col)
+        f_num = 6 ** (n_clauses + col)
         for j, clause in enumerate(clauses):
             if v in clause:
                 t_num += 6 ** j
@@ -195,31 +180,19 @@ def sat_to_partition(f: CnfFormula, max_bits: int = 62) -> tuple[CpiInstance, Sa
                 f_num += 6 ** j
         numbers.append(t_num)
         numbers.append(f_num)
-        literal_positions[v] = (len(numbers) - 1, len(numbers))
-    slack_positions = []
     for j in range(n_clauses):
         numbers.append(6 ** j)
-        slack_positions.append(len(numbers))
         numbers.append(6 ** j)
-        slack_positions.append(len(numbers))
 
     target = sum(6 ** (n_clauses + i) for i in range(n_vars)) \
         + sum(3 * 6 ** j for j in range(n_clauses))
     total = sum(numbers)
-    # The finished instance sums to 4*total; solvers accumulate that in int64.
     required_bits = (4 * total).bit_length()
-    if required_bits > max_bits:
-        raise ReductionOverflowError(required_bits, max_bits)
+    if required_bits > _BUDGET_BITS:
+        raise ReductionOverflowError(required_bits, _BUDGET_BITS)
     numbers.append(total + target)       # forces the "target" side
     numbers.append(2 * total - target)   # forces the complement side
-    padding = (len(numbers) - 1, len(numbers))
-
-    inst = CpiInstance(tuple(numbers))
-    meta = SatReduction(active_vars=tuple(active), fresh_vars=tuple(fresh),
-                        literal_positions=literal_positions,
-                        slack_positions=tuple(slack_positions),
-                        padding_positions=padding, num_clauses=n_clauses)
-    return inst, meta
+    return CpiInstance(tuple(numbers))
 
 
 # The oracle names `decide --oracle` and `sat --backend` take.
@@ -310,26 +283,25 @@ class OracleBackend:
         cfg, spec = self.cfg, self.fspec
         self.last_scale = 1.0
         if bandwidth_exceeded(inst, cfg):
-            lam = scale_instance(inst, cfg.bandwidth_f_star / cfg.f_base, _SQUEEZE_MARGIN).scale
+            lam = scale_instance(inst, cfg.bandwidth_f_star / cfg.f_base, _SQUEEZE_MARGIN)
             self.last_scale = lam
             cfg = replace(cfg, f_base=lam * cfg.f_base)
             spec = replace(spec, cutoff_f0=lam * spec.cutoff_f0)
         return decide_analog(inst, cfg, spec, self.threshold).answer == "YES"
 
 
-def extract_witness(f: CnfFormula, oracle: OracleBackend) -> Optional[Assignment]:
+def extract_witness(f: CnfFormula, oracle: OracleBackend) -> Optional[tuple[bool, ...]]:
     """Self-reduction: decision oracle to satisfying assignment.
 
     Returns None when the initial oracle call rejects the formula's
     reduction.  Otherwise fixes variables 1..num_vars in order, querying the
     oracle once per variable, and verifies the result against the original
-    clauses before returning.
+    clauses before returning one boolean per variable, in variable order.
     """
     prefix: list[bool] = []
 
     def is_sat(formula: CnfFormula) -> bool:
-        inst, _ = sat_to_partition(formula)
-        return oracle.decide(inst)
+        return oracle.decide(sat_to_partition(formula))
 
     try:
         if not is_sat(f):
@@ -346,16 +318,16 @@ def extract_witness(f: CnfFormula, oracle: OracleBackend) -> Optional[Assignment
     except (GridTooLargeError, ReductionOverflowError, exact.InstanceTooLargeError) as exc:
         raise ExtractionError(f"oracle failed after fixing {len(prefix)} variables: {exc}",
                               partial=tuple(prefix)) from exc
-    assignment = Assignment(tuple(prefix))
-    if not evaluate(f, assignment.values):
+    assignment = tuple(prefix)
+    if not evaluate(f, assignment):
         raise ExtractionError("extraction produced a non-satisfying assignment",
-                              partial=tuple(prefix))
+                              partial=assignment)
     return assignment
 
 
-def format_solution(assignment: Optional[Assignment]) -> str:
-    """DIMACS-style solution lines."""
+def format_solution(assignment: Optional[tuple[bool, ...]]) -> str:
+    """DIMACS-style solution lines for `extract_witness`'s result."""
     if assignment is None:
         return "s UNSATISFIABLE\n"
-    lits = " ".join(str(i + 1 if v else -(i + 1)) for i, v in enumerate(assignment.values))
+    lits = " ".join(str(i + 1 if v else -(i + 1)) for i, v in enumerate(assignment))
     return f"s SATISFIABLE\nv {lits} 0\n"

@@ -178,18 +178,18 @@ def test_criterion_07_sat_end_to_end():
         assert (assignment is not None) == expected, f
         if assignment is not None:
             sat_count += 1
-            assert evaluate(f, assignment.values)
+            assert evaluate(f, assignment)
 
     # demonstration through the simulated analogue backend with squeezing
     demo = CnfFormula(2, ((1, 2), (-1,)))
     cfg = NonidealityConfig(bandwidth_model="none")  # finite f* = 120 kHz
     backend = OracleBackend(kind="analog", cfg=cfg)
-    inst, _ = sat_to_partition(demo)
+    inst = sat_to_partition(demo)
     assert inst.total * cfg.f_base > cfg.bandwidth_f_star  # squeezing required
     assert backend.decide(inst) is True
     assert backend.last_scale < 1.0
     assignment = extract_witness(demo, backend)
-    assert assignment is not None and evaluate(demo, assignment.values)
+    assert assignment is not None and evaluate(demo, assignment)
     assert _truth_table_sat(demo)
     _report(7, f"200 random 3-CNFs (<=8 vars, <=12 clauses) match the truth table "
                f"via exact-dp ({sat_count} satisfiable, models verified, calls <= "

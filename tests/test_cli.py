@@ -230,6 +230,20 @@ def test_calibrate_jobs_match(tmp_path, capsys):
     assert seq_out == par_out
 
 
+def test_calibrate_overlapping_bands(tmp_path, capsys):
+    # noise_sigma=2 spreads the measured DCs until the YES and NO bands overlap
+    code, out, err = _calibrate(capsys, tmp_path, ["1 1", "2 2", "3 3"],
+                                ["1 2", "2 3", "1 3"], "noise_sigma=2\n")
+    assert code == 0
+    assert "separable=0\n" in out
+    assert err == "warning: training bands overlap; calibration is not separable\n"
+    code, out, err = _run(capsys, "decide", "--oracle", "analog",
+                          "--config", str(tmp_path / "chain.cfg"),
+                          "--calibration", str(tmp_path / "cal" / "calibration.txt"), "1 1")
+    assert code == 2 and out == ""
+    assert err == "error: threshold bands overlap; recalibrate before deciding\n"
+
+
 def test_calibrate_large_magnitudes_small_grid(tmp_path, capsys):
     # labels beyond the reachability budget; the grids need 64-144 points
     (tmp_path / "yes.txt").write_text("100000000 300000000 200000000\n"
@@ -287,12 +301,33 @@ def test_sat_model_verified(tmp_path, capsys):
     assert evaluate(parse_dimacs(text), values)
 
 
+def test_sat_reports_the_bit_budget(tmp_path, capsys):
+    # a ring of 12 clauses over 12 variables reduces to an instance summing past 2**62
+    clauses = "".join(f"{i} {i % 12 + 1} {-((i + 1) % 12 + 1)} 0\n" for i in range(1, 13))
+    (tmp_path / "ring.cnf").write_text("p cnf 12 12\n" + clauses)
+    code, out, err = _run(capsys, "sat", str(tmp_path / "ring.cnf"))
+    assert code == 2 and out == ""
+    assert err == ("error: oracle failed after fixing 0 variables: "
+                   "reduction needs 63-bit integers (budget is 62 bits)\n")
+
+
 def test_netlist_command(tmp_path, capsys):
     code, out, _ = _run(capsys, "netlist", "--out", str(tmp_path), "3 6 4")
     assert code == 0
     text = (tmp_path / "cascade.cir").read_text()
     assert text.startswith("* command=cospart netlist")
     assert ".tran" in text
+
+
+def test_netlist_prints_the_cards_it_writes(tmp_path, capsys):
+    code, printed, _ = _run(capsys, "netlist", "3 6 4")
+    assert code == 0
+    _run(capsys, "netlist", "--out", str(tmp_path), "3 6 4")
+    head, rest = (tmp_path / "cascade.cir").read_text().split("\n", 1)
+    # the same header and cards; only the command line names other flags
+    assert head == f"* command=cospart netlist --out {tmp_path} 3 6 4"
+    assert printed == "* command=cospart netlist 3 6 4\n" + rest
+    assert rest.startswith("* config_hash=") and "\n* seed=0\n" in rest
 
 
 def test_gen_command(tmp_path, capsys):
@@ -447,12 +482,15 @@ def test_import_builds_no_parser():
             "init = argparse.ArgumentParser.__init__\n"
             "argparse.ArgumentParser.__init__ = "
             "lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
-            "import cospart.cli\n"
-            "print(len(built), cospart.cli.build_parser.cache_info().currsize)\n")
+            "import cospart.cli, sys\n"
+            "print(len(built), cospart.cli.build_parser.cache_info().currsize)\n"
+            "# loaded only by the cascade's helper thread, --jobs and COSPART_DEBUG\n"
+            "print(*(m in sys.modules for m in "
+            "('concurrent.futures', 'multiprocessing', 'traceback')))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cospart.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout.split() == ["0", "0"]
+    assert result.stdout.split() == ["0", "0", "False", "False", "False"]
 
 
 def test_exact_decision_counts_once(capsys, monkeypatch):

@@ -49,29 +49,30 @@ def test_thousand_random_agreement():
         assert decide_dp(inst) == decide_bruteforce(inst) == decide_meet_in_middle(inst)
 
 
-def test_guards():
+def test_guards(monkeypatch):
     big = CpiInstance(tuple([1] * 31))
     with pytest.raises(InstanceTooLargeError):
         decide_bruteforce(big)
+    monkeypatch.setattr(exact, "DP_MAX_CELLS", 1000)
     with pytest.raises(DpBudgetError):
-        decide_dp(parse_instance("1000000 1000000"), max_cells=1000)
-    assert solve_exact(parse_instance("1000000 1000000"), max_cells=1000) is True
+        decide_dp(parse_instance("1000000 1000000"))
+    assert solve_exact(parse_instance("1000000 1000000")) is True
 
 
-def test_parity_decides_before_the_guards():
+def test_parity_decides_before_the_guards(monkeypatch):
     # an odd total has no balanced split, however large n or the total
     odd = CpiInstance((1000000007,) * 44 + (1,))
     assert ideal_dc(odd) == 0
     assert decide_meet_in_middle(odd) is False
-    assert decide_dp(odd) is False and decide_dp(parse_instance("1000001 1000000"),
-                                                 max_cells=1000) is False
     assert solve_exact(odd) is False and find_partition(odd) is None
+    monkeypatch.setattr(exact, "DP_MAX_CELLS", 1000)
+    assert decide_dp(odd) is False and decide_dp(parse_instance("1000001 1000000")) is False
     with pytest.raises(InstanceTooLargeError):  # the independent route keeps its guard
         decide_bruteforce(odd)
 
 
 def _balances(inst, witness):
-    return 2 * sum(inst.values[i - 1] for i in witness.subset) == inst.total
+    return 2 * sum(inst.values[i - 1] for i in witness) == inst.total
 
 
 @settings(max_examples=300)
@@ -102,7 +103,9 @@ def test_exact_routes_agree_past_the_table(values):
     balanced = 0 if inst.total % 2 else int(counts[inst.total // 2])
     assert ideal_dc(inst) * 2**inst.n == balanced
     assert decide_meet_in_middle(inst) == decide_dp(inst) == (balanced > 0)
-    w = find_partition(inst, max_cells=1)
+    with pytest.MonkeyPatch.context() as mp:  # force the MIM route
+        mp.setattr(exact, "DP_MAX_CELLS", 1)
+        w = find_partition(inst)
     assert (w is not None) == (balanced > 0)
     assert w is None or _balances(inst, w)
 
@@ -171,7 +174,7 @@ def _mim_corpus():
     for _ in range(6):
         clauses = tuple(tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), 3))
                         for _ in range(10))
-        yield sat_to_partition(CnfFormula(6, clauses))[0]
+        yield sat_to_partition(CnfFormula(6, clauses))
 
 
 # the MIM route's witnesses over `_mim_corpus`, bit k-1 for position k: for the
@@ -189,11 +192,12 @@ _MIM_WITNESSES = (
 )
 
 
-def test_find_partition_mim_witnesses_pinned():
+def test_find_partition_mim_witnesses_pinned(monkeypatch):
+    monkeypatch.setattr(exact, "DP_MAX_CELLS", 1)
     found = []
     for inst in _mim_corpus():
-        w = find_partition(inst, max_cells=1)
-        found.append(None if w is None else sum(1 << (k - 1) for k in w.subset))
+        w = find_partition(inst)
+        found.append(None if w is None else sum(1 << (k - 1) for k in w))
         assert w is None or _balances(inst, w)
     assert tuple(found) == _MIM_WITNESSES
 
@@ -221,7 +225,8 @@ def test_solve_exact_dispatch_by_cost(monkeypatch):
     monkeypatch.setattr(exact, "decide_dp", _refuse("decide_dp"))
     assert solve_exact(_WIDE) is True
     # DP is cheaper on 40 ones but over a 10-cell budget
-    assert solve_exact(CpiInstance((1,) * 40), max_cells=10) is True
+    monkeypatch.setattr(exact, "DP_MAX_CELLS", 10)
+    assert solve_exact(CpiInstance((1,) * 40)) is True
     monkeypatch.undo()
     monkeypatch.setattr(exact, "decide_meet_in_middle", _refuse("decide_meet_in_middle"))
     assert solve_exact(CpiInstance((1,) * 40)) is True
@@ -239,7 +244,7 @@ def test_find_partition_dp_backtrack_memory_bounded(last):
     # n = 50 and total/2 ~ 1e7 take the DP route: 51 masks of 1.25 MB each
     # would peak near 54 MB; checkpoints every 8th mask keep about 2*sqrt(n)
     inst = CpiInstance(tuple(400000 + 18 * i for i in range(49)) + (last,))
-    assert exact._dp_is_cheaper(inst, 10**8)
+    assert exact._dp_is_cheaper(inst)
     w, peak = tracemalloc_peak(lambda: find_partition(inst))
     assert peak < 24e6
     if last == 400000 + 18 * 49:  # every 25-subset misses total/2 by 9 mod 18
@@ -251,7 +256,7 @@ def test_find_partition_dp_backtrack_memory_bounded(last):
 def test_find_partition_on_sat_reduction():
     f = CnfFormula(6, ((1, 2, 3), (-1, 2, 4), (-2, 3, 5), (-3, 4, 6), (1, -4, 5),
                        (2, -5, 6), (-1, 3, -6), (1, -2, 4), (3, 5, -6), (-3, 4, 6)))
-    inst, _ = sat_to_partition(f)
+    inst = sat_to_partition(f)
     assert inst.n == 34
     w = find_partition(inst)
     assert w is not None and _balances(inst, w)
@@ -260,14 +265,14 @@ def test_find_partition_on_sat_reduction():
 def test_find_partition_witness_balances():
     inst = parse_instance("3 2 5")
     w = find_partition(inst)
-    inside = sum(inst.values[i - 1] for i in w.subset)
+    inside = sum(inst.values[i - 1] for i in w)
     assert inside * 2 == inst.total
     assert find_partition(parse_instance("3 6 4")) is None
 
 
 def test_find_partition_pair():
     w = find_partition(parse_instance("1 1"))
-    assert len(w.subset) == 1
+    assert len(w) == 1
 
 
 @settings(max_examples=200)
@@ -277,7 +282,7 @@ def test_find_partition_matches_decide(values):
     w = find_partition(inst)
     if decide_dp(inst):
         assert w is not None
-        inside = sum(inst.values[i - 1] for i in w.subset)
+        inside = sum(inst.values[i - 1] for i in w)
         assert inside * 2 == inst.total
     else:
         assert w is None

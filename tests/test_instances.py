@@ -55,22 +55,21 @@ def test_load_instances_skips_comments():
 
 
 def test_scale_examples():
-    s = scale_instance(parse_instance("3 2 5"), f_star=120.0, margin=5 / 6)
-    assert s.scale == pytest.approx(10.0)
-    assert s.scaled_values == pytest.approx((30.0, 20.0, 50.0))
+    inst = parse_instance("3 2 5")
+    lam = scale_instance(inst, f_star=120.0, margin=5 / 6)
+    assert lam == pytest.approx(10.0)
+    assert tuple(lam * v for v in inst.values) == pytest.approx((30.0, 20.0, 50.0))
 
-    s = scale_instance(parse_instance("1"), f_star=100.0, margin=0.5)
-    assert s.scale == pytest.approx(50.0)
+    assert scale_instance(parse_instance("1"), f_star=100.0, margin=0.5) == pytest.approx(50.0)
 
-    s = scale_instance(parse_instance("7 11 13"), f_star=62.0, margin=0.5)
-    assert s.scale == pytest.approx(1.0)
-    assert s.min_spectral_gap == pytest.approx(s.scale)
+    lam = scale_instance(parse_instance("7 11 13"), f_star=62.0, margin=0.5)
+    assert lam == pytest.approx(1.0)
 
 
 def test_scale_keeps_sum_below_limit():
     inst = parse_instance("9 9 9 9")
-    s = scale_instance(inst, f_star=10.0, margin=0.9)
-    assert sum(s.scaled_values) < 10.0
+    lam = scale_instance(inst, f_star=10.0, margin=0.9)
+    assert sum(lam * v for v in inst.values) < 10.0
 
 
 def test_scale_validates():
@@ -128,7 +127,7 @@ def test_random_instance_two_no():
 
 def test_random_instance_impossible_no():
     with pytest.raises(GenerationError):
-        random_instance(n=2, max_mag=1, kind="NO", seed=0, max_tries=50)
+        random_instance(n=2, max_mag=1, kind="NO", seed=0)
 
 
 def test_random_instance_validates():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cospart.exact import decide_dp, solve_exact
 from cospart.pipeline import GridTooLargeError, NonidealityConfig, points_per_period
-from cospart.reductions import (Assignment, CnfFormula, ExtractionError,
+from cospart.reductions import (CnfFormula, ExtractionError,
                                 OracleBackend, ParseError, ReductionOverflowError,
                                 evaluate, extract_witness, format_solution,
                                 parse_dimacs, sat_to_partition, simplify)
@@ -81,49 +81,52 @@ def test_simplify_preserves_models(seed, var, val):
 
 
 def test_reduction_unit_clause():
-    inst, meta = sat_to_partition(CnfFormula(1, ((1,),)))
+    inst = sat_to_partition(CnfFormula(1, ((1,),)))
     assert decide_dp(inst) is True
-    assert meta.trivial is None
-    assert meta.active_vars == (1,)
+    # one active variable's two numbers, one clause's two slacks, the padding
+    assert inst.values == (6 + 1, 6, 1, 1, 15 + 9, 2 * 15 - 9)
 
 
 def test_reduction_contradiction():
     f = CnfFormula(1, ((1,), (-1,)))
-    inst, _ = sat_to_partition(f)
+    inst = sat_to_partition(f)
     assert decide_dp(inst) is False
 
 
 def test_reduction_trivial_cases():
-    inst, meta = sat_to_partition(CnfFormula(2, ()))
-    assert decide_dp(inst) is True and meta.trivial == "sat"
-    inst, meta = sat_to_partition(CnfFormula(2, ((1,), ())))
-    assert decide_dp(inst) is False and meta.trivial == "unsat"
+    inst = sat_to_partition(CnfFormula(2, ()))
+    assert decide_dp(inst) is True and inst.values == (1, 1)
+    inst = sat_to_partition(CnfFormula(2, ((1,), ())))
+    assert decide_dp(inst) is False and inst.values == (1, 2)
 
 
 def test_reduction_metadata_positions():
     f = CnfFormula(2, ((1, 2), (-1,)))
-    inst, meta = sat_to_partition(f)
-    t1, f1 = meta.literal_positions[1]
+    inst = sat_to_partition(f)
     # the "true" number of x1 carries its clause-0 digit; the "false" number
     # carries the clause-1 digit
-    assert inst.values[t1 - 1] == 6**2 + 1
-    assert inst.values[f1 - 1] == 6**2 + 6
-    assert len(meta.slack_positions) == 4
+    assert inst.values[:2] == (6**2 + 1, 6**2 + 6)
+    assert inst.values[4:8] == (1, 1, 6, 6)  # two slacks per clause
     assert len(inst.values) == 2 * 2 + 2 * 2 + 2
 
 
 def test_reduction_widens_wide_clauses():
     f = CnfFormula(5, ((1, 2, 3, 4, 5),))
-    inst, meta = sat_to_partition(f)
-    assert meta.fresh_vars  # clause of width 5 split with fresh variables
+    inst = sat_to_partition(f)
+    # split into three clauses with two fresh variables: 7 variables, 3 clauses
+    assert inst.n == 2 * 7 + 2 * 3 + 2
     assert decide_dp(inst) is True
 
 
+# a ring of 12 clauses over 12 variables: its reduction sums to a 63-bit integer
+_RING = CnfFormula(12, tuple((i, i % 12 + 1, -((i + 1) % 12 + 1)) for i in range(1, 13)))
+
+
 def test_reduction_overflow_reports_bits():
-    f = CnfFormula(4, ((1, 2, 3), (-1, -2, -3), (2, 3, 4)))
     with pytest.raises(ReductionOverflowError) as err:
-        sat_to_partition(f, max_bits=8)
-    assert err.value.required_bits > 8
+        sat_to_partition(_RING)
+    assert err.value.required_bits == 63
+    assert str(err.value) == "reduction needs 63-bit integers (budget is 62 bits)"
 
 
 def test_reduction_agrees_with_truth_table_exhaustive_small():
@@ -133,14 +136,14 @@ def test_reduction_agrees_with_truth_table_exhaustive_small():
     for c1 in clauses:
         for c2 in clauses:
             f = CnfFormula(2, (c1, c2))
-            assert solve_exact(sat_to_partition(f)[0]) == _truth_table_sat(f), f
+            assert solve_exact(sat_to_partition(f)) == _truth_table_sat(f), f
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_reduction_agrees_with_truth_table_random(seed):
     rng = random.Random(seed)
     f = _random_formula(rng, max_vars=6, max_clauses=10)
-    inst, _ = sat_to_partition(f)
+    inst = sat_to_partition(f)
     assert solve_exact(inst) == _truth_table_sat(f)
 
 
@@ -148,7 +151,7 @@ def test_extract_witness_unique_model():
     f = CnfFormula(2, ((1, 2), (-1,)))
     backend = OracleBackend(kind="exact-dp")
     assignment = extract_witness(f, backend)
-    assert assignment == Assignment((False, True))
+    assert assignment == (False, True)
     assert backend.calls == f.num_vars + 1
 
 
@@ -169,7 +172,7 @@ def test_extract_witness_satisfies(seed):
     if assignment is None:
         assert not _truth_table_sat(f)
     else:
-        assert evaluate(f, assignment.values)
+        assert evaluate(f, assignment)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -180,7 +183,7 @@ def test_backend_equivalence(seed):
     b = extract_witness(f, OracleBackend(kind="exact-bf"))
     assert (a is None) == (b is None)
     if a is not None:
-        assert evaluate(f, a.values) and evaluate(f, b.values)
+        assert evaluate(f, a) and evaluate(f, b)
 
 
 def test_analog_backend_small_formula():
@@ -188,13 +191,13 @@ def test_analog_backend_small_formula():
     backend = OracleBackend(kind="analog",
                             cfg=NonidealityConfig(bandwidth_model="none"))
     assignment = extract_witness(f, backend)
-    assert assignment == Assignment((False, True))
+    assert assignment == (False, True)
 
 
 def test_analog_backend_squeezes():
     backend = OracleBackend(kind="analog",
                             cfg=NonidealityConfig(bandwidth_model="none"))
-    inst, _ = sat_to_partition(CnfFormula(2, ((1, 2), (-1,))))
+    inst = sat_to_partition(CnfFormula(2, ((1, 2), (-1,))))
     assert inst.total * 1e4 > 120e3
     assert backend.decide(inst) is True
     assert backend.last_scale < 1.0
@@ -207,7 +210,7 @@ _OVERSIZED = CnfFormula(3, ((1, 2, 3), (-1, 2), (-2, -3), (1, -3)))
 
 def test_analog_backend_refuses_oversized():
     backend = OracleBackend(kind="analog")
-    inst, _ = sat_to_partition(_OVERSIZED)
+    inst = sat_to_partition(_OVERSIZED)
     assert points_per_period(inst, NonidealityConfig.ideal()) == 7_200_000
     with pytest.raises(GridTooLargeError):
         backend.decide(inst)
@@ -223,4 +226,4 @@ def test_extraction_error_carries_prefix():
 
 def test_format_solution():
     assert format_solution(None) == "s UNSATISFIABLE\n"
-    assert format_solution(Assignment((True, False))) == "s SATISFIABLE\nv 1 -2 0\n"
+    assert format_solution((True, False)) == "s SATISFIABLE\nv 1 -2 0\n"
