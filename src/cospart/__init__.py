@@ -14,7 +14,7 @@ from .calibration import (Decision, DecisionThreshold, OffsetReport, bootstrap_t
 from .dsp import FilterSpec, SampledTrace, apply_lowpass, dc_component, \
     design_compensating_filter, dft, sample_after_filter
 from .exact import (Spectrum, analytic_spectrum, decide_bruteforce, decide_dp,
-                    decide_meet_in_middle, find_partition, ideal_dc, solve_exact)
+                    decide_meet_in_middle, ideal_dc, solve_exact)
 from .instances import (CpiInstance, alignment_time, load_instances, nyquist_frequency,
                         parse_instance, random_instance, scale_instance,
                         serialize_instance)

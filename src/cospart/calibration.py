@@ -11,7 +11,7 @@ import hashlib
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -320,12 +320,15 @@ def threshold_from_text(text: str) -> tuple[DecisionThreshold, tuple[float, ...]
     """Load a persisted calibration; returns (threshold, z_compensation).
 
     Raises:
-        ValueError: when the text names no chain, or an empty one (a
-            calibration written before thresholds were bound to their chain).
+        ValueError: when the text lacks a `DecisionThreshold` field or leaves
+            it empty, as a calibration written before thresholds were bound
+            to their chain leaves ``chain``.
     """
     items = parse_kv(text)
-    if not items.get("chain"):
-        raise ValueError("calibration has no chain= line; recalibrate with cospart calibrate")
+    for f in fields(DecisionThreshold):
+        if not items.get(f.name):
+            raise ValueError(f"calibration has no {f.name}= line; "
+                             "recalibrate with cospart calibrate")
     thr = DecisionThreshold(
         cut=float(items["cut"]),
         no_band_max=float(items["no_band_max"]),

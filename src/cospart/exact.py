@@ -11,16 +11,15 @@ Three exact decision routes are kept:
   the other half: about (n/2+1)*2**ceil(n/2) operations, whatever the
   magnitudes.
 
-`solve_exact` and `find_partition` take whichever of DP and MIM costs fewer
-operations by these estimates, DP only within `DP_MAX_CELLS` cells.  Both
-halves' sorted distinct sums come from one kernel, `_subset_sums`.  Its first 12
-values give one table of all 4096 subset sums, indexed by subset bitmask
-and sorted once; each later value merges the sorted sums s with the sorted
-s + a and drops repeats, which keeps colliding sums (SAT reductions) few.
-It can tag each sum with the number of subsets behind it, which gives
-`ideal_dc` from the same two halves, or with the smallest subset bitmask,
-which gives `find_partition` its witness.  The match searches each sum of
-the half with fewer distinct sums in the other half.
+`solve_exact` takes whichever of DP and MIM costs fewer operations by these
+estimates, DP only within `DP_MAX_CELLS` cells.  Both halves' sorted
+distinct sums come from one kernel, `_subset_sums`.  Its first 12 values
+give one table of all 4096 subset sums, sorted once; each later value
+merges the sorted sums s with the sorted s + a and drops repeats, which
+keeps colliding sums (SAT reductions) few.  It can tag each sum with the
+number of subsets behind it, which gives `ideal_dc` from the same two
+halves.  The match searches each sum of the half with fewer distinct sums
+in the other half.
 
 Spectrum amplitudes use the time-average convention: the line at frequency
 w carries (number of sign vectors summing to w) / 2**n, which is directly
@@ -31,7 +30,6 @@ angular-frequency Fourier transform differs by a constant sqrt(2*pi).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -142,38 +140,26 @@ def _subset_sums(values: tuple[int, ...],
 
     ``tag`` None gives no tags.  ``"count"`` tags each sum with the number of
     subsets behind it; the tags of equal sums add, and all tags sum to
-    2**len(values).  ``"mask"`` tags it with the numerically smallest bitmask
-    (bit i for values[i]) of a subset with that sum, so len(values) must stay
-    below 63.
+    2**len(values).
 
-    The first `_TABLE_BITS` values give one table of every subset sum, in
-    which the index of a sum is its subset's bitmask.  It is sorted once;
-    counts are the lengths of its runs of equal sums, and masks come from a
-    stable argsort, so the smallest index leads each run.  Each later value
-    merges the sorted sums s with the sorted s + a: the stable sort finds the
-    two runs and merges them in linear time, and equal neighbours are
-    dropped.  A sum without values[i] comes first in the merge, and its mask
-    is below every mask with bit i, so the merge keeps the smallest mask too.
+    The first `_TABLE_BITS` values give one table of every subset sum.  It
+    is sorted once, and counts are the lengths of its runs of equal sums.
+    Each later value merges the sorted sums s with the sorted s + a: the
+    stable sort finds the two runs and merges them in linear time, and
+    equal neighbours are dropped.
     """
     k = min(len(values), _TABLE_BITS)
     table = np.empty(1 << k, dtype=np.int64)
     table[0] = 0
     for i, a in enumerate(values[:k]):
         np.add(table[:1 << i], a, out=table[1 << i:2 << i])
-    tags = None
-    if tag == "mask":
-        tags = table.argsort(kind="stable")
-        table = table[tags]
-    else:
-        table.sort()
+    table.sort()
     first = _run_starts(table)
+    tags = None
     if tag == "count":
-        starts = np.flatnonzero(first)
-        tags = np.diff(starts, append=len(table))
-    elif tag == "mask":
-        tags = tags[first]
+        tags = np.diff(np.flatnonzero(first), append=len(table))
     sums = table[first]
-    for i, a in enumerate(values[k:], start=k):
+    for a in values[k:]:
         merged = np.concatenate([sums, sums + a])
         if tag is None:
             merged.sort(kind="stable")
@@ -183,10 +169,7 @@ def _subset_sums(values: tuple[int, ...],
         merged = merged[order]
         starts = np.flatnonzero(_run_starts(merged))
         sums = merged[starts]
-        if tag == "count":
-            tags = np.add.reduceat(np.concatenate([tags, tags])[order], starts)
-        else:
-            tags = np.concatenate([tags, tags | (1 << i)])[order][starts]
+        tags = np.add.reduceat(np.concatenate([tags, tags])[order], starts)
     return sums, tags
 
 
@@ -198,13 +181,12 @@ def _halves(inst: CpiInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _match(left: np.ndarray, right: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices i, j of every pair of sorted distinct sums with left[i] + right[j] == half.
 
-    The pairs come in ascending i.  The smaller side's needs are searched in
-    the larger side; searched from the right, the pairs come in ascending j,
-    hence descending i, and are returned reversed.
+    The smaller side's needs are searched in the larger side.  The pairs
+    come in no promised order.
     """
     if len(left) > len(right):
         j, i = _match(right, left, half)
-        return i[::-1], j[::-1]
+        return i, j
     need = half - left
     j = np.minimum(np.searchsorted(right, need), len(right) - 1)
     hit = right[j] == need
@@ -284,69 +266,6 @@ def solve_exact(inst: CpiInstance) -> bool:
     if _dp_is_cheaper(inst):
         return decide_dp(inst)
     return decide_meet_in_middle(inst)
-
-
-def _dp_backtrack(values: tuple[int, ...], half: int) -> Optional[frozenset[int]]:
-    """1-based positions of a subset summing to ``half``, by checkpointed DP.
-
-    The forward pass keeps every s-th reachability mask, s = ceil(sqrt(n)).
-    The backtrack walks segments from the last one back, recomputing each
-    segment's masks from its checkpoint: about 2*sqrt(n) masks of half+1
-    bits are alive at once, and at most n shifts are redone.
-    """
-    n = len(values)
-    step = math.isqrt(n - 1) + 1
-    keep = (1 << (half + 1)) - 1
-    checkpoints = []
-    mask = 1
-    for i, a in enumerate(values):
-        if i % step == 0:
-            checkpoints.append(mask)
-        mask = (mask | (mask << a)) & keep
-    if not (mask >> half) & 1:
-        return None
-    del mask
-    subset = set()
-    target = half
-    for lo in range((len(checkpoints) - 1) * step, -1, -step):
-        hi = min(lo + step, n)
-        segment = [checkpoints.pop()]  # the masks before values lo .. hi-1
-        for a in values[lo:hi - 1]:
-            segment.append((segment[-1] | (segment[-1] << a)) & keep)
-        for i in range(hi - 1, lo - 1, -1):
-            if not (segment.pop() >> target) & 1:
-                subset.add(i + 1)
-                target -= values[i]
-    assert target == 0
-    return frozenset(subset)
-
-
-def find_partition(inst: CpiInstance) -> Optional[frozenset[int]]:
-    """1-based positions of a balanced subset, by the route `solve_exact` takes.
-
-    Memory depends on the route.  The DP route (`_dp_backtrack`) keeps about
-    2*sqrt(n) reachability masks of total/2+1 bits, 2*sqrt(n)*cells/8 bytes
-    (at most 2*sqrt(n)*DP_MAX_CELLS/8), and takes under twice the time of the
-    decision alone.  The MIM route peaks in its last merge, with each
-    half's sorted sums, one subset bitmask per sum and the merge
-    temporaries: about 70*2**ceil(n/2) bytes whatever the magnitudes.  At
-    n = 44 tracemalloc measured 285 MB, as for `ideal_dc`; the decision
-    alone peaks at 172 MB.  The 12-value table head adds 32 KB.
-    """
-    if inst.total % 2:
-        return None
-    half = inst.total // 2
-    if _dp_is_cheaper(inst):
-        return _dp_backtrack(inst.values, half)
-    _check_mim_guard(inst)
-    lo, hi = _halves(inst)
-    left, m_left = _subset_sums(lo, "mask")
-    right, m_right = _subset_sums(hi, "mask")
-    i, j = _match(left, right, half)
-    if not len(i):
-        return None
-    mask = int(m_left[i[0]]) | int(m_right[j[0]]) << len(lo)
-    return frozenset(k + 1 for k in range(inst.n) if mask >> k & 1)
 
 
 def analytic_spectrum(inst: CpiInstance) -> Spectrum:

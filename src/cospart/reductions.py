@@ -51,6 +51,8 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.num_vars < 0:
+            raise ParseError(f"negative variable count {self.num_vars}")
         clauses = tuple(tuple(cl) for cl in self.clauses)
         for cl in clauses:
             for lit in cl:
@@ -70,10 +72,12 @@ def parse_dimacs(text: str, strict: bool = False) -> CnfFormula:
         if not s or s.startswith("c") or s.startswith("%"):
             continue
         if s.startswith("p"):
+            if num_vars is not None:
+                raise ParseError(f"second header line: {s!r}")
             parts = s.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"malformed header: {s!r}")
             try:
+                if len(parts) != 4 or parts[1] != "cnf" or int(parts[3]) < 0:
+                    raise ValueError
                 num_vars, declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed header: {s!r}") from None
@@ -297,25 +301,25 @@ def extract_witness(f: CnfFormula, oracle: OracleBackend) -> Optional[tuple[bool
     reduction.  Otherwise fixes variables 1..num_vars in order, querying the
     oracle once per variable, and verifies the result against the original
     clauses before returning one boolean per variable, in variable order.
+
+    The formula's own `ReductionOverflowError` is raised before any oracle
+    call; a simplified formula reduces to numbers no wider.
     """
+    first = sat_to_partition(f)
     prefix: list[bool] = []
-
-    def is_sat(formula: CnfFormula) -> bool:
-        return oracle.decide(sat_to_partition(formula))
-
     try:
-        if not is_sat(f):
+        if not oracle.decide(first):
             return None
         g = f
         for var in range(1, f.num_vars + 1):
             g_true = simplify(g, var, True)
-            if is_sat(g_true):
+            if oracle.decide(sat_to_partition(g_true)):
                 g = g_true
                 prefix.append(True)
             else:
                 g = simplify(g, var, False)
                 prefix.append(False)
-    except (GridTooLargeError, ReductionOverflowError, exact.InstanceTooLargeError) as exc:
+    except (GridTooLargeError, exact.InstanceTooLargeError) as exc:
         raise ExtractionError(f"oracle failed after fixing {len(prefix)} variables: {exc}",
                               partial=tuple(prefix)) from exc
     assignment = tuple(prefix)
@@ -329,5 +333,5 @@ def format_solution(assignment: Optional[tuple[bool, ...]]) -> str:
     """DIMACS-style solution lines for `extract_witness`'s result."""
     if assignment is None:
         return "s UNSATISFIABLE\n"
-    lits = " ".join(str(i + 1 if v else -(i + 1)) for i, v in enumerate(assignment))
-    return f"s SATISFIABLE\nv {lits} 0\n"
+    lits = [str(i + 1 if v else -(i + 1)) for i, v in enumerate(assignment)]
+    return f"s SATISFIABLE\nv {' '.join(lits + ['0'])}\n"

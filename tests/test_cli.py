@@ -307,8 +307,7 @@ def test_sat_reports_the_bit_budget(tmp_path, capsys):
     (tmp_path / "ring.cnf").write_text("p cnf 12 12\n" + clauses)
     code, out, err = _run(capsys, "sat", str(tmp_path / "ring.cnf"))
     assert code == 2 and out == ""
-    assert err == ("error: oracle failed after fixing 0 variables: "
-                   "reduction needs 63-bit integers (budget is 62 bits)\n")
+    assert err == "error: reduction needs 63-bit integers (budget is 62 bits)\n"
 
 
 def test_netlist_command(tmp_path, capsys):
@@ -584,13 +583,19 @@ def test_sat_squeeze_refuses_a_calibration(tmp_path, capsys):
     assert "the calibration was learned on chain" in err
 
 
-def test_calibration_without_chain_line_is_refused(tmp_path, capsys):
+_CALIBRATION_LINES = ("cut=0.1", "no_band_max=0", "yes_band_min=0.2", "training_size=2",
+                      "separable=1", "chain=0123456789abcdef")
+
+
+@pytest.mark.parametrize("key", [line.partition("=")[0] for line in _CALIBRATION_LINES])
+def test_calibration_without_chain_line_is_refused(tmp_path, capsys, key):
     cal = tmp_path / "cal.txt"
-    cal.write_text("cut=0.1\nno_band_max=0\nyes_band_min=0.2\ntraining_size=2\nseparable=1\n")
+    cal.write_text("".join(f"{line}\n" for line in _CALIBRATION_LINES
+                           if not line.startswith(f"{key}=")))
     code, _, err = _run(capsys, "decide", "--oracle", "analog", "--calibration", str(cal),
                         "3 2 5")
     assert code == 2
-    assert err == "error: calibration has no chain= line; recalibrate with cospart calibrate\n"
+    assert err == f"error: calibration has no {key}= line; recalibrate with cospart calibrate\n"
 
 
 def test_calibration_with_empty_chain_is_refused(tmp_path, capsys):

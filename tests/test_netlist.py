@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,24 +76,38 @@ def test_emitted_netlists_validate(kind, order):
     validate_netlist(doc)
 
 
-def test_validator_catches_missing_tran():
-    doc = emit_netlist(parse_instance("1 1"), NonidealityConfig(), FilterSpec("none", 5e3))
-    doc.cards = [c for c in doc.cards if not c.startswith(".tran")]
-    with pytest.raises(ValueError):
-        validate_netlist(doc)
+def _without(prefix):
+    return lambda cards: [c for c in cards if not c.startswith(prefix)]
 
 
-def test_validator_catches_dangling_stage():
+def _replacing(prefix, card):
+    return lambda cards: [card if c.startswith(prefix) else c for c in cards]
+
+
+def _inserting(card):
+    return lambda cards: cards[:7] + [card] + cards[7:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_without(".tran"), "netlist must contain exactly one .tran directive",
+                 id="missing_tran"),
+    pytest.param(_replacing(".tran", ".tran 0 0.003 0.0012"),
+                 "malformed .tran card: '.tran 0 0.003 0.0012'", id="malformed_tran"),
+    pytest.param(_replacing(".tran", ".tran 0 0.001 0.0012 1e-07"),
+                 "inconsistent .tran window", id="inconsistent_window"),
+    pytest.param(_without(".four"), "netlist must contain a .four directive", id="missing_four"),
+    pytest.param(_without(".end"), "netlist must end with .end", id="missing_end"),
+    pytest.param(_inserting(""), "empty card", id="empty_card"),
+    pytest.param(_inserting("Q1 a b c"), "unknown element card: 'Q1 a b c'", id="bad_card"),
+    pytest.param(_inserting("R1 a"), "element card too short: 'R1 a'", id="short_card"),
+    pytest.param(_without("BM2"),
+                 "stage output node s1 must feed exactly one downstream element, found 0",
+                 id="dangling_stage"),
+])
+def test_validator_refuses(edit, message):
     doc = emit_netlist(parse_instance("3 6 4"), NonidealityConfig(), FilterSpec("none", 5e3))
-    doc.cards = [c for c in doc.cards if not c.startswith("BM2")]
-    with pytest.raises(ValueError):
-        validate_netlist(doc)
-
-
-def test_validator_catches_bad_card():
-    doc = emit_netlist(parse_instance("1 1"), NonidealityConfig(), FilterSpec("none", 5e3))
-    doc.cards.insert(5, "Q1 a b c")
-    with pytest.raises(ValueError):
+    doc.cards = edit(doc.cards)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         validate_netlist(doc)
 
 

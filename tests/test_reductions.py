@@ -57,6 +57,14 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 1 2\n1 0\n", strict=True)
     with pytest.warns(UserWarning):
         parse_dimacs("p cnf 1 2\n1 0\n")
+    with pytest.raises(ParseError, match="negative variable count -1"):
+        parse_dimacs("p cnf -1 0\n")
+    with pytest.raises(ParseError, match="malformed header"):
+        parse_dimacs("p cnf 2 -1\n")
+    with pytest.raises(ParseError, match="second header line"):
+        parse_dimacs("p cnf 2 1\np cnf 1 1\n1 0\n")
+    with pytest.raises(ParseError):
+        CnfFormula(-1, ())
 
 
 def test_simplify_examples():
@@ -127,6 +135,10 @@ def test_reduction_overflow_reports_bits():
         sat_to_partition(_RING)
     assert err.value.required_bits == 63
     assert str(err.value) == "reduction needs 63-bit integers (budget is 62 bits)"
+    backend = OracleBackend("exact-dp")
+    with pytest.raises(ReductionOverflowError):
+        extract_witness(_RING, backend)
+    assert backend.calls == 0
 
 
 def test_reduction_agrees_with_truth_table_exhaustive_small():
@@ -227,3 +239,4 @@ def test_extraction_error_carries_prefix():
 def test_format_solution():
     assert format_solution(None) == "s UNSATISFIABLE\n"
     assert format_solution((True, False)) == "s SATISFIABLE\nv 1 -2 0\n"
+    assert format_solution(()) == "s SATISFIABLE\nv 0\n"
