@@ -20,8 +20,9 @@ from . import dsp
 from .dsp import FilterSpec, SampledTrace
 from .exact import solve_exact
 from .instances import CpiInstance, serialize_instance
-from .pipeline import NonidealityConfig, PipelineTrace, check_bandwidth, config_to_text, \
-    parse_kv, points_per_period, run_cascade
+from .pipeline import NonidealityConfig, PipelineTrace, check_bandwidth, check_grid, \
+    config_to_text, parse_kv, points_per_period, run_cascade, stage_noise_rng, \
+    validate_stage_sequences
 
 
 class LabelError(ValueError):
@@ -63,7 +64,7 @@ class Decision:
     dc_measured: float
     threshold: DecisionThreshold
     margin: float
-    # the filtered samples the DC was taken from (analogue decisions only)
+    # the filtered samples the DC was taken from (analogue decisions on the grid only)
     sampled: Optional[SampledTrace] = field(default=None, repr=False, compare=False)
 
 
@@ -81,8 +82,32 @@ def run_and_measure(inst: CpiInstance, cfg: NonidealityConfig,
     return dsp.dc_component(sampled), trace, sampled
 
 
+def measure_dc(inst: CpiInstance, cfg: NonidealityConfig,
+               spec: FilterSpec) -> tuple[float, Optional[SampledTrace]]:
+    """The chain's DC at ``cfg``'s seed, with the filtered samples when the grid ran.
+
+    A grid run's guards come first (`validate_stage_sequences`, `check_grid`).
+    Inside the harmonic engine's domain, no frequency errors and no node
+    within `harmonic.CLIP_SIGMAS` noise RMS of the rails, the DC is
+    `harmonic.fold`'s, plus each stage's noise σ times one standard normal
+    from `stage_noise_rng`: the grid's DC in distribution, with no grid and no
+    samples.  Outside it the DC and samples are `run_and_measure`'s.
+    """
+    validate_stage_sequences(cfg, inst.n)
+    check_grid(inst, cfg)
+    if not cfg.freq_error_sigma:
+        from . import harmonic  # imported here: commands that decide no chain skip it
+        chain = harmonic.fold(inst, cfg, spec)
+        if not chain.clips(cfg.supply_voltage):
+            noise = sum(sigma * stage_noise_rng(cfg, s).standard_normal()
+                        for s, sigma in enumerate(chain.stage_sigma) if sigma)
+            return chain.dc + noise, None
+    dc, _, sampled = run_and_measure(inst, cfg, spec)
+    return dc, sampled
+
+
 def _measured_dc(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> float:
-    return run_and_measure(inst, cfg, spec)[0]
+    return measure_dc(inst, cfg, spec)[0]
 
 
 def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -246,7 +271,7 @@ def auto_threshold(inst: CpiInstance, spec: FilterSpec) -> DecisionThreshold:
 
 def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
                   thr: Optional[DecisionThreshold] = None, strict: bool = False) -> Decision:
-    """Run the full chain and compare the DC estimate against the threshold.
+    """Measure the chain's DC (`measure_dc`) and compare it against the threshold.
 
     ``thr`` defaults to `auto_threshold`.  A threshold stamped with a chain
     (one from `bootstrap_threshold`) raises `ChainMismatchError` unless
@@ -263,7 +288,7 @@ def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
         raise NonSeparableError("threshold bands overlap; recalibrate before deciding")
     if strict:
         check_bandwidth(inst, cfg)
-    dc, _, sampled = run_and_measure(inst, cfg, spec)
+    dc, sampled = measure_dc(inst, cfg, spec)
     answer = "YES" if dc > thr.cut else "NO"
     return Decision(answer=answer, dc_measured=dc, threshold=thr,
                     margin=abs(dc - thr.cut), sampled=sampled)

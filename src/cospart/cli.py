@@ -124,7 +124,9 @@ def cmd_decide(args, argv: list[str]) -> int:
     if args.out:
         files = {"decisions.txt": text}
         if write_trace:
-            sampled = decisions[0].sampled
+            sampled = decisions[0].sampled  # None when the DC came from the harmonics
+            if sampled is None:
+                sampled = calibration.run_and_measure(insts[0], chain.cfg, chain.fspec)[2]
             files["trace.csv"] = pipeline.volts_csv(sampled.times(), sampled.values)
             files["spectrum.csv"] = dsp.dft(sampled).to_csv(units="Hz")
         _write_out(args, argv, t0, digest, files)
@@ -142,7 +144,7 @@ def cmd_spectrum(args, argv: list[str]) -> int:
 
     outputs = {"spectrum_analytic.csv": exact.analytic_spectrum(inst).to_csv(units="instance")}
     if args.simulate:
-        # no filter; the chain's cutoff bounds the step above dt, so every grid point is read
+        # no filter; the sampling step is the grid's own, so every grid point is read
         sampled = calibration.run_and_measure(
             inst, chain.cfg, replace(chain.fspec, kind="none"))[2]
         outputs["spectrum_measured.csv"] = dsp.dft(sampled).to_csv(units="Hz")

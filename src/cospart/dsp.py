@@ -97,7 +97,9 @@ def sample_after_filter(sig: Signal, spec: FilterSpec, t_start: float, duration:
                         tau: Optional[float] = None) -> SampledTrace:
     """Filter, then record equidistant samples over ``duration`` seconds.
 
-    The step is min(requested tau, 1/(2*cutoff)); the start time snaps to
+    The step is min(requested tau, 1/(2*cutoff)), but never below the
+    signal's own step, since the filtered grid holds nothing above its own
+    Nyquist frequency; the start time snaps to
     the nearest multiple of the signal's alignment period and the snap
     distance is recorded.  Sample instants that fall between grid points are
     linearly interpolated; grid-commensurate steps are read exactly.
@@ -114,7 +116,7 @@ def sample_after_filter(sig: Signal, spec: FilterSpec, t_start: float, duration:
         start = round(t_start / period) * period
         snap = abs(start - t_start)
 
-    nyq_tau = 1.0 / (2.0 * spec.cutoff_f0)
+    nyq_tau = max(1.0 / (2.0 * spec.cutoff_f0), sig.dt)
     tau_eff = nyq_tau if tau is None else min(tau, nyq_tau)
     m = int(math.floor(duration / tau_eff + 1e-9))
     if m < 1:

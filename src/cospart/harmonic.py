@@ -1,0 +1,160 @@
+"""The linear analogue chain on its harmonics: its DC, the DC's noise and a clip bound.
+
+Without frequency errors every source is two lines, at ±a_i/gcd harmonics of
+the alignment frequency f_base·gcd.  Without clipping every block is affine:
+a multiplier is a shift-and-add of coefficient arrays, the bandwidth pole is a
+real gain per harmonic (it is zero-phase), and offsets, Z and the amplifier
+act on the DC line and on the scale.  So the whole chain runs on the 2K+1
+complex coefficients of harmonics -K..K, K = total/gcd, where the grid
+carries the same harmonics ``oversample`` times over and pays two FFTs per
+stage.  This is the harmonic-balance view of a circuit (Kundert &
+Sangiovanni-Vincentelli, IEEE TCAD 5(4), 1986).
+
+Each stage's noise enters the chain linearly too, so the DC's noise is
+Gaussian with zero mean.  On an m-point grid, white noise of σ volts per
+sample puts σ²/m of expected power on each harmonic, so stage s adds the
+variance σ²/m·Σ_h |ρ_s[h]|², where ρ_s[h] is the DC's sensitivity to
+harmonic h of that stage's pin.  One adjoint pass of the same shift-and-add,
+from the DC line back to the first stage, gives every ρ_s.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .dsp import FilterSpec
+from .instances import CpiInstance
+from .pipeline import NonidealityConfig, _per_stage, _pole_response, grid_step, \
+    points_per_period, source_draws
+
+# Noise RMS multiples kept clear of the rails for a chain to count as unclipped.
+CLIP_SIGMAS = 8.0
+# Largest K folded: a 2K+1 coefficient array is 64 MB at the limit.
+MAX_HARMONICS = 2_000_000
+
+
+class HarmonicsTooLargeError(ValueError):
+    """An instance's harmonic count total/gcd exceeds `MAX_HARMONICS`."""
+
+
+@dataclass(frozen=True, eq=False)
+class Fold:
+    """The chain folded on its harmonics.
+
+    ``coefficients[K + h]`` is harmonic h of the final stage output (the last
+    source for a single value).  ``dc`` is ``spec.dc_gain`` times its DC line,
+    the noise-free DC of a one-period run.  ``stage_sigma[s]`` is the standard
+    deviation that stage s's noise adds to that DC.  For each stage's pin and
+    amplifier output, in chain order, ``node_bound`` holds Σ|c|, which bounds
+    every noise-free sample, and ``node_noise`` a bound on the noise's RMS
+    over the period.  The pole output between them needs no entry: its gains
+    lie in [0, 1], so the pin's bounds hold for it.
+    """
+
+    coefficients: np.ndarray
+    dc: float
+    stage_sigma: tuple[float, ...]
+    node_bound: tuple[float, ...]
+    node_noise: tuple[float, ...]
+
+    @property
+    def sigma(self) -> float:
+        """Standard deviation of the DC from all stages' noise."""
+        return math.sqrt(sum(s * s for s in self.stage_sigma))
+
+    def clips(self, supply_voltage: float) -> bool:
+        """True when some node's bound plus `CLIP_SIGMAS` noise RMS reaches the rails."""
+        return any(b + CLIP_SIGMAS * r >= supply_voltage
+                   for b, r in zip(self.node_bound, self.node_noise))
+
+
+def _shift_add(c: np.ndarray, h: int, w: complex, off: float) -> np.ndarray:
+    """``c`` times the line pair w·e^{+ih}, conj(w)·e^{-ih} plus the DC line ``off``.
+
+    ``c`` holds harmonics -L..L; the product holds -(L+h)..L+h.
+    """
+    n = len(c)
+    out = np.zeros(n + 2 * h, dtype=complex)
+    out[2 * h:] = w * c
+    out[:n] += np.conj(w) * c
+    out[h:h + n] += off * c
+    return out
+
+
+def _symmetric(gains: np.ndarray, half: int) -> np.ndarray:
+    """Gains for harmonics -half..half from ``gains[|h|]``."""
+    return np.concatenate((gains[half:0:-1], gains[:half + 1]))
+
+
+def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
+    """Run ``cfg``'s chain on ``inst`` as harmonic coefficients, clipping ignored.
+
+    The sources' phases are `pipeline.source_draws`'s, so they are the grid's
+    at the same seed.  The pole's gain for harmonic h is taken at the grid's
+    own bin frequency, h·(1/(m·dt)) on the `points_per_period` grid, so a
+    harmonic exactly at a hard pole's f* passes as it does on the grid.  The
+    amplifier and multiplier act as in `pipeline.multiply_stage` and
+    `pipeline.amplify`, but with no supply clamp: the result is the grid's
+    only where `Fold.clips` is false.
+
+    Raises:
+        ValueError: when ``cfg`` has frequency errors, which move the sources
+            off the harmonics.
+        HarmonicsTooLargeError: when total/gcd exceeds `MAX_HARMONICS`,
+            before anything is allocated.
+    """
+    if cfg.freq_error_sigma:
+        raise ValueError("frequency errors move the sources off the harmonics")
+    harmonics = [a // inst.gcd for a in inst.values]
+    if sum(harmonics) > MAX_HARMONICS:
+        raise HarmonicsTooLargeError(f"instance needs {sum(harmonics)} harmonics "
+                                     f"(limit {MAX_HARMONICS})")
+    m = points_per_period(inst, cfg)
+    pole = _pole_response(m, grid_step(inst, cfg), cfg, bins=sum(harmonics) + 1)
+    phases = source_draws(inst, cfg)[1]
+    lines = [0.5 * _per_stage(cfg.source_amplitude, i) * np.exp(1j * phases[i])
+             for i in range(inst.n)]
+    sigma, gain = cfg.noise_sigma, cfg.amp_gain
+
+    c = _shift_add(np.ones(1, dtype=complex), harmonics[0], lines[0], 0.0)
+    half, rms = harmonics[0], 0.0
+    bounds, noises = [], []
+    for s in range(inst.n - 1):
+        h, w = harmonics[s + 1], lines[s + 1]
+        off_in = _per_stage(cfg.mult_input_offset, s)
+        c[half] += off_in
+        c = _shift_add(c, h, w, off_in)
+        c *= cfg.mult_scale
+        half += h
+        c[half] += _per_stage(cfg.mult_output_offset, s)
+        if len(cfg.z_compensation):
+            c[half] += _per_stage(cfg.z_compensation, s)
+        # the accumulator's noise times a source of at most 2|w| + |off_in|, plus this stage's
+        rms = math.hypot(rms * abs(cfg.mult_scale) * (2 * abs(w) + abs(off_in)), sigma)
+        bounds.append(float(np.abs(c).sum()))
+        noises.append(rms)
+        if pole is not None:
+            c *= _symmetric(pole, half)
+        c *= gain
+        c[half] += cfg.amp_offset
+        rms *= abs(gain)
+        bounds.append(float(np.abs(c).sum()))
+        noises.append(rms)
+
+    # adjoint: lam[h] is the DC's sensitivity to harmonic h of the node, from the DC line back
+    lam = np.full(1, spec.dc_gain, dtype=complex)
+    stage_sigma = []
+    for s in reversed(range(inst.n - 1)):
+        lam *= gain
+        if pole is not None:
+            lam *= _symmetric(pole, len(lam) // 2)
+        stage_sigma.append(sigma * math.sqrt(float(np.vdot(lam, lam).real) / m))
+        lam = _shift_add(lam, harmonics[s + 1], np.conj(lines[s + 1]),
+                         _per_stage(cfg.mult_input_offset, s))
+        lam *= cfg.mult_scale
+    return Fold(coefficients=c, dc=spec.dc_gain * float(c[half].real),
+                stage_sigma=tuple(reversed(stage_sigma)), node_bound=tuple(bounds),
+                node_noise=tuple(noises))

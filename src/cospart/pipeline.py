@@ -299,6 +299,18 @@ class Tone:
             out[i0:i0 + v.size] *= v
 
 
+def grid_step(inst: CpiInstance, cfg: NonidealityConfig) -> float:
+    """Seconds between grid points: one alignment period over `points_per_period`."""
+    return float(alignment_time(inst)) / cfg.f_base / points_per_period(inst, cfg)
+
+
+def source_draws(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every source's relative frequency error and phase, in that order, seeded ``[seed, 101]``."""
+    rng = np.random.default_rng([cfg.seed, 101])
+    eps = rng.normal(0.0, cfg.freq_error_sigma, inst.n)
+    return eps, rng.normal(0.0, cfg.phase_error_sigma, inst.n)
+
+
 def _source_maker(inst: CpiInstance, cfg: NonidealityConfig,
                   periods: int) -> Callable[[int], Tone]:
     """Draw every source's frequency error and phase; return ``source(i)``.
@@ -310,13 +322,9 @@ def _source_maker(inst: CpiInstance, cfg: NonidealityConfig,
     if periods < 1:
         raise ValueError("periods must be at least 1")
     t_align = float(alignment_time(inst)) / cfg.f_base
-    per_period = points_per_period(inst, cfg)
-    dt = t_align / per_period
-    m = periods * per_period
-
-    rng = np.random.default_rng([cfg.seed, 101])
-    eps = rng.normal(0.0, cfg.freq_error_sigma, inst.n)
-    phases = rng.normal(0.0, cfg.phase_error_sigma, inst.n)
+    dt = grid_step(inst, cfg)
+    m = periods * points_per_period(inst, cfg)
+    eps, phases = source_draws(inst, cfg)
 
     def source(i: int) -> Tone:
         return Tone.make(freq=cfg.f_base * inst.values[i] * (1.0 + eps[i]), phase=phases[i],
@@ -355,25 +363,33 @@ def zero_phase_filter(samples: np.ndarray, gains: np.ndarray,
     return np.fft.irfft(spec, n=len(samples), out=out)
 
 
-def _pole_response(m: int, dt: float, cfg: NonidealityConfig) -> Optional[np.ndarray]:
-    """The output pole's gain per bin of an m-point rfft, None without a pole:
-    1/sqrt(1 + (f/f*)^2) (one-pole), or 1.0 up to f* and 0.0 above (hard)."""
+def _pole_response(m: int, dt: float, cfg: NonidealityConfig,
+                   bins: Optional[int] = None) -> Optional[np.ndarray]:
+    """The output pole's gain at the first ``bins`` bins (default: all) of an
+    m-point rfft, None without a pole: 1/sqrt(1 + (f/f*)^2) (one-pole), or 1.0
+    up to f* and 0.0 above (hard).  Bin k's frequency is k·(1/(m·dt)), as
+    ``np.fft.rfftfreq`` forms it."""
     if cfg.bandwidth_model == "none" or not math.isfinite(cfg.bandwidth_f_star):
         return None
-    freqs = np.fft.rfftfreq(m, d=dt)
+    freqs = np.arange(m // 2 + 1 if bins is None else bins) * (1.0 / (m * dt))
     if cfg.bandwidth_model == "one-pole":
         return 1.0 / np.sqrt(1.0 + (freqs / cfg.bandwidth_f_star) ** 2)
     return (freqs <= cfg.bandwidth_f_star).astype(float)
 
 
+def stage_noise_rng(cfg: NonidealityConfig, stage: int) -> np.random.Generator:
+    """The generator of multiplier ``stage``'s noise, seeded ``[seed, 104729, stage]``."""
+    return np.random.default_rng([cfg.seed, 104729, stage])
+
+
 def _stage_noise(cfg: NonidealityConfig, stage: int, m: int) -> Optional[np.ndarray]:
     """The additive noise of multiplier ``stage`` on an m-point grid; None without noise.
 
-    The only draw seeded ``[seed, 104729, stage]``.  It does not depend on the
-    signal, so `run_cascade` draws it ahead, on its helper thread.
+    Drawn from `stage_noise_rng`.  It does not depend on the signal, so
+    `run_cascade` draws it ahead, on its helper thread.
     """
     if cfg.noise_sigma > 0:
-        noise = np.random.default_rng([cfg.seed, 104729, stage]).standard_normal(m)
+        noise = stage_noise_rng(cfg, stage).standard_normal(m)
         noise *= cfg.noise_sigma  # the bits of normal(0.0, sigma, m), for less work
         return noise
     return None

@@ -61,13 +61,16 @@ def test_an_oracle_call_is_a_sat_call(monkeypatch, capsys, tmp_path, name):
     assert code == 1 and 1 <= calls <= 3  # at most 1 + num_vars
 
 
-def test_each_stage_is_one_multiply_stage_span_in_run_cascade(monkeypatch, capsys):
+def test_each_stage_is_one_multiply_stage_span_in_run_cascade(monkeypatch, capsys, tmp_path):
     # the tracer's span stack is not thread-safe: `run_cascade`'s helper thread
     # calls no traced name, and the main thread opens one span per stage
     tracer = _load(monkeypatch, "tracer").Tracer()
+    # frequency errors take the chain off its harmonics, so the decision runs the grid
+    (tmp_path / "chain.cfg").write_text("freq_error_sigma=1e-6\n")
     try:
         tracer.install()
-        assert cospart.cli.main(["decide", "--oracle", "analog", "1 2 3 4 5 6 7 8 9 10"]) == 0
+        assert cospart.cli.main(["decide", "--oracle", "analog", "--config",
+                                 str(tmp_path / "chain.cfg"), "1 2 3 4 5 6 7 8 9 10"]) == 0
     finally:
         tracer.uninstall()
     cascades = [i for i, s in enumerate(tracer.spans) if s.name == "pipeline.run_cascade"]

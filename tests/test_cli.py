@@ -141,11 +141,43 @@ def test_decide_out_runs_the_chain_once(tmp_path, capsys, monkeypatch):
 
     run_cascade = calibration.run_cascade
     monkeypatch.setattr(calibration, "run_cascade", counted)
-    code, _, _ = _run(capsys, "decide", "--oracle", "analog",
-                      "--out", str(tmp_path), "3 2 5")
+    # inside the harmonic domain the grid runs for the traces alone; outside it
+    # (frequency errors), trace.csv and spectrum.csv come from the decision's samples
+    for name, config in (("in", ""), ("out", "freq_error_sigma=1e-6\n")):
+        calls.clear()
+        (tmp_path / f"{name}.cfg").write_text(config)
+        code, _, _ = _run(capsys, "decide", "--oracle", "analog", "--config",
+                          str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / name), "3 2 5")
+        assert code == 1
+        assert len(calls) == 1
+        assert (tmp_path / name / "trace.csv").is_file()
+        assert (tmp_path / name / "spectrum.csv").is_file()
+
+
+def test_decide_record_does_not_depend_on_out(tmp_path, capsys):
+    # a noisy chain inside the harmonic domain: its DC takes one normal per stage, not the grid
+    (tmp_path / "chain.cfg").write_text("mult_output_offset=4e-3\nnoise_sigma=1e-3\n")
+    argv = ["decide", "--oracle", "analog", "--config", str(tmp_path / "chain.cfg"),
+            "--seed", "3", "3 2 5"]
+    code, plain, _ = _run(capsys, *argv)
     assert code == 1
-    assert len(calls) == 1  # trace.csv and spectrum.csv come from the decision's samples
-    assert (tmp_path / "trace.csv").is_file() and (tmp_path / "spectrum.csv").is_file()
+    assert _run(capsys, *argv, "--out", str(tmp_path / "out")) == (1, plain, "")
+    assert (tmp_path / "out" / "decisions.txt").read_text().endswith(plain)
+
+
+def test_decide_filter_cutoff_above_the_grid_nyquist(tmp_path, capsys):
+    # the grid's Nyquist frequency here is 8e5 Hz; the sampling step stays at the grid's own
+    for f0 in ("7e5", "8.5e5", "1e7"):
+        code, out, err = _run(capsys, "decide", "--oracle", "analog", "--f0", f0,
+                              "--out", str(tmp_path / f0), "3 2 5")
+        assert (code, err) == (1, "")
+        assert "dc_volts=0.230769231\n" in out
+        assert (tmp_path / f0 / "trace.csv").is_file()
+    # frequency errors keep the training runs on the grid
+    code, out, err = _calibrate(capsys, tmp_path, ["3 2 5"], ["2 3 4"],
+                                "cutoff_f0=1e7\nfreq_error_sigma=1e-6\n")
+    assert (code, err) == (0, "")
+    assert "separable=1\n" in out
 
 
 def test_decide_batch_jobs_match(tmp_path, capsys):

@@ -1,0 +1,203 @@
+"""The harmonic engine against the grid: noise-free DCs, the ideal chain, the
+adjoint noise and the route `calibration.measure_dc` takes."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cospart import calibration, harmonic, pipeline
+from cospart.calibration import measure_dc, run_and_measure
+from cospart.dsp import FilterSpec
+from cospart.exact import ideal_dc
+from cospart.instances import CpiInstance, parse_instance
+from cospart.pipeline import GridTooLargeError, NonidealityConfig, grid_step, \
+    points_per_period, stage_noise_rng
+
+EPS = np.finfo(float).eps
+
+
+def _nonideal_chain(k: int) -> tuple[CpiInstance, NonidealityConfig, FilterSpec]:
+    """Seeded chain k: offsets, Z, input offsets, phase errors, and each pole model in turn.
+
+    Even k take per-stage and per-source sequences; k = 0 mod 3 sets a hard
+    pole's f* at the first source's nominal frequency.
+    """
+    rng = np.random.default_rng([7, k])
+    n = int(rng.integers(2, 11))
+    values = tuple(int(v) for v in rng.integers(1, 300, n))
+    model = ("hard", "one-pole", "none")[k % 3]
+    f_star = float(rng.choice([1e9, 1e6])) if k % 3 else 1e4 * values[0]
+    seq = k % 2 == 0
+
+    def per_stage(lo, hi, count):
+        return tuple(rng.uniform(lo, hi, count)) if seq else float(rng.uniform(lo, hi))
+
+    cfg = NonidealityConfig(
+        mult_output_offset=per_stage(-6e-3, 6e-3, n - 1),
+        mult_input_offset=per_stage(-2e-3, 2e-3, n - 1),
+        z_compensation=tuple(rng.uniform(-6e-3, 6e-3, n - 1)) if seq else (),
+        source_amplitude=per_stage(0.8, 1.2, n),
+        amp_offset=2.5e-4, phase_error_sigma=0.05, bandwidth_model=model,
+        bandwidth_f_star=f_star, seed=k)
+    spec = (FilterSpec("brickwall", 5000.0),
+            FilterSpec("one-pole", 5000.0, order=2, per_stage_gain=2.0))[k % 2]
+    return CpiInstance(values), cfg, spec
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_noise_free_dc_matches_the_grid(k):
+    inst, cfg, spec = _nonideal_chain(k)
+    chain = harmonic.fold(inst, cfg, spec)
+    assert not chain.clips(cfg.supply_voltage)
+    dc, trace, _ = run_and_measure(inst, cfg, spec)
+    # float64 residue: m rounded samples, each within eps of the largest node bound
+    m = points_per_period(inst, cfg)
+    bound = m * EPS * abs(spec.dc_gain) * max(1.0, *chain.node_bound)
+    assert abs(chain.dc - dc) <= bound
+    # every harmonic of the final stage output, not just its DC line
+    half = inst.total // inst.gcd
+    grid = np.fft.rfft(trace.final.samples)[:half + 1] / m
+    assert np.max(np.abs(chain.coefficients[half:] - grid)) <= bound
+
+
+def test_hard_pole_edge_falls_on_the_grids_side():
+    # 3·2 puts a line on harmonic 5, which the 5 brings back to DC
+    inst, spec = parse_instance("3 2 5"), FilterSpec("brickwall", 5000.0)
+    m = points_per_period(inst, NonidealityConfig())
+    edge = np.fft.rfftfreq(m, d=grid_step(inst, NonidealityConfig()))[5]
+    for f_star, passes in ((edge, True), (np.nextafter(edge, 0.0), False)):
+        cfg = NonidealityConfig(bandwidth_model="hard", bandwidth_f_star=float(f_star))
+        dc = run_and_measure(inst, cfg, spec)[0]
+        assert (dc > 0.1) == passes
+        assert harmonic.fold(inst, cfg, spec).dc == pytest.approx(dc, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=10),
+       st.sampled_from([FilterSpec("brickwall", 5000.0), FilterSpec("none", 5000.0),
+                        FilterSpec("one-pole", 5000.0, order=3, per_stage_gain=2.0)]))
+def test_ideal_chain_dc_is_ideal_dc_without_a_grid(values, spec):
+    inst = CpiInstance(tuple(values))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ideal chain built a grid")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibration, "run_cascade", refuse)
+        dc, sampled = measure_dc(inst, NonidealityConfig.ideal(), spec)
+    assert sampled is None
+    # each stage rounds once in mult_scale and once in amp_gain
+    assert dc == pytest.approx(spec.dc_gain * float(ideal_dc(inst)),
+                               rel=4 * inst.n * EPS, abs=0.0)
+
+
+# The 5e-5 and 1-5e-5 quantiles of chi-square with 60 degrees of freedom, over
+# 60: the mean of 60 squared standard normals lies between them with
+# probability 0.9999.
+_CHI2_60 = (0.440, 1.872)
+
+
+@pytest.mark.parametrize("inst, cfg", [
+    (parse_instance("3 1 4 1 5 9"), NonidealityConfig.ideal(noise_sigma=1e-3)),
+    (parse_instance("3 1 4 1 5 9"), NonidealityConfig.ideal(noise_sigma=1e-3, oversample=64)),
+    (parse_instance("12 7 30 22 5 17 9 26 14 3"),
+     NonidealityConfig(mult_output_offset=4e-3, amp_offset=2.5e-4, bandwidth_f_star=1e6,
+                       noise_sigma=1e-4, phase_error_sigma=0.05)),
+    (parse_instance("12 7 30 22 5"),
+     NonidealityConfig(mult_output_offset=4e-3, bandwidth_model="hard",
+                       bandwidth_f_star=4e5, noise_sigma=1e-3)),
+], ids=["ideal-16", "ideal-64", "nonideal-one-pole", "nonideal-hard"])
+def test_adjoint_sigma_matches_the_grid_spread(inst, cfg):
+    spec = FilterSpec("brickwall", 5000.0)
+    z2 = []
+    for seed in range(60):
+        seeded = replace(cfg, seed=seed)
+        chain = harmonic.fold(inst, seeded, spec)
+        assert not chain.clips(cfg.supply_voltage) and chain.sigma > 0
+        z2.append(((run_and_measure(inst, seeded, spec)[0] - chain.dc) / chain.sigma) ** 2)
+    assert _CHI2_60[0] <= np.mean(z2) <= _CHI2_60[1]
+
+
+def test_adjoint_sigma_is_the_grid_response_to_each_noise_sample(monkeypatch):
+    # each stage's DC is linear in its m noise samples, with weights w_j; the
+    # grid's response to a small pulse on each sample gives every w_j, and the
+    # DC's variance from that stage is sigma^2 * sum(w_j^2)
+    inst, spec = parse_instance("1 2 1 2"), FilterSpec("brickwall", 5000.0)
+    cfg = NonidealityConfig(mult_output_offset=4e-3, mult_input_offset=1e-3,
+                            phase_error_sigma=1.0, bandwidth_f_star=3e4, seed=3)
+    chain = harmonic.fold(inst, replace(cfg, noise_sigma=1e-3), spec)
+    m, size = points_per_period(inst, cfg), 1e-3
+    pulses = {}
+    monkeypatch.setattr(pipeline, "_stage_noise", lambda cfg, stage, m: pulses.get(stage))
+    base = run_and_measure(inst, cfg, spec)[0]
+    for stage in range(inst.n - 1):
+        weights = []
+        for j in range(m):
+            pulses = {stage: np.where(np.arange(m) == j, size, 0.0)}
+            weights.append((run_and_measure(inst, cfg, spec)[0] - base) / size)
+        assert chain.stage_sigma[stage] == pytest.approx(
+            1e-3 * math.sqrt(sum(w * w for w in weights)), rel=1e-6)
+
+
+def test_noise_sigma_falls_as_the_square_root_of_the_grid():
+    inst, spec = parse_instance("3 1 4 1 5 9"), FilterSpec("brickwall", 5000.0)
+    coarse = harmonic.fold(inst, NonidealityConfig.ideal(noise_sigma=1e-3), spec)
+    fine = harmonic.fold(inst, NonidealityConfig.ideal(noise_sigma=1e-3, oversample=64), spec)
+    m16 = points_per_period(inst, NonidealityConfig.ideal())
+    m64 = points_per_period(inst, NonidealityConfig.ideal(oversample=64))
+    assert fine.sigma == pytest.approx(coarse.sigma * math.sqrt(m16 / m64), rel=1e-12)
+
+
+def test_measure_dc_in_domain_draws_one_normal_per_stage():
+    inst, spec = parse_instance("3 2 5 4"), FilterSpec("brickwall", 5000.0)
+    cfg = NonidealityConfig(mult_output_offset=4e-3, noise_sigma=1e-3, seed=4)
+    chain = harmonic.fold(inst, cfg, spec)
+    noise = sum(s * stage_noise_rng(cfg, k).standard_normal()
+                for k, s in enumerate(chain.stage_sigma))
+    assert len(chain.stage_sigma) == 3
+    assert measure_dc(inst, cfg, spec) == (chain.dc + noise, None)
+
+
+@pytest.mark.parametrize("cfg", [
+    NonidealityConfig(freq_error_sigma=1e-6, noise_sigma=1e-4, seed=2),
+    NonidealityConfig(mult_output_offset=5.0, amp_offset=8.0, seed=2),  # clips
+    NonidealityConfig(noise_sigma=2.0, seed=2),  # within 8 noise RMS of the rails
+], ids=["freq-error", "clipping", "noise-near-rails"])
+def test_out_of_domain_is_the_grid_bit_for_bit(cfg):
+    inst, spec = parse_instance("3 2 5"), FilterSpec("brickwall", 5000.0)
+    if cfg.freq_error_sigma:
+        with pytest.raises(ValueError, match="frequency errors"):
+            harmonic.fold(inst, cfg, spec)
+    else:
+        assert harmonic.fold(inst, cfg, spec).clips(cfg.supply_voltage)
+    dc, sampled = measure_dc(inst, cfg, spec)
+    grid_dc, _, grid_sampled = run_and_measure(inst, cfg, spec)
+    assert dc == grid_dc
+    assert np.array_equal(sampled.values, grid_sampled.values)
+
+
+def test_measure_dc_guards_before_the_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine ran before the guards")
+
+    monkeypatch.setattr(harmonic, "fold", refuse)
+    spec = FilterSpec("brickwall", 5000.0)
+    with pytest.raises(GridTooLargeError):
+        measure_dc(parse_instance("2 125001 5"), NonidealityConfig(), spec)
+    with pytest.raises(ValueError, match="mult_output_offset sequence must have 2"):
+        measure_dc(parse_instance("3 2 5"), NonidealityConfig(mult_output_offset=(1e-3,)), spec)
+
+
+def test_fold_refuses_too_many_harmonics():
+    inst = CpiInstance((1, harmonic.MAX_HARMONICS))
+    with pytest.raises(harmonic.HarmonicsTooLargeError, match="harmonics"):
+        harmonic.fold(inst, NonidealityConfig.ideal(), FilterSpec("none", 1.0))
+
+
+def test_single_value_has_no_stage():
+    inst, spec = parse_instance("4"), FilterSpec("brickwall", 5000.0)
+    chain = harmonic.fold(inst, NonidealityConfig(noise_sigma=1e-3), spec)
+    assert chain.dc == 0.0 and chain.stage_sigma == () and chain.node_bound == ()
