@@ -6,20 +6,31 @@ Three exact decision routes are kept:
   with the other routes, which are tested against it.
 - `decide_dp` computes subset-sum reachability of total/2 in a big-int
   bitmask: about n*(total/2+1)/64 word operations.
-- `decide_meet_in_middle` (Horowitz and Sahni, J. ACM 1974) lists each
-  half's distinct subset sums in sorted order and looks up total/2 - x in
-  the other half: about (n/2+1)*2**ceil(n/2) operations, whatever the
-  magnitudes.
+- `decide_meet_in_middle` (Horowitz and Sahni, J. ACM 1974) lists the
+  distinct subset sums of two halves in sorted order and looks for a pair
+  that reaches the target: about (n/2+1)*2**ceil(n/2) operations at most,
+  whatever the magnitudes.
 
 `solve_exact` takes whichever of DP and MIM costs fewer operations by these
-estimates, DP only within `DP_MAX_CELLS` cells.  Both halves' sorted
-distinct sums come from one kernel, `_subset_sums`.  Its first 12 values
-give one table of all 4096 subset sums, sorted once; each later value
-merges the sorted sums s with the sorted s + a and drops repeats, which
-keeps colliding sums (SAT reductions) few.  It can tag each sum with the
-number of subsets behind it, which gives `ideal_dc` from the same two
-halves.  The match searches each sum of the half with fewer distinct sums
-in the other half.
+estimates, DP only within `DP_MAX_CELLS` cells.
+
+Every balanced sign vector or its negation has (one copy of) the largest
+value a_max on its + side, so MIM pins it there: the other values must reach
+target = total/2 - a_max, values above the target drop out, and a negative
+target is NO.  The rest split into two halves by multiplicity.  Equal values
+stay in one half, whose c copies of a value add only c+1 sums, and the
+groups go, most copies first, to the half with the smaller product of
+(c+1); the colliding values of SAT reductions then give two halves of equal
+size, not one large one.  Both halves' sorted distinct sums come from one
+kernel, `_subset_sums`.  Its first 12 values give one table of all 4096
+subset sums, sorted once; each later value merges the sorted sums s with
+the sorted s + a and drops repeats.  The decision only asks whether a pair
+exists: it sorts one half's sums with the target minus the other's, two
+ascending runs that a stable sort merges, and looks for equal neighbours.
+`ideal_dc` counts the pairs: the kernel tags each sum with the number of
+subsets behind it, `_match` finds every pair of sums that reaches the
+target, and each pair adds the product of its tags, twice (the pinned value
+on either side).
 
 Spectrum amplitudes use the time-average convention: the line at frequency
 w carries (number of sign vectors summing to w) / 2**n, which is directly
@@ -30,6 +41,7 @@ angular-frequency Fourier transform differs by a constant sqrt(2*pi).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -42,7 +54,8 @@ from .instances import CpiInstance
 _ENUM_CHUNK = 22
 # Values listed as one table of every subset sum before the kernel merges.
 _TABLE_BITS = 12
-# Guard of the meet-in-the-middle kernel: each half lists at most 2**22 sums.
+# Guard of the meet-in-the-middle kernel: besides the pinned value, each half
+# lists at most 2**22 sums.
 MAX_MIM_N = 44
 # Guard of the 2**n sign-vector enumeration in `decide_bruteforce`.
 MAX_ENUM_N = 30
@@ -173,21 +186,42 @@ def _subset_sums(values: tuple[int, ...],
     return sums, tags
 
 
-def _halves(inst: CpiInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    mid = inst.n // 2
-    return inst.values[:mid], inst.values[mid:]
+def _halves(inst: CpiInstance) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Two halves of the values besides one pinned copy of the largest, and their target.
+
+    Every balanced sign vector or its negation has the largest value a_max
+    on its + side, so the other + values must sum to target = total/2 -
+    a_max.  Values above the target drop out; a negative target leaves both
+    halves empty and no pair of sums can reach it.  Equal values stay in one
+    half: groups of c equal values go, by falling c and then ascending
+    value, to the half with the smaller product of (c+1) over its groups,
+    the bound on its distinct sums (the left half on ties).
+    """
+    a_max = max(inst.values)
+    target = inst.total // 2 - a_max
+    counts = Counter(inst.values)
+    counts[a_max] -= 1
+    groups = sorted(((c, a) for a, c in counts.items() if c and a <= target),
+                    key=lambda g: (-g[0], g[1]))
+    halves: tuple[list[int], list[int]] = ([], [])
+    bounds = [1, 1]
+    for c, a in groups:
+        side = bounds[1] < bounds[0]
+        halves[side].extend([a] * c)
+        bounds[side] *= c + 1
+    return tuple(halves[0]), tuple(halves[1]), target
 
 
-def _match(left: np.ndarray, right: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices i, j of every pair of sorted distinct sums with left[i] + right[j] == half.
+def _match(left: np.ndarray, right: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices i, j of every pair of sorted distinct sums with left[i] + right[j] == target.
 
     The smaller side's needs are searched in the larger side.  The pairs
     come in no promised order.
     """
     if len(left) > len(right):
-        j, i = _match(right, left, half)
+        j, i = _match(right, left, target)
         return i, j
-    need = half - left
+    need = target - left
     j = np.minimum(np.searchsorted(right, need), len(right) - 1)
     hit = right[j] == need
     return np.flatnonzero(hit), j[hit]
@@ -196,18 +230,19 @@ def _match(left: np.ndarray, right: np.ndarray, half: int) -> tuple[np.ndarray, 
 def ideal_dc(inst: CpiInstance) -> Fraction:
     """Mean of the cosine product over one period: (balanced vectors) / 2**n.
 
-    A sign vector balances when its + positions sum to total/2, so the
-    numerator is the sum over x of c_L[x] * c_R[total/2 - x], where c_L and
-    c_R count the subsets of each half by their sum.  It is at most 2**n.
+    A sign vector balances when its + positions sum to total/2.  With the
+    largest value pinned to the + side (`_halves`), the numerator is twice
+    the sum over x of c_L[x] * c_R[target - x], where c_L and c_R count the
+    subsets of each half by their sum.  It is at most 2**n.
     """
     if inst.total % 2:
         return Fraction(0)
     _check_mim_guard(inst)
-    lo, hi = _halves(inst)
+    lo, hi, target = _halves(inst)
     left, c_left = _subset_sums(lo, "count")
     right, c_right = _subset_sums(hi, "count")
-    i, j = _match(left, right, inst.total // 2)
-    return Fraction(int(np.dot(c_left[i], c_right[j])), 2**inst.n)
+    i, j = _match(left, right, target)
+    return Fraction(2 * int(np.dot(c_left[i], c_right[j])), 2**inst.n)
 
 
 def _dp_reachable(values: tuple[int, ...], half: int) -> int:
@@ -229,6 +264,9 @@ def _dp_is_cheaper(inst: CpiInstance) -> bool:
 
     DP shifts a (total/2+1)-bit mask once per value, n*cells/64 words; MIM
     merges up to 2**ceil(n/2) sums in n/2+1 steps, (n/2+1)*2**ceil(n/2).
+    With the pinned value, the dropped values and the halves balanced by
+    multiplicity, that MIM estimate is an upper bound.  It is kept as it is
+    on purpose, so that the dispatch between the routes does not move.
     """
     n, cells = inst.n, _dp_budget_cells(inst)
     return cells <= DP_MAX_CELLS and n * cells <= 32 * (n + 2) * 2 ** ((n + 1) // 2)
@@ -250,9 +288,12 @@ def decide_meet_in_middle(inst: CpiInstance) -> bool:
     if inst.total % 2:
         return False
     _check_mim_guard(inst)
-    lo, hi = _halves(inst)
-    hits, _ = _match(_subset_sums(lo)[0], _subset_sums(hi)[0], inst.total // 2)
-    return len(hits) > 0
+    lo, hi, target = _halves(inst)
+    # two ascending runs of distinct sums: the stable sort merges them, and
+    # a pair reaches the target exactly where two neighbours are equal
+    merged = np.concatenate([_subset_sums(hi)[0], target - _subset_sums(lo)[0][::-1]])
+    merged.sort(kind="stable")
+    return not _run_starts(merged).all()
 
 
 def solve_exact(inst: CpiInstance) -> bool:

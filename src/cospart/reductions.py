@@ -173,23 +173,18 @@ def sat_to_partition(f: CnfFormula) -> CpiInstance:
     n_clauses = len(clauses)
     n_vars = len(active)
 
-    numbers: list[int] = []
+    pw = [6 ** k for k in range(n_clauses + n_vars)]
+    # the true and false numbers of each active variable, keyed by literal
+    lit_num: dict[int, int] = {}
     for col, v in enumerate(active):
-        t_num = 6 ** (n_clauses + col)
-        f_num = 6 ** (n_clauses + col)
-        for j, clause in enumerate(clauses):
-            if v in clause:
-                t_num += 6 ** j
-            if -v in clause:
-                f_num += 6 ** j
-        numbers.append(t_num)
-        numbers.append(f_num)
-    for j in range(n_clauses):
-        numbers.append(6 ** j)
-        numbers.append(6 ** j)
+        lit_num[v] = lit_num[-v] = pw[n_clauses + col]
+    for j, clause in enumerate(clauses):  # widened clauses repeat no literal
+        for lit in clause:
+            lit_num[lit] += pw[j]
+    numbers = [lit_num[s * v] for v in active for s in (1, -1)]
+    numbers += [p for p in pw[:n_clauses] for _ in range(2)]
 
-    target = sum(6 ** (n_clauses + i) for i in range(n_vars)) \
-        + sum(3 * 6 ** j for j in range(n_clauses))
+    target = sum(pw[n_clauses:]) + 3 * sum(pw[:n_clauses])
     total = sum(numbers)
     required_bits = (4 * total).bit_length()
     if required_bits > _BUDGET_BITS:

@@ -1,10 +1,12 @@
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cospart import exact
 from cospart.calibration import decide_analog
@@ -175,6 +177,68 @@ _MIM_ANSWERS = (
 
 def test_mim_answers_pinned():
     assert tuple(decide_meet_in_middle(inst) for inst in _mim_corpus()) == _MIM_ANSWERS
+
+
+# multisets that share many equal values, and ones whose largest value is at
+# least half the total (exactly half when ``extra`` is 0)
+_DUPLICATES = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=16)
+_DOMINANT = st.builds(lambda rest, extra: [sum(rest) + extra] + rest,
+                      st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=10),
+                      st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_DUPLICATES, _DOMINANT))
+def test_pinned_split_agrees_with_enumeration(values):
+    inst = CpiInstance(tuple(values))
+    answer = decide_bruteforce(inst)
+    assert decide_meet_in_middle(inst) == solve_exact(inst) == answer
+    assert ideal_dc(inst) * 2**inst.n == exact._zero_sign_count(inst.values)
+
+
+def _sat_reductions():
+    return [inst for inst in _mim_corpus() if inst.n == 34][-6:]
+
+
+def test_pinned_halves_of_sat_reductions():
+    # the pinned padding number drops its partner; twelve literal numbers and
+    # ten slack pairs split into six literals and five pairs a side, 2**6 * 3**5
+    # sums (split at position n/2, the left half listed 73,728)
+    for inst in _sat_reductions():
+        lo, hi, _ = exact._halves(inst)
+        assert max(len(exact._subset_sums(h)[0]) for h in (lo, hi)) <= 15_552
+
+
+@pytest.mark.parametrize("route, bound_kb", [(decide_meet_in_middle, 768), (ideal_dc, 1536)])
+def test_mim_peak_memory_on_sat_reductions(route, bound_kb):
+    # with numpy 2.4 the peaks are 486 KB and 1,070 KB; split at position n/2
+    # they were 1,572 KB and 3,781 KB
+    for inst in _sat_reductions():
+        tracemalloc.start()
+        try:
+            route(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_kb * 1024, (route.__name__, peak)
+
+
+@settings(max_examples=300)
+@example(list(range(44)))  # 43 distinct values besides the pinned one: 2**22 and 2**21
+@given(st.integers(min_value=1, max_value=43).flatmap(
+    lambda k: st.lists(st.integers(min_value=0, max_value=k), min_size=1, max_size=exact.MAX_MIM_N)))
+def test_halves_keep_the_mim_guard_promise(labels):
+    # values of one magnitude, so none exceeds the target once n >= 4; the
+    # alphabet size k sets how many repeat
+    inst = CpiInstance(tuple(1000 + label for label in labels))
+    lo, hi, _ = exact._halves(inst)
+    assert not set(lo) & set(hi)  # equal values stay in one half
+    for half in (lo, hi):
+        bound = 1
+        for c in Counter(half).values():
+            bound *= c + 1
+        # at most 2**ceil(n/2) sums: `_dp_is_cheaper`'s estimate bounds the halves
+        assert bound <= 2 ** ((inst.n + 1) // 2) <= 2**22
 
 
 def _refuse(name):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cospart import reductions
 from cospart.exact import decide_dp, solve_exact
 from cospart.pipeline import GridTooLargeError, NonidealityConfig, points_per_period
 from cospart.reductions import (CnfFormula, ExtractionError,
@@ -157,6 +158,39 @@ def test_reduction_agrees_with_truth_table_random(seed):
     f = _random_formula(rng, max_vars=6, max_clauses=10)
     inst = sat_to_partition(f)
     assert solve_exact(inst) == _truth_table_sat(f)
+
+
+def _reduction_by_columns(f: CnfFormula) -> tuple[int, ...]:
+    """The digit construction written column by column, as a reference."""
+    max_var = max(abs(l) for cl in f.clauses for l in cl)
+    clauses = reductions._widen_to_3cnf(f.clauses, max_var + 1)
+    active = sorted({abs(l) for cl in clauses for l in cl})
+    m = len(clauses)
+    numbers = []
+    for col, v in enumerate(active):
+        for lit in (v, -v):
+            numbers.append(6 ** (m + col) + sum(6 ** j for j, cl in enumerate(clauses) if lit in cl))
+    numbers += [6 ** j for j in range(m) for _ in range(2)]
+    total = sum(numbers)
+    target = sum(6 ** (m + i) for i in range(len(active))) + sum(3 * 6 ** j for j in range(m))
+    return tuple(numbers) + (total + target, 2 * total - target)
+
+
+_LITERAL = st.integers(min_value=-6, max_value=6).filter(bool)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_LITERAL, min_size=1, max_size=5), min_size=1, max_size=10))
+def test_reduction_matches_the_column_construction(clauses):
+    # wide clauses, repeated literals and both polarities of one variable in a clause
+    f = CnfFormula(6, tuple(map(tuple, clauses)))
+    want = _reduction_by_columns(f)
+    bits = (4 * sum(want[:-2])).bit_length()
+    if bits > 62:
+        with pytest.raises(ReductionOverflowError, match=f"needs {bits}-bit integers"):
+            sat_to_partition(f)
+    else:
+        assert sat_to_partition(f).values == want
 
 
 def test_extract_witness_unique_model():
