@@ -25,6 +25,7 @@ unit-amplitude source is within about 2e-14 V of the exact cosine.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence, Union
@@ -159,10 +160,12 @@ def _check_same_grid(x: Signal, y: Signal) -> None:
         raise ValueError("signals are not on the same grid")
 
 
+@functools.lru_cache
 def next_smooth_length(n: int) -> int:
     """Smallest 2·3·5·7-smooth integer at or above ``n`` (1 for n <= 1).
 
     FFTs of such lengths avoid numpy's slow path for large prime factors.
+    Cached: one analogue decision asks for its grid's length three times.
     """
     best = 1 << max(n - 1, 0).bit_length()
     p7 = 1
@@ -542,10 +545,11 @@ def config_to_text(cfg: NonidealityConfig) -> str:
     lines = []
     for f in sorted(fields(cfg), key=lambda f: f.name):
         v = getattr(cfg, f.name)
+        # `x or 0.0` writes -0.0 as 0: the two compare equal, so one chain has one text
         if isinstance(v, tuple):
-            lines.append(f"{f.name}={','.join(f'{x:.12g}' for x in v)}")
+            lines.append(f"{f.name}={','.join(f'{x or 0.0:.12g}' for x in v)}")
         elif isinstance(v, float):
-            lines.append(f"{f.name}={v:.12g}")
+            lines.append(f"{f.name}={v or 0.0:.12g}")
         else:
             lines.append(f"{f.name}={v}")
     return "\n".join(lines) + "\n"

@@ -260,6 +260,17 @@ def test_decision_record_fields(ideal_cfg, brickwall):
     assert items["seed"] == "0"
 
 
+def test_negative_zero_is_the_same_chain(brickwall):
+    # -0.0 == 0.0, so configs that differ only in a zero's sign are one chain
+    plus = NonidealityConfig(amp_offset=0.0, mult_output_offset=(4e-3, 0.0))
+    minus = NonidealityConfig(amp_offset=-0.0, mult_output_offset=(4e-3, -0.0))
+    assert plus == minus
+    assert chain_digest(plus, brickwall) == chain_digest(minus, brickwall)
+    thr = bootstrap_threshold([parse_instance("3 2 5")], [parse_instance("3 6 4")],
+                              plus, brickwall)
+    assert decide_analog(parse_instance("3 2 5"), minus, brickwall, thr).answer == "YES"
+    assert decide_analog(parse_instance("3 6 4"), minus, brickwall, thr).answer == "NO"
+
 def test_threshold_round_trip():
     thr = DecisionThreshold(cut=0.12, no_band_max=0.07, yes_band_min=0.2,
                             training_size=4, separable=True, chain="0123456789ab")

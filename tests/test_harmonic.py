@@ -15,6 +15,7 @@ from cospart.exact import ideal_dc
 from cospart.instances import CpiInstance, parse_instance
 from cospart.pipeline import GridTooLargeError, NonidealityConfig, grid_step, \
     points_per_period, stage_noise_rng
+from conftest import tracemalloc_peak
 
 EPS = np.finfo(float).eps
 
@@ -201,3 +202,70 @@ def test_single_value_has_no_stage():
     inst, spec = parse_instance("4"), FilterSpec("brickwall", 5000.0)
     chain = harmonic.fold(inst, NonidealityConfig(noise_sigma=1e-3), spec)
     assert chain.dc == 0.0 and chain.stage_sigma == () and chain.node_bound == ()
+
+
+def test_fold_peaks_under_two_coefficient_arrays():
+    # two buffers of K+1, the pole's K+1 floats and one temporary: 1.75 arrays of 2K+1;
+    # the superincreasing YES instance 1 2 4 … 2^12 2^13-1 has K = 2^14 - 2
+    inst = CpiInstance(tuple(1 << i for i in range(13)) + ((1 << 13) - 1,))
+    spec = FilterSpec("brickwall", 5000.0)
+    cfg = NonidealityConfig(bandwidth_f_star=1e12, noise_sigma=1e-4)
+    half = inst.total // inst.gcd
+    assert half == 16_382
+    harmonic.fold(inst, cfg, spec)  # imports and caches outside the trace
+    chain, peak = tracemalloc_peak(lambda: harmonic.fold(inst, cfg, spec))
+    assert not chain.clips(cfg.supply_voltage)
+    assert peak < 2 * 16 * (2 * half + 1)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_coefficients_are_hermitian_and_bound_the_output(k):
+    inst, cfg, spec = _nonideal_chain(k)
+    chain = harmonic.fold(inst, cfg, spec)
+    half = inst.total // inst.gcd
+    c = chain.coefficients
+    assert len(c) == 2 * half + 1 and np.array_equal(c[half:], chain.harmonics)
+    assert np.array_equal(c[:half], np.conj(c[:half:-1]))
+    assert c[half].imag == 0.0
+    assert chain.node_bound[-1] == pytest.approx(float(np.abs(c).sum()), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=6), st.integers(0, 60),
+       st.booleans(), st.sampled_from(["hard", "one-pole", "none"]),
+       st.sampled_from([3e4, 2e5, 1e6]), st.floats(-2e-3, 2e-3), st.integers(0, 2**16))
+def test_fold_dc_matches_the_grid_on_random_chains(rest, above, largest_first, model, f_star,
+                                                   off_in, seed):
+    # the largest value first makes every later shift h fall below the accumulated
+    # length L; last, and above the sum of the rest, it falls above
+    largest = max(rest) + above
+    values = (largest, *rest) if largest_first else (*rest, largest)
+    inst, spec = CpiInstance(values), FilterSpec("brickwall", 5000.0)
+    cfg = NonidealityConfig(mult_output_offset=3e-3, mult_input_offset=off_in,
+                            amp_offset=2.5e-4, phase_error_sigma=0.05,
+                            bandwidth_model=model, bandwidth_f_star=f_star, seed=seed)
+    chain = harmonic.fold(inst, cfg, spec)
+    assert not chain.clips(cfg.supply_voltage)
+    dc = run_and_measure(inst, cfg, spec)[0]
+    m = points_per_period(inst, cfg)
+    assert abs(chain.dc - dc) <= m * EPS * abs(spec.dc_gain) * max(1.0, *chain.node_bound)
+
+
+@pytest.mark.parametrize("text", ["4", "3 5", "5 3", "4 4"])
+def test_one_and_two_values_match_the_grid(text):
+    # n = 1 runs no adjoint stage and n = 2 one; either way the forward pass
+    # then starts in a buffer the adjoint wrote
+    inst, spec = parse_instance(text), FilterSpec("brickwall", 5000.0)
+    cfg = NonidealityConfig(mult_output_offset=4e-3, mult_input_offset=1e-3,
+                            amp_offset=2.5e-4, phase_error_sigma=0.3, seed=5)
+    chain = harmonic.fold(inst, replace(cfg, noise_sigma=1e-3), spec)
+    half, m = inst.total // inst.gcd, points_per_period(inst, cfg)
+    dc, trace, _ = run_and_measure(inst, cfg, spec)
+    bound = m * EPS * abs(spec.dc_gain) * max((1.0, *chain.node_bound))
+    assert abs(chain.dc - dc) <= bound
+    grid = np.fft.rfft(trace.final.samples)[:half + 1] / m
+    assert len(chain.harmonics) == half + 1
+    assert np.max(np.abs(chain.harmonics - grid)) <= bound
+    # the one stage's noise reaches the DC through the amplifier and the filter's DC gain
+    expected = (1e-3 * abs(cfg.amp_gain * spec.dc_gain) / math.sqrt(m),) * (inst.n - 1)
+    assert chain.stage_sigma == pytest.approx(expected, rel=1e-15)
