@@ -14,13 +14,12 @@ numpy transforms quickly.
 stage leaves a `StageSummary` instead of its node arrays.  A source is a
 `Tone`, tables of about √m cos and sin values, made only when its stage
 needs it; the stage's product forms its samples block by block, so no
-source is ever a grid array.  Tones and noise draws depend only on the
-seed and the stage, so one helper thread makes them ahead: the next
-stage's while the main thread runs a stage's product, pole FFTs and
-amplifier.  Peak memory is three and a half grid arrays plus about 64 KB,
-whatever the number of values.  The cascade is bit-identical to a hand
-fold of `synthesize_sources`, `multiply_stage` and `amplify`, and a
-unit-amplitude source is within about 2e-14 V of the exact cosine.
+source is ever a grid array.  The cascade is one loop on the caller's
+thread, and each stage draws its own noise.  Peak memory is two and a half
+grid arrays plus about 64 KB, whatever the number of values.  The cascade
+is bit-identical to a hand fold of `synthesize_sources`, `multiply_stage`
+and `amplify`, and a unit-amplitude source is within about 2e-14 V of the
+exact cosine.
 """
 
 from __future__ import annotations
@@ -86,10 +85,13 @@ class NonidealityConfig:
             raise ValueError(f"bandwidth_model must be one of {BANDWIDTH_MODELS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in _SEQ_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)):
-                object.__setattr__(self, name, tuple(float(x) for x in v))
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in _SEQ_FIELDS and not isinstance(v, (int, float)):
+                object.__setattr__(self, f.name, tuple(float(x) for x in v))
+            elif isinstance(f.default, float):
+                # an int such as 10**20 becomes the float it equals: one chain, one text
+                object.__setattr__(self, f.name, float(v))
 
     @classmethod
     def ideal(cls, seed: int = 0, **overrides) -> "NonidealityConfig":
@@ -319,8 +321,7 @@ def _source_maker(inst: CpiInstance, cfg: NonidealityConfig,
     """Draw every source's frequency error and phase; return ``source(i)``.
 
     The draws come first, in one fixed order, so making the sources one at
-    a time gives the same tones as making them all.  ``source`` only reads
-    them, so any thread may call it.
+    a time gives the same tones as making them all.
     """
     if periods < 1:
         raise ValueError("periods must be at least 1")
@@ -388,8 +389,8 @@ def stage_noise_rng(cfg: NonidealityConfig, stage: int) -> np.random.Generator:
 def _stage_noise(cfg: NonidealityConfig, stage: int, m: int) -> Optional[np.ndarray]:
     """The additive noise of multiplier ``stage`` on an m-point grid; None without noise.
 
-    Drawn from `stage_noise_rng`.  It does not depend on the signal, so
-    `run_cascade` draws it ahead, on its helper thread.
+    Drawn from `stage_noise_rng`, so it depends only on the seed and the
+    stage; `multiply_stage` draws it when it adds it.
     """
     if cfg.noise_sigma > 0:
         noise = stage_noise_rng(cfg, stage).standard_normal(m)
@@ -398,7 +399,7 @@ def _stage_noise(cfg: NonidealityConfig, stage: int, m: int) -> Optional[np.ndar
     return None
 
 
-def multiply_stage(x: Signal, y: Union[Signal, Tone, list], cfg: NonidealityConfig,
+def multiply_stage(x: Signal, y: Union[Signal, Tone], cfg: NonidealityConfig,
                    stage: int = 0, pole: Optional[np.ndarray] = None,
                    out: Optional[np.ndarray] = None) -> Signal:
     """One four-quadrant multiplier: scaled product plus offsets, Z and noise.
@@ -407,16 +408,12 @@ def multiply_stage(x: Signal, y: Union[Signal, Tone, list], cfg: NonidealityConf
     + Z + noise -> supply clamp -> output bandwidth pole (clamped again, the
     pin cannot leave the rails).  ``pole`` is `_pole_response`'s gains for
     this grid, computed here when not given, and `zero_phase_filter` applies
-    them; the noise is `_stage_noise`'s draw.
+    them; the noise is `_stage_noise`'s draw, freed before the pole's FFTs.
     ``y`` is a `Signal` or a `Tone`, whose samples are formed block by block
-    inside the product; or the list ``[tone, noise]`` that `run_cascade`
-    makes ahead, which is emptied so the noise is freed before the pole's
-    FFTs.  The pin is written into ``out`` when given (``x.samples`` itself
-    may be), else into a new array, and the FFT round trip returns into it.
+    inside the product.  The pin is written into ``out`` when given
+    (``x.samples`` itself may be), else into a new array, and the FFT round
+    trip returns into it.
     """
-    handed = isinstance(y, list)
-    if handed:
-        y, noise = y.pop(0), y.pop()
     _check_same_grid(x, y)
     off_in = _per_stage(cfg.mult_input_offset, stage)
     off_out = _per_stage(cfg.mult_output_offset, stage)
@@ -429,11 +426,10 @@ def multiply_stage(x: Signal, y: Union[Signal, Tone, list], cfg: NonidealityConf
     out *= cfg.mult_scale
     out += off_out
     out += z
-    if not handed:
-        noise = _stage_noise(cfg, stage, len(out))
+    noise = _stage_noise(cfg, stage, len(out))
     if noise is not None:
         out += noise
-    del y, noise
+    del noise
     np.clip(out, -cfg.supply_voltage, cfg.supply_voltage, out=out)
     if pole is None:
         pole = _pole_response(x.m, x.dt, cfg)
@@ -478,21 +474,15 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
     2.2e-14 V, where ``np.cos`` of a float64 phase, the synthesis before
     tones, was off by up to 3.2e-11 V.
 
-    One helper thread makes what does not depend on the signal: while the
-    main thread runs stage k, the helper makes stage k+1's tone and draws
-    its noise (`_stage_noise`).  It calls no traced name, and an error it
-    raises is raised here unchanged.  The main thread calls `multiply_stage`
-    once per stage, handing it the tone and the noise to consume, and
-    writes the pin over the accumulator and the stage output over the pin.
-    A tone is a few KB and is formed inside the product, so however the two
-    threads interleave, and whatever n is, at most three and a half grid
-    arrays are alive: the accumulator, the stage's noise, the pole's gains
-    and the next stage's noise; during the pole's FFTs the spectrum takes
-    the place of the spent noise.  Beside them sits the tone's 64 KB of
-    scratch during the product; the pole's float gains scale the spectrum's
-    real and imaginary halves in place, with no complex copy.  Measured with
-    tracemalloc with the pole and noise: 3.54 arrays at 352,800 points, 3.84
-    at 32,256.  The bandwidth
+    The cascade runs on the caller's thread.  Each stage is one
+    `multiply_stage` call, which draws the stage's noise and writes the pin
+    over the accumulator; `amplify` then writes the stage output over the
+    pin.  A tone is a few KB and is formed inside the product, so whatever n
+    is, at most two and a half grid arrays are alive: the accumulator, the
+    stage's noise and the pole's float gains; during the pole's FFTs the
+    spectrum takes the place of the spent noise.  Beside them sits the
+    tone's 64 KB of scratch during the product.  Measured with tracemalloc
+    with the pole and noise: 2.51 arrays at 352,800 points.  The bandwidth
     warning flags instances whose summed frequency exceeds the multiplier
     limit (`bandwidth_exceeded`).
 
@@ -502,31 +492,17 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
     """
     validate_stage_sequences(cfg, inst.n)
     check_grid(inst, cfg, periods)
-    warn = bandwidth_exceeded(inst, cfg)
     source = _source_maker(inst, cfg, periods)
-    if inst.n == 1:
-        return PipelineTrace(final=source(0).signal(), bandwidth_warning=warn)
-    # imported here: a command that runs no cascade should not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    def stage_inputs(k: int) -> list:
-        y = source(k)
-        return [y, _stage_noise(cfg, k - 1, y.m)]
-
+    acc = source(0).signal()
+    pole = _pole_response(acc.m, acc.dt, cfg)
     stages = []
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cospart-sources") as helper:
-        ahead = helper.submit(stage_inputs, 1)
-        acc = source(0).signal()
-        pole = _pole_response(acc.m, acc.dt, cfg)
-        for k in range(1, inst.n):
-            inputs = ahead.result()
-            if k + 1 < inst.n:
-                ahead = helper.submit(stage_inputs, k + 1)
-            pin = multiply_stage(acc, inputs, cfg, stage=k - 1, pole=pole, out=acc.samples)
-            pin_dc = float(np.mean(pin.samples))
-            acc = amplify(pin, cfg, out=pin.samples)
-            stages.append(_summarize(pin_dc, acc, cfg))
-    return PipelineTrace(final=acc, bandwidth_warning=warn, stages=tuple(stages))
+    for k in range(1, inst.n):
+        pin = multiply_stage(acc, source(k), cfg, stage=k - 1, pole=pole, out=acc.samples)
+        pin_dc = float(np.mean(pin.samples))
+        acc = amplify(pin, cfg, out=pin.samples)
+        stages.append(_summarize(pin_dc, acc, cfg))
+    return PipelineTrace(final=acc, bandwidth_warning=bandwidth_exceeded(inst, cfg),
+                         stages=tuple(stages))
 
 
 def volts_csv(times: Sequence[float], volts: Sequence[float]) -> str:

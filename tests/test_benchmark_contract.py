@@ -62,8 +62,8 @@ def test_an_oracle_call_is_a_sat_call(monkeypatch, capsys, tmp_path, name):
 
 
 def test_each_stage_is_one_multiply_stage_span_in_run_cascade(monkeypatch, capsys, tmp_path):
-    # the tracer's span stack is not thread-safe: `run_cascade`'s helper thread
-    # calls no traced name, and the main thread opens one span per stage
+    # the tracer's span stack is not thread-safe: `run_cascade` runs on the
+    # caller's thread and opens one span per stage
     tracer = _load(monkeypatch, "tracer").Tracer()
     # frequency errors take the chain off its harmonics, so the decision runs the grid
     (tmp_path / "chain.cfg").write_text("freq_error_sigma=1e-6\n")

@@ -261,11 +261,16 @@ def test_decision_record_fields(ideal_cfg, brickwall):
 
 
 def test_negative_zero_is_the_same_chain(brickwall):
-    # -0.0 == 0.0, so configs that differ only in a zero's sign are one chain
+    # -0.0 == 0.0, so configs that differ only in a zero's sign are one chain;
+    # so are configs that differ only in an int and the float it equals
     plus = NonidealityConfig(amp_offset=0.0, mult_output_offset=(4e-3, 0.0))
     minus = NonidealityConfig(amp_offset=-0.0, mult_output_offset=(4e-3, -0.0))
-    assert plus == minus
-    assert chain_digest(plus, brickwall) == chain_digest(minus, brickwall)
+    for a, b in ((plus, minus),
+                 (NonidealityConfig(f_base=10**20), NonidealityConfig(f_base=1e20)),
+                 (NonidealityConfig(bandwidth_f_star=10**13),
+                  NonidealityConfig(bandwidth_f_star=1e13))):
+        assert a == b
+        assert chain_digest(a, brickwall) == chain_digest(b, brickwall)
     thr = bootstrap_threshold([parse_instance("3 2 5")], [parse_instance("3 6 4")],
                               plus, brickwall)
     assert decide_analog(parse_instance("3 2 5"), minus, brickwall, thr).answer == "YES"

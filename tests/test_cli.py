@@ -515,7 +515,7 @@ def test_import_builds_no_parser():
             "lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
             "import cospart.cli, sys\n"
             "print(len(built), cospart.cli.build_parser.cache_info().currsize)\n"
-            "# loaded only by the cascade's helper thread, --jobs and COSPART_DEBUG\n"
+            "# loaded only by --jobs and COSPART_DEBUG\n"
             "print(*(m in sys.modules for m in "
             "('concurrent.futures', 'multiprocessing', 'traceback')))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cospart.__file__).parents[1]))

@@ -345,8 +345,8 @@ def _fit(cfg, n):
 @pytest.mark.parametrize("text, periods", [("7", 1), ("2 3", 1), ("2 3 5 4", 1), ("2 3 5 4", 2)],
                          ids=["n=1", "n=2", "n=4", "periods=2"])
 def test_cascade_edges_match_hand_fold(name, text, periods):
-    # n = 1 makes no helper job, n = 2 makes one, n = 4 makes them ahead of
-    # running stages, and two periods double the grid
+    # n = 1 runs no stage, n = 2 runs one, n = 4 carries the accumulator
+    # through three, and two periods double the grid
     inst = parse_instance(text)
     cfg = _fit(_HAND_FOLD_CONFIGS[name], inst.n)
     trace = run_cascade(inst, cfg, periods=periods)
@@ -367,38 +367,26 @@ def test_cascade_edges_match_hand_fold(name, text, periods):
     assert np.array_equal(trace.final.samples, acc.samples)
 
 
-def test_helper_error_reaches_the_caller(monkeypatch):
-    inst = parse_instance("2 3 5 4")
-    cfg = _HAND_FOLD_CONFIGS["one-pole"]
-    before = run_cascade(inst, cfg)
-    failure = RuntimeError("source synthesis failed")
+def test_cascade_runs_on_the_callers_thread(monkeypatch):
+    # all four tones and all three stages' noise draws are made on the thread
+    # that called `run_cascade`
     threads = []
-    maker = pipeline._source_maker
+    maker, noise = pipeline._source_maker, pipeline._stage_noise
 
-    def failing_maker(*args):
-        source = maker(*args)
+    def recorded(f):
+        def call(*args):
+            threads.append(threading.current_thread())
+            return f(*args)
+        return call
 
-        def failing_source(i):
-            if i == 2:  # made ahead, while stage 1 runs
-                threads.append(threading.current_thread())
-                raise failure
-            return source(i)
-
-        return failing_source
-
-    monkeypatch.setattr(pipeline, "_source_maker", failing_maker)
-    with pytest.raises(RuntimeError) as err:
-        run_cascade(inst, cfg)
-    assert err.value is failure
-    assert threads and threads[0] is not threading.main_thread()
-    monkeypatch.undo()
-    after = run_cascade(inst, cfg)
-    assert after.stages == before.stages
-    assert np.array_equal(after.final.samples, before.final.samples)
+    monkeypatch.setattr(pipeline, "_source_maker", lambda *args: recorded(maker(*args)))
+    monkeypatch.setattr(pipeline, "_stage_noise", recorded(noise))
+    run_cascade(parse_instance("2 3 5 4"), _HAND_FOLD_CONFIGS["one-pole"])
+    assert len(threads) == 4 + 3 and set(threads) == {threading.current_thread()}
 
 
 def test_concurrent_cascades_stay_bit_identical():
-    # four callers, each with its own helper thread, on two cores or fewer,
+    # four callers, each running its own cascade, on two cores or fewer,
     # switching threads as often as the interpreter allows
     inst = parse_instance("2 3 5 4")
     cfg = _HAND_FOLD_CONFIGS["one-pole"]
@@ -426,9 +414,9 @@ def test_concurrent_cascades_stay_bit_identical():
 
 
 @pytest.mark.parametrize("model", ["one-pole", "hard"])
-def test_run_cascade_peak_under_four_grid_arrays(model):
-    # at most 3.5, during a stage's product: the accumulator, the stage's noise,
-    # the pole's gains and the next stage's noise; tones take 64 KB of scratch.
+def test_run_cascade_peak_under_three_grid_arrays(model):
+    # at most 2.5, during a stage's product: the accumulator, the stage's noise
+    # and the pole's gains, plus the tone's 64 KB of scratch.
     # Both pole models hold float gains, half a grid array.
     inst = _total_22044(10)
     cfg = NonidealityConfig(mult_output_offset=4e-3, amp_offset=2.5e-4,
@@ -436,7 +424,7 @@ def test_run_cascade_peak_under_four_grid_arrays(model):
                             noise_sigma=1e-4, seed=10)
     m = points_per_period(inst, cfg)
     _, peak = tracemalloc_peak(lambda: run_cascade(inst, cfg))
-    assert peak <= 4 * m * 8
+    assert peak <= 3 * m * 8
 
 
 def test_filter_edges_at_the_cutoff_bin():
