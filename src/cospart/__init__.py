@@ -8,9 +8,9 @@ calibration and threshold learning, a SAT front-end via self-reduction, and
 SPICE netlist emission.
 """
 
-from .calibration import (Decision, DecisionThreshold, OffsetReport, bootstrap_threshold,
-                          compensate, decide_analog, fixed_threshold,
-                          measure_stage_offsets, perturb_to_no_instance)
+from .calibration import (Decision, DecisionThreshold, bootstrap_threshold, compensate,
+                          decide_analog, fixed_threshold, measure_stage_offsets,
+                          perturb_to_no_instance)
 from .dsp import FilterSpec, SampledTrace, apply_lowpass, dc_component, \
     design_compensating_filter, dft, sample_after_filter
 from .exact import (Spectrum, analytic_spectrum, decide_bruteforce, decide_dp,

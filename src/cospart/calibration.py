@@ -38,15 +38,6 @@ class ChainMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class OffsetReport:
-    """DC measured at each multiplier output under a given configuration."""
-
-    per_stage_dc: tuple[float, ...]
-    instance_used: CpiInstance
-    is_no_instance: bool
-
-
-@dataclass(frozen=True)
 class DecisionThreshold:
     """Voltage bands learned from training runs and the cut between them."""
 
@@ -134,18 +125,17 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def measure_stage_offsets(inst: CpiInstance, cfg: NonidealityConfig) -> OffsetReport:
-    """DC at every multiplier output over one aligned period.
+def measure_stage_offsets(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[float, ...]:
+    """DC at every multiplier output over one aligned period, one per stage.
 
-    Fine-tuning should use NO instances: on a YES instance part of the
-    measured DC is signal, and compensating it away would erase the answer.
+    Fine-tuning should use NO instances: on a YES instance, which draws a
+    warning, part of the measured DC is signal, and compensating it away
+    would erase the answer.
     """
-    is_no = not solve_exact(inst)
-    if not is_no:
+    if solve_exact(inst):
         warnings.warn("measuring offsets on a YES instance; the report includes signal DC",
                       stacklevel=2)
-    per_stage = tuple(s.pin_dc for s in run_cascade(inst, cfg, periods=1).stages)
-    return OffsetReport(per_stage_dc=per_stage, instance_used=inst, is_no_instance=is_no)
+    return tuple(s.pin_dc for s in run_cascade(inst, cfg, periods=1).stages)
 
 
 def pick_offset_instance(train_no: Sequence[CpiInstance]) -> CpiInstance:
@@ -170,18 +160,18 @@ def pick_offset_instance(train_no: Sequence[CpiInstance]) -> CpiInstance:
     raise ValueError("no NO training instance to measure offsets on" + first)
 
 
-def compensate(cfg: NonidealityConfig, report: OffsetReport) -> NonidealityConfig:
-    """Wire each Z input against the measured stage DC.
+def compensate(cfg: NonidealityConfig, per_stage_dc: Sequence[float]) -> NonidealityConfig:
+    """Wire each Z input against the stage DCs `measure_stage_offsets` measured.
 
     Adjustments accumulate onto any existing compensation, so re-measuring
     and re-compensating is idempotent up to measurement noise.
     """
-    n_stages = len(report.per_stage_dc)
+    n_stages = len(per_stage_dc)
     existing = cfg.z_compensation or (0.0,) * n_stages
     if len(existing) != n_stages:
         raise ValueError(f"arity mismatch: config has {len(existing)} stages, "
-                         f"report has {n_stages}")
-    z = tuple(zc - dc for zc, dc in zip(existing, report.per_stage_dc))
+                         f"offsets have {n_stages}")
+    z = tuple(zc - dc for zc, dc in zip(existing, per_stage_dc))
     return replace(cfg, z_compensation=z)
 
 
@@ -294,16 +284,19 @@ def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
                     margin=abs(dc - thr.cut), sampled=sampled)
 
 
+@functools.lru_cache(maxsize=256)
 def chain_digest(cfg: NonidealityConfig, spec: FilterSpec) -> str:
     """Short stable hash of a chain: config and filter, Z (and so the arity) included.
 
     The noise seed is left out; it is reported next to the hash wherever the
-    hash is, so one chain has one digest whatever seed it runs with.
+    hash is, so one chain has one digest whatever seed it runs with.  Equal
+    configs and filters store their values alike and so print alike, which
+    makes the digest safe to memoise: a chain is hashed once per process.
     """
     # the seed line reads 0 at every seed (cheaper than hashing `replace(cfg, seed=0)`)
     text = config_to_text(cfg).replace(f"\nseed={cfg.seed}\n", "\nseed=0\n") + \
         f"kind={spec.kind}\ncutoff_f0={spec.cutoff_f0:.12g}\n" \
-        f"order={spec.order}\nper_stage_gain={spec.per_stage_gain:.12g}\n"
+        f"order={spec.order}\nper_stage_gain={spec.per_stage_gain or 0.0:.12g}\n"
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -323,8 +316,9 @@ def decision_record(decision: Decision, inst: CpiInstance, chain: str, seed: int
 
 def threshold_to_text(thr: DecisionThreshold,
                       z_compensation: Sequence[float] = (),
-                      offsets: Optional[OffsetReport] = None) -> str:
-    """Persist a calibration: threshold plus the compensation that produced it."""
+                      offsets: Sequence[float] = (),
+                      offset_instance: Optional[CpiInstance] = None) -> str:
+    """Persist a calibration: threshold, Z, and the ``offsets`` measured on ``offset_instance``."""
     lines = [
         f"cut={thr.cut:.12g}",
         f"no_band_max={thr.no_band_max:.12g}",
@@ -335,9 +329,9 @@ def threshold_to_text(thr: DecisionThreshold,
     ]
     if len(z_compensation):
         lines.append("z_compensation=" + ",".join(f"{z:.12g}" for z in z_compensation))
-    if offsets is not None:
-        lines.append("per_stage_dc=" + ",".join(f"{v:.12g}" for v in offsets.per_stage_dc))
-        lines.append(f"offset_instance={serialize_instance(offsets.instance_used)}")
+    if offset_instance is not None:
+        lines.append("per_stage_dc=" + ",".join(f"{v:.12g}" for v in offsets))
+        lines.append(f"offset_instance={serialize_instance(offset_instance)}")
     return "\n".join(lines) + "\n"
 
 

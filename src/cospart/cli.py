@@ -16,42 +16,37 @@ from pathlib import Path
 from typing import Optional
 
 from . import calibration, dsp, exact, instances, netlist, pipeline, reductions
-from .calibration import chain_digest, decision_record
-from .dsp import FilterSpec
+from .calibration import decision_record
 from .instances import CpiInstance
-from .pipeline import NonidealityConfig
 
 EXIT_NO = 0
 EXIT_YES = 1
 EXIT_ERROR = 2
 
-_FILTER_KEYS = {"kind", "cutoff_f0", "order", "per_stage_gain"}
+# The filter fields a ``--config`` file may set, each with its type.
+_FILTER_KEYS = {"kind": str, "cutoff_f0": float, "order": int, "per_stage_gain": float}
 
 
-def _load_config(args) -> tuple[NonidealityConfig, FilterSpec,
-                                Optional[calibration.DecisionThreshold]]:
-    """Config and filter from ``--config``; threshold and Z from ``--calibration``."""
-    cfg_items: dict[str, str] = {}
-    filt_items: dict[str, str] = {}
-    if args.config:
-        for key, value in pipeline.parse_kv(Path(args.config).read_text()).items():
-            if key in _FILTER_KEYS:
-                filt_items[key] = value
-            else:
-                cfg_items[key] = value
-    cfg = pipeline.config_from_items(cfg_items)
-    cfg = replace(cfg, seed=args.seed)
-    thr = None
-    if getattr(args, "calibration", None):
-        thr, z = calibration.threshold_from_text(Path(args.calibration).read_text())
-        if z:
-            cfg = replace(cfg, z_compensation=z)
+def _chain(args, kind: str) -> reductions.OracleBackend:
+    """The oracle ``kind`` on the chain the command's flags give, built and named once.
 
-    kind = args.filter or filt_items.get("kind", "brickwall")
-    cutoff = args.f0 if args.f0 is not None else float(filt_items.get("cutoff_f0", 5000.0))
-    order = int(filt_items.get("order", 1))
-    gain = float(filt_items.get("per_stage_gain", 1.0))
-    return cfg, FilterSpec(kind=kind, cutoff_f0=cutoff, order=order, per_stage_gain=gain), thr
+    ``--config``'s fields, ``--seed`` and ``--calibration``'s Z make one config; ``--filter``
+    and ``--f0`` override its filter fields, and `reductions._open_filter` fills the rest.
+    """
+    config = getattr(args, "config", None)
+    items: dict[str, object] = pipeline.parse_kv(Path(config).read_text()) if config else {}
+    filt = {key: items.pop(key) for key in _FILTER_KEYS if key in items}
+    flags = {"kind": getattr(args, "filter", None), "cutoff_f0": getattr(args, "f0", None)}
+    filt.update((key, value) for key, value in flags.items() if value is not None)
+    items["seed"] = args.seed
+    cal = getattr(args, "calibration", None)
+    thr, z = calibration.threshold_from_text(Path(cal).read_text()) if cal else (None, ())
+    if z:
+        items["z_compensation"] = z
+    cfg = pipeline.config_from_items(items)
+    fspec = reductions._open_filter(cfg, **{key: _FILTER_KEYS[key](value)
+                                            for key, value in filt.items()})
+    return reductions.OracleBackend(kind, cfg, fspec, thr)
 
 
 def _load_instance_arg(arg: str) -> list[CpiInstance]:
@@ -106,8 +101,7 @@ def cmd_decide(args, argv: list[str]) -> int:
     insts = _load_instance_arg(args.instance)
     if len(insts) > 1 and not args.batch:
         raise ValueError(f"{len(insts)} instances given; pass --batch to decide them all")
-    chain = reductions.OracleBackend(args.oracle, *_load_config(args))
-    digest = chain_digest(chain.cfg, chain.fspec)
+    chain = _chain(args, args.oracle)
 
     # deterministic per-instance sub-seeds keep batch runs reproducible
     tasks = [(inst, args.seed + i if args.batch else args.seed) for i, inst in enumerate(insts)]
@@ -116,7 +110,8 @@ def cmd_decide(args, argv: list[str]) -> int:
         functools.partial(_decide_one, chain=chain, strict=args.strict,
                           keep_sampled=write_trace),
         tasks, args.jobs)
-    records = [decision_record(d, inst, digest, seed) for d, (inst, seed) in zip(decisions, tasks)]
+    records = [decision_record(d, inst, chain.digest, seed)
+               for d, (inst, seed) in zip(decisions, tasks)]
     last_answer = decisions[-1].answer
     text = "\n".join(records)
     print(text, end="")
@@ -129,7 +124,7 @@ def cmd_decide(args, argv: list[str]) -> int:
                 sampled = calibration.run_and_measure(insts[0], chain.cfg, chain.fspec)[2]
             files["trace.csv"] = pipeline.volts_csv(sampled.times(), sampled.values)
             files["spectrum.csv"] = dsp.dft(sampled).to_csv(units="Hz")
-        _write_out(args, argv, t0, digest, files)
+        _write_out(args, argv, t0, chain.digest, files)
     if args.batch:
         return 0
     return EXIT_YES if last_answer == "YES" else EXIT_NO
@@ -138,9 +133,7 @@ def cmd_decide(args, argv: list[str]) -> int:
 def cmd_spectrum(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     inst = _load_instance_arg(args.instance)[0]
-    cfg, fspec, _ = _load_config(args)
-    chain = reductions.OracleBackend("analog-ideal", cfg, fspec)
-    digest = chain_digest(chain.cfg, chain.fspec)
+    chain = _chain(args, "analog-ideal")
 
     outputs = {"spectrum_analytic.csv": exact.analytic_spectrum(inst).to_csv(units="instance")}
     if args.simulate:
@@ -150,9 +143,9 @@ def cmd_spectrum(args, argv: list[str]) -> int:
         outputs["spectrum_measured.csv"] = dsp.dft(sampled).to_csv(units="Hz")
 
     if args.out:
-        print(*_write_out(args, argv, t0, digest, outputs), sep="\n")
+        print(*_write_out(args, argv, t0, chain.digest, outputs), sep="\n")
     else:
-        head = _provenance(argv, digest, args.seed)
+        head = _provenance(argv, chain.digest, args.seed)
         for name, text in outputs.items():
             print(f"== {name} ==")
             print(head + text, end="")
@@ -163,16 +156,16 @@ def cmd_calibrate(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     train_yes = instances.load_instances(Path(args.yes).read_text())
     train_no = instances.load_instances(Path(args.no).read_text())
-    cfg, fspec, _ = _load_config(args)
+    chain = _chain(args, "analog")
     sizes = sorted({inst.n for inst in train_yes + train_no})
     if len(sizes) > 1:
         raise ValueError(f"training instances have {sizes} values; Z compensation is "
                          "per stage, so calibrate one size at a time")
     over_band = 0
     for inst in train_yes + train_no:
-        pipeline.check_grid(inst, cfg)
+        pipeline.check_grid(inst, chain.cfg)
         try:
-            pipeline.check_bandwidth(inst, cfg)
+            pipeline.check_bandwidth(inst, chain.cfg)
         except pipeline.BandwidthError as exc:
             if args.strict:
                 raise
@@ -180,12 +173,13 @@ def cmd_calibrate(args, argv: list[str]) -> int:
                   file=sys.stderr)
             over_band += 1
 
-    report = calibration.measure_stage_offsets(calibration.pick_offset_instance(train_no), cfg)
-    cfg_used = calibration.compensate(cfg, report)
-    thr = calibration.bootstrap_threshold(train_yes, train_no, cfg_used, fspec,
+    offset_instance = calibration.pick_offset_instance(train_no)
+    offsets = calibration.measure_stage_offsets(offset_instance, chain.cfg)
+    cfg_used = calibration.compensate(chain.cfg, offsets)
+    thr = calibration.bootstrap_threshold(train_yes, train_no, cfg_used, chain.fspec,
                                           jobs=args.jobs)
     text = calibration.threshold_to_text(thr, z_compensation=cfg_used.z_compensation,
-                                         offsets=report)
+                                         offsets=offsets, offset_instance=offset_instance)
     if over_band:
         text += f"bandwidth_warnings={over_band}\n"
     print(text, end="")
@@ -200,27 +194,26 @@ def cmd_calibrate(args, argv: list[str]) -> int:
 def cmd_sat(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     formula = reductions.parse_dimacs(Path(args.dimacs).read_text(), strict=args.strict)
-    backend = reductions.OracleBackend(args.backend, *_load_config(args))
+    backend = _chain(args, args.backend)
     assignment = reductions.extract_witness(formula, backend)
     text = reductions.format_solution(assignment)
     print(text, end="")
     if args.out:
-        _write_out(args, argv, t0, chain_digest(backend.cfg, backend.fspec),
-                   {"solution.txt": text}, comment="c")
+        _write_out(args, argv, t0, backend.digest, {"solution.txt": text}, comment="c")
     return EXIT_YES if assignment is not None else EXIT_NO
 
 
 def cmd_netlist(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     inst = _load_instance_arg(args.instance)[0]
-    cfg, fspec, _ = _load_config(args)
-    doc = netlist.emit_netlist(inst, cfg, fspec)
+    chain = _chain(args, "analog")
+    doc = netlist.emit_netlist(inst, chain.cfg, chain.fspec)
     netlist.validate_netlist(doc)
-    digest = chain_digest(cfg, fspec)
     if args.out:
-        print(*_write_out(args, argv, t0, digest, {"cascade.cir": doc.text()}, comment="*"))
+        print(*_write_out(args, argv, t0, chain.digest, {"cascade.cir": doc.text()},
+                          comment="*"))
     else:
-        print(_provenance(argv, digest, args.seed, comment="*") + doc.text(), end="")
+        print(_provenance(argv, chain.digest, args.seed, comment="*") + doc.text(), end="")
     return 0
 
 
@@ -233,12 +226,11 @@ def cmd_gen(args, argv: list[str]) -> int:
         lines.append(instances.serialize_instance(inst))
     text = "\n".join(lines) + "\n"
     # the instances are labelled by the exact oracles, so name their chain
-    chain = reductions.OracleBackend("exact")
-    digest = chain_digest(chain.cfg, chain.fspec)
+    chain = _chain(args, "exact")
     if args.out:
-        print(*_write_out(args, argv, t0, digest, {"instances.txt": text}))
+        print(*_write_out(args, argv, t0, chain.digest, {"instances.txt": text}))
     else:
-        print(_provenance(argv, digest, args.seed) + text, end="")
+        print(_provenance(argv, chain.digest, args.seed) + text, end="")
     return 0
 
 

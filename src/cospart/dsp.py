@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import Spectrum
-from .pipeline import Signal, zero_phase_filter
+from .pipeline import Signal, _integral, zero_phase_filter
 
 _KIND_ALIASES = {
     "ideal-brickwall": "brickwall",
@@ -36,6 +36,7 @@ class FilterSpec:
         if kind not in FILTER_KINDS:
             raise ValueError(f"kind must be one of {FILTER_KINDS}")
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", _integral("order", self.order))
         if self.cutoff_f0 <= 0:
             raise ValueError("cutoff_f0 must be positive")
         if self.order < 1:

@@ -90,9 +90,6 @@ class Spectrum:
     def dc(self):
         return self.lines.get(0, 0)
 
-    def total_power(self) -> float:
-        return float(sum(a * a for a in self.lines.values()))
-
     def to_csv(self, units: str = "Hz") -> str:
         rows = [f"# units={units}", "frequency,amplitude"]
         for f in sorted(self.lines):
@@ -148,12 +145,12 @@ def _run_starts(merged: np.ndarray) -> np.ndarray:
 
 
 def _subset_sums(values: tuple[int, ...],
-                 tag: Optional[str] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Sorted distinct subset sums of `values`, with one int64 tag per sum.
+                 counts: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sorted distinct subset sums of `values`, with ``counts`` their subset counts.
 
-    ``tag`` None gives no tags.  ``"count"`` tags each sum with the number of
-    subsets behind it; the tags of equal sums add, and all tags sum to
-    2**len(values).
+    Without ``counts`` the second item is None.  With it, each sum's int64
+    count is the number of subsets behind it; the counts of equal sums add,
+    and all counts sum to 2**len(values).
 
     The first `_TABLE_BITS` values give one table of every subset sum.  It
     is sorted once, and counts are the lengths of its runs of equal sums.
@@ -169,12 +166,12 @@ def _subset_sums(values: tuple[int, ...],
     table.sort()
     first = _run_starts(table)
     tags = None
-    if tag == "count":
+    if counts:
         tags = np.diff(np.flatnonzero(first), append=len(table))
     sums = table[first]
     for a in values[k:]:
         merged = np.concatenate([sums, sums + a])
-        if tag is None:
+        if not counts:
             merged.sort(kind="stable")
             sums = merged[_run_starts(merged)]
             continue
@@ -239,8 +236,8 @@ def ideal_dc(inst: CpiInstance) -> Fraction:
         return Fraction(0)
     _check_mim_guard(inst)
     lo, hi, target = _halves(inst)
-    left, c_left = _subset_sums(lo, "count")
-    right, c_right = _subset_sums(hi, "count")
+    left, c_left = _subset_sums(lo, counts=True)
+    right, c_right = _subset_sums(hi, counts=True)
     i, j = _match(left, right, target)
     return Fraction(2 * int(np.dot(c_left[i], c_right[j])), 2**inst.n)
 

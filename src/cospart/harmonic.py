@@ -48,14 +48,14 @@ class Fold:
     """The chain folded on its harmonics.
 
     ``harmonics[h]``, h = 0..K, is harmonic h of the final stage output (the
-    last source for a single value); harmonic -h is its conjugate, and
-    `coefficients` spells out all of -K..K.  ``dc`` is ``spec.dc_gain`` times
-    its DC line, the noise-free DC of a one-period run.  ``stage_sigma[s]`` is
-    the standard deviation that stage s's noise adds to that DC.  For each
-    stage's pin and amplifier output, in chain order, ``node_bound`` holds
-    Σ|c| over -K..K, which bounds every noise-free sample, and ``node_noise``
-    a bound on the noise's RMS over the period.  The pole output between them
-    needs no entry: its gains lie in [0, 1], so the pin's bounds hold for it.
+    last source for a single value); harmonic -h is its conjugate.  ``dc`` is
+    ``spec.dc_gain`` times its DC line, the noise-free DC of a one-period run.
+    ``stage_sigma[s]`` is the standard deviation that stage s's noise adds to
+    that DC.  For each stage's pin and amplifier output, in chain order,
+    ``node_bound`` holds Σ|c| over -K..K, which bounds every noise-free
+    sample, and ``node_noise`` a bound on the noise's RMS over the period.
+    The pole output between them needs no entry: its gains lie in [0, 1], so
+    the pin's bounds hold for it.
     """
 
     harmonics: np.ndarray
@@ -63,16 +63,6 @@ class Fold:
     stage_sigma: tuple[float, ...]
     node_bound: tuple[float, ...]
     node_noise: tuple[float, ...]
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Harmonics -K..K, a new array: ``coefficients[K + h]`` is harmonic h."""
-        return np.concatenate((np.conj(self.harmonics[:0:-1]), self.harmonics))
-
-    @property
-    def sigma(self) -> float:
-        """Standard deviation of the DC from all stages' noise."""
-        return math.sqrt(sum(s * s for s in self.stage_sigma))
 
     def clips(self, supply_voltage: float) -> bool:
         """True when some node's bound plus `CLIP_SIGMAS` noise RMS reaches the rails."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -50,6 +51,13 @@ class BandwidthError(RuntimeError):
 
 class GridTooLargeError(ValueError):
     """A run's dense grid exceeds `MAX_GRID_POINTS`."""
+
+
+def _integral(name: str, value) -> int:
+    """``value`` as an int when it equals one (16 or 16.0); else a ValueError naming ``name``."""
+    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,19 +87,21 @@ class NonidealityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # equal values are stored alike (10**20 as 1e20, 16.0 as 16): one chain, one text
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in _SEQ_FIELDS and not isinstance(v, (int, float)):
+                object.__setattr__(self, f.name, tuple(float(x) for x in v))
+            elif f.name in _SEQ_FIELDS or isinstance(f.default, float):
+                object.__setattr__(self, f.name, float(v))
+            elif isinstance(f.default, int):
+                object.__setattr__(self, f.name, _integral(f.name, v))
         if self.oversample < 4:
             raise ValueError("oversample must be at least 4")
         if self.bandwidth_model not in BANDWIDTH_MODELS:
             raise ValueError(f"bandwidth_model must be one of {BANDWIDTH_MODELS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name in _SEQ_FIELDS and not isinstance(v, (int, float)):
-                object.__setattr__(self, f.name, tuple(float(x) for x in v))
-            elif isinstance(f.default, float):
-                # an int such as 10**20 becomes the float it equals: one chain, one text
-                object.__setattr__(self, f.name, float(v))
 
     @classmethod
     def ideal(cls, seed: int = 0, **overrides) -> "NonidealityConfig":
@@ -513,9 +523,6 @@ def volts_csv(times: Sequence[float], volts: Sequence[float]) -> str:
     return "\n".join(rows) + "\n"
 
 
-_INT_FIELDS = ("oversample", "seed")
-
-
 def config_to_text(cfg: NonidealityConfig) -> str:
     """Flat key=value serialization, one field per line, sorted."""
     lines = []
@@ -549,20 +556,21 @@ def parse_kv(text: str) -> dict[str, str]:
     return items
 
 
-def config_from_items(items: dict[str, str]) -> NonidealityConfig:
-    """Build a config from string key=value pairs (e.g. a parsed config file)."""
-    names = {f.name for f in fields(NonidealityConfig)}
+def config_from_items(items: dict[str, object]) -> NonidealityConfig:
+    """Build a config from key=value pairs, such as a parsed config file.
+
+    A string is read as the type of its field's default, or as a sequence for
+    ``z_compensation`` and a per-stage field with a comma; other values pass as they are.
+    """
+    types = {f.name: type(f.default) for f in fields(NonidealityConfig)}
     kwargs = {}
     for key, raw in items.items():
-        if key not in names:
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        if key == "bandwidth_model":
-            kwargs[key] = raw.strip()
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(raw)
+        if not isinstance(raw, str):
+            kwargs[key] = raw
         elif key in _SEQ_FIELDS and ("," in raw or key == "z_compensation"):
-            parts = [p for p in raw.split(",") if p.strip()]
-            kwargs[key] = tuple(float(p) for p in parts)
+            kwargs[key] = tuple(float(p) for p in raw.split(",") if p.strip())
         else:
-            kwargs[key] = float(raw)
+            kwargs[key] = types[key](raw.strip())
     return NonidealityConfig(**kwargs)

@@ -10,13 +10,15 @@ formula: at most 1 + num_vars oracle calls.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import exact
-from .calibration import Decision, DecisionThreshold, decide_analog, fixed_threshold
+from .calibration import Decision, DecisionThreshold, chain_digest, decide_analog, \
+    fixed_threshold
 from .dsp import FilterSpec
 from .instances import MAX_TOTAL, CpiInstance, scale_instance
 from .pipeline import GridTooLargeError, NonidealityConfig, bandwidth_exceeded
@@ -201,6 +203,18 @@ ORACLES = ("exact", "exact-dp", "exact-bf", "analog", "analog-ideal")
 _SQUEEZE_MARGIN = 0.9
 
 
+def _open_filter(cfg: NonidealityConfig, **fields) -> FilterSpec:
+    """The `FilterSpec` of ``fields``; a filter they leave open is a brickwall at 0.5·f_base."""
+    return FilterSpec(**{"kind": "brickwall", "cutoff_f0": 0.5 * cfg.f_base, **fields})
+
+
+@functools.cache
+def _default_ideal_chain() -> tuple[NonidealityConfig, FilterSpec]:
+    """The default ``analog-ideal`` chain, which the exact oracles name; built once."""
+    chain = OracleBackend("analog-ideal")
+    return chain.cfg, chain.fspec
+
+
 @dataclass
 class OracleBackend:
     """The PARTITION oracle for `decide` and `sat`, named by one of `ORACLES`.
@@ -208,11 +222,11 @@ class OracleBackend:
     ``exact``/``exact-dp`` count or solve exactly, ``exact-bf`` enumerates;
     they drop ``cfg``, ``fspec`` and ``threshold`` and name the default ideal
     chain.  ``analog`` is the chain ``cfg``, ``fspec``, ``threshold``; its
-    defaults, ``NonidealityConfig()``, a brickwall at ``0.5 * f_base`` and
-    `auto_threshold`, are the CLI's without ``--config``.  ``analog-ideal``
-    is the error-free chain with ``cfg``'s seed, ``f_base`` and
-    ``oversample``, its brickwall at ``fspec``'s cutoff or ``0.5 * f_base``
-    if lower.  `decision` answers ``cospart decide``; `decide` is a SAT call.
+    defaults, ``NonidealityConfig()``, `_open_filter` and `auto_threshold`,
+    are the CLI's without ``--config``.  ``analog-ideal`` is the error-free
+    chain with ``cfg``'s seed, ``f_base`` and ``oversample``, its brickwall
+    at the lower of ``fspec``'s and the open filter's cutoff.  `digest` names
+    the chain, `decision` answers ``cospart decide``; `decide` is a SAT call.
     """
 
     kind: str
@@ -226,17 +240,20 @@ class OracleBackend:
         if self.kind not in ORACLES:
             raise ValueError(f"oracle {self.kind!r} is not one of {', '.join(ORACLES)}")
         if self.kind.startswith("exact"):
-            self.cfg = self.fspec = self.threshold = None
-        cfg = self.cfg or (NonidealityConfig() if self.kind == "analog"
-                           else NonidealityConfig.ideal())
-        cutoff = 0.5 * cfg.f_base
+            (self.cfg, self.fspec), self.threshold = _default_ideal_chain(), None
+            return
+        cfg = self.cfg or NonidealityConfig()
+        spec = self.fspec or _open_filter(cfg)
         if self.kind == "analog-ideal":
-            cutoff = min(self.fspec.cutoff_f0, cutoff) if self.fspec else cutoff
-            self.fspec = FilterSpec(kind="brickwall", cutoff_f0=cutoff)
             cfg = NonidealityConfig.ideal(seed=cfg.seed, f_base=cfg.f_base,
                                           oversample=cfg.oversample)
-        self.cfg = cfg
-        self.fspec = self.fspec or FilterSpec(kind="brickwall", cutoff_f0=cutoff)
+            spec = _open_filter(cfg, cutoff_f0=min(spec.cutoff_f0, _open_filter(cfg).cutoff_f0))
+        self.cfg, self.fspec = cfg, spec
+
+    @property
+    def digest(self) -> str:
+        """The chain's `chain_digest`, the name every output of a run on it carries."""
+        return chain_digest(self.cfg, self.fspec)
 
     def decision(self, inst: CpiInstance, seed: Optional[int] = None,
                  strict: bool = False) -> Decision:
@@ -249,7 +266,7 @@ class OracleBackend:
         ``seed`` (default ``cfg``'s) and ``strict``.
         """
         if self.kind.startswith("analog"):
-            cfg = self.cfg if seed is None else replace(self.cfg, seed=seed)
+            cfg = self.cfg if seed in (None, self.cfg.seed) else replace(self.cfg, seed=seed)
             return decide_analog(inst, cfg, self.fspec, self.threshold, strict=strict)
         if self.kind == "exact-bf":
             yes = exact.decide_bruteforce(inst)  # the independent enumeration

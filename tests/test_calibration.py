@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,23 +26,26 @@ def _table_cfg(n_stages, seed=42):
 
 
 def test_measure_offsets_ideal(ideal_cfg):
-    report = measure_stage_offsets(parse_instance("3 7"), ideal_cfg)
-    assert report.per_stage_dc == pytest.approx((0.0,), abs=1e-12)
-    assert report.is_no_instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NO instance draws no warning
+        offsets = measure_stage_offsets(parse_instance("3 7"), ideal_cfg)
+    assert offsets == pytest.approx((0.0,), abs=1e-12)
 
 
 def test_measure_offsets_three_stage_values():
     cfg = _table_cfg(3)
-    report = measure_stage_offsets(parse_instance("1 9 1 4"), cfg)
-    assert len(report.per_stage_dc) == 3
-    for dc in report.per_stage_dc:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        offsets = measure_stage_offsets(parse_instance("1 9 1 4"), cfg)
+    assert len(offsets) == 3
+    for dc in offsets:
         assert 3e-3 < dc < 7e-3  # near the configured offset scale
 
 
 def test_measure_offsets_warns_on_yes_instance(ideal_cfg):
-    with pytest.warns(UserWarning):
-        report = measure_stage_offsets(parse_instance("3 2 5"), ideal_cfg)
-    assert not report.is_no_instance
+    with pytest.warns(UserWarning, match="YES instance"):
+        offsets = measure_stage_offsets(parse_instance("3 2 5"), ideal_cfg)
+    assert len(offsets) == 2
 
 
 def test_compensate_drops_no_instance_dc():
@@ -68,15 +72,15 @@ def test_compensate_converges_to_fixed_point():
 
 
 def test_compensate_noop_on_zero_report(ideal_cfg):
-    report = measure_stage_offsets(parse_instance("3 7"), ideal_cfg)
-    assert compensate(ideal_cfg, report).z_compensation == pytest.approx((0.0,))
+    offsets = measure_stage_offsets(parse_instance("3 7"), ideal_cfg)
+    assert compensate(ideal_cfg, offsets).z_compensation == pytest.approx((0.0,))
 
 
 def test_compensate_arity_mismatch():
     cfg = NonidealityConfig(z_compensation=(0.0, 0.0, 0.0))
-    report = measure_stage_offsets(parse_instance("3 6 4"), NonidealityConfig.ideal())
+    offsets = measure_stage_offsets(parse_instance("3 6 4"), NonidealityConfig.ideal())
     with pytest.raises(ValueError):
-        compensate(cfg, report)
+        compensate(cfg, offsets)
 
 
 def test_perturb_probability_closed_form():
@@ -94,6 +98,11 @@ def test_perturb_single_sigma_equals_delta():
 def test_perturb_large_sigma_vanishes():
     _, p = perturb_to_no_instance(parse_instance("2 3"), sigma=1e6, delta=1.0)
     assert p < 1e-6
+
+
+def test_perturb_refuses_zero_sigma():
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        perturb_to_no_instance(parse_instance("2 3"), sigma=0.0, delta=1.0)
 
 
 def test_perturb_monte_carlo():
@@ -169,6 +178,13 @@ def test_bootstrap_table_like_bands():
     assert thr.separable
     assert thr.yes_band_min > 3 * abs(thr.no_band_max)
     assert thr.no_band_max < thr.cut < thr.yes_band_min
+
+
+def test_bootstrap_refuses_an_empty_training_set(ideal_cfg, brickwall):
+    with pytest.raises(ValueError, match="both training sets must be non-empty"):
+        bootstrap_threshold([parse_instance("3 2 5")], [], ideal_cfg, brickwall)
+    with pytest.raises(ValueError, match="both training sets must be non-empty"):
+        bootstrap_threshold([], [parse_instance("3 6 4")], ideal_cfg, brickwall)
 
 
 def test_bootstrap_rejects_bad_labels(ideal_cfg, brickwall):
@@ -275,6 +291,44 @@ def test_negative_zero_is_the_same_chain(brickwall):
                               plus, brickwall)
     assert decide_analog(parse_instance("3 2 5"), minus, brickwall, thr).answer == "YES"
     assert decide_analog(parse_instance("3 6 4"), minus, brickwall, thr).answer == "NO"
+
+
+def test_filter_order_given_as_a_float_is_the_int_chain(ideal_cfg):
+    spec = FilterSpec("one-pole", 5e3, order=2.0)
+    assert type(spec.order) is int and spec == FilterSpec("one-pole", 5e3, order=2)
+    assert chain_digest(ideal_cfg, spec) == chain_digest(ideal_cfg, FilterSpec("one-pole", 5e3,
+                                                                               order=2))
+
+
+def test_seed_given_as_a_float_is_the_int_seed(brickwall):
+    cfg = NonidealityConfig(noise_sigma=1e-3, seed=1.0)
+    assert type(cfg.seed) is int and cfg == NonidealityConfig(noise_sigma=1e-3, seed=1)
+    assert chain_digest(cfg, brickwall) == chain_digest(NonidealityConfig(noise_sigma=1e-3),
+                                                        brickwall)
+    inst = parse_instance("3 2 5")
+    assert decide_analog(inst, cfg, brickwall).dc_measured == decide_analog(
+        inst, NonidealityConfig(noise_sigma=1e-3, seed=1), brickwall).dc_measured
+
+
+def test_oversample_given_as_a_float_is_the_int_grid(brickwall):
+    cfg = NonidealityConfig(oversample=32.0)
+    assert type(cfg.oversample) is int and cfg == NonidealityConfig(oversample=32)
+    inst = parse_instance("3 2 5")
+    assert decide_analog(inst, cfg, brickwall).dc_measured == decide_analog(
+        inst, NonidealityConfig(oversample=32), brickwall).dc_measured
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: NonidealityConfig(oversample=16.5), "oversample"),
+    (lambda: NonidealityConfig(oversample="16"), "oversample"),
+    (lambda: NonidealityConfig(seed=0.5), "seed"),
+    (lambda: NonidealityConfig(seed=math.nan), "seed"),
+    (lambda: FilterSpec("brickwall", 5e3, order=1.5), "order"),
+    (lambda: FilterSpec("brickwall", 5e3, order=math.inf), "order"),
+], ids=["oversample-16.5", "oversample-str", "seed-0.5", "seed-nan", "order-1.5", "order-inf"])
+def test_integer_fields_refuse_other_values(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        make()
 
 def test_threshold_round_trip():
     thr = DecisionThreshold(cut=0.12, no_band_max=0.07, yes_band_min=0.2,

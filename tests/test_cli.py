@@ -678,9 +678,10 @@ def test_oracle_refuses_retired_names(retired):
 
 @pytest.mark.parametrize("name", ["exact", "exact-dp", "exact-bf", "analog", "analog-ideal"])
 @pytest.mark.parametrize("text", ["3 2 5", "3 6 4"])
-def test_library_decision_matches_decide(capsys, name, text):
-    from cospart.calibration import chain_digest, decision_record
+def test_library_decision_matches_decide(tmp_path, capsys, name, text):
+    from cospart.calibration import decision_record
     from cospart.instances import parse_instance
+    from cospart.pipeline import NonidealityConfig
     from cospart.reductions import OracleBackend
     oracle = OracleBackend(name)
     inst = parse_instance(text)
@@ -689,7 +690,15 @@ def test_library_decision_matches_decide(capsys, name, text):
     assert code == (1 if decision.answer == "YES" else 0)
     assert decision.answer == ("YES" if text == "3 2 5" else "NO")
     assert oracle.calls == 0
-    assert out == decision_record(decision, inst, chain_digest(oracle.cfg, oracle.fspec), 0)
+    assert out == decision_record(decision, inst, oracle.digest, 0)
+    if name.startswith("analog"):
+        # a config that leaves the filter open: both take the brickwall at 0.5·f_base
+        (tmp_path / "c.cfg").write_text("f_base=1000\n")
+        oracle = OracleBackend(name, NonidealityConfig(f_base=1000))
+        code, out, _ = _run(capsys, "decide", "--oracle", name,
+                            "--config", str(tmp_path / "c.cfg"), text)
+        assert out == decision_record(oracle.decision(inst), inst, oracle.digest, 0)
+        assert oracle.fspec.cutoff_f0 == 500.0
 
 
 def test_calibrate_refuses_mixed_sizes(tmp_path, capsys, monkeypatch):

@@ -104,6 +104,20 @@ def test_sampling_respects_grid_extent(ideal_cfg):
                             t_start=0.0, duration=5e-4)
 
 
+def test_sampling_refuses_a_negative_start_and_a_step_past_the_duration():
+    sig = Signal(dt=1e-6, samples=np.zeros(1000))
+    with pytest.raises(ValueError, match="t_start must be non-negative"):
+        sample_after_filter(sig, FilterSpec("none", 5e3), t_start=-1e-6, duration=5e-4)
+    # a 1 kHz cutoff samples every 0.5 ms, longer than the 0.4 ms asked for
+    with pytest.raises(ValueError, match="duration too short for the sampling step"):
+        sample_after_filter(sig, FilterSpec("brickwall", 1e3), t_start=0.0, duration=4e-4)
+
+
+def test_dft_refuses_one_sample():
+    with pytest.raises(ValueError, match="need at least two samples"):
+        dft(SampledTrace(t_start=0.0, tau=1e-5, values=np.full(1, 0.25)))
+
+
 def test_dft_constant():
     trace = SampledTrace(t_start=0.0, tau=1e-5, values=np.full(64, 0.25))
     spec = dft(trace)

@@ -128,8 +128,8 @@ def test_subset_sum_kernel(values):
     distinct, counts = np.unique(every, return_counts=True)
     sums, none = exact._subset_sums(values)
     assert none is None and sums.tolist() == distinct.tolist()
-    sums, tags = exact._subset_sums(values, "count")
-    assert sums.tolist() == distinct.tolist() and tags.tolist() == counts.tolist()
+    sums, tally = exact._subset_sums(values, counts=True)
+    assert sums.tolist() == distinct.tolist() and tally.tolist() == counts.tolist()
 
 
 @settings(max_examples=200)
@@ -298,6 +298,11 @@ def test_spectrum_examples():
     assert all(a == Fraction(1, 2) for a in s.lines.values())
 
 
+def test_spectrum_refuses_a_total_over_its_guard():
+    with pytest.raises(InstanceTooLargeError, match="exceeds the spectrum guard of 2000000"):
+        analytic_spectrum(CpiInstance((exact.MAX_SPECTRUM_TOTAL, 1)))
+
+
 @settings(max_examples=100)
 @given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=10))
 def test_spectrum_properties(values):
@@ -312,14 +317,19 @@ def test_spectrum_properties(values):
     assert sum(s.lines.values()) == 1
 
 
+def _power(spectrum) -> float:
+    """Total power of a line spectrum: the sum of its squared amplitudes."""
+    return float(sum(a * a for a in spectrum.lines.values()))
+
+
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=8),
        st.randoms(use_true_random=False))
 def test_spectrum_power_permutation_invariant(values, rnd):
     inst = CpiInstance(tuple(values))
     shuffled = list(values)
     rnd.shuffle(shuffled)
-    assert analytic_spectrum(inst).total_power() == pytest.approx(
-        analytic_spectrum(CpiInstance(tuple(shuffled))).total_power())
+    assert _power(analytic_spectrum(inst)) == pytest.approx(
+        _power(analytic_spectrum(CpiInstance(tuple(shuffled)))))
 
 
 def test_time_domain_cross_check():

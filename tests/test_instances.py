@@ -135,3 +135,7 @@ def test_random_instance_validates():
         random_instance(n=1, kind="YES")
     with pytest.raises(ValueError):
         random_instance(n=3, max_mag=0)
+    with pytest.raises(ValueError, match="kind must be YES or NO, got 'maybe'"):
+        random_instance(n=3, kind="maybe")
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        random_instance(n=0, kind="NO")

@@ -68,6 +68,30 @@ def test_parse_dimacs_errors():
         CnfFormula(-1, ())
 
 
+def test_parse_dimacs_refuses_a_bad_token_and_a_missing_header():
+    with pytest.raises(ParseError, match="bad literal token 'x'"):
+        parse_dimacs("p cnf 1 1\n1 x 0\n")
+    with pytest.raises(ParseError, match="clause data before the 'p cnf' header"):
+        parse_dimacs("c no header\n1 -2 0\n2 0\n")
+    with pytest.raises(ParseError, match="missing 'p cnf' header"):
+        parse_dimacs("c only a comment\n")
+
+
+def test_parse_dimacs_takes_a_last_clause_without_its_zero():
+    assert parse_dimacs("p cnf 2 2\n1 0\n-1 2\n").clauses == ((1,), (-1, 2))
+
+
+def test_formula_and_simplify_refuse_out_of_range_variables():
+    with pytest.raises(ParseError, match="literal 3 out of range 1..2"):
+        CnfFormula(2, ((1, 3),))
+    with pytest.raises(ParseError, match="literal 0 out of range 1..2"):
+        CnfFormula(2, ((0,),))
+    f = CnfFormula(2, ((1, 2),))
+    for var in (0, 3):
+        with pytest.raises(ValueError, match=f"variable {var} out of range 1..2"):
+            simplify(f, var, True)
+
+
 def test_simplify_examples():
     f = CnfFormula(2, ((1, 2), (-1,)))
     assert simplify(f, 1, True).clauses == ((),)
