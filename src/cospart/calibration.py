@@ -284,17 +284,26 @@ def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
                     margin=abs(dc - thr.cut), sampled=sampled)
 
 
-@functools.lru_cache(maxsize=256)
+# every field of a chain's config but its noise seed
+_CHAIN_FIELDS = tuple(f.name for f in fields(NonidealityConfig) if f.name != "seed")
+
+
 def chain_digest(cfg: NonidealityConfig, spec: FilterSpec) -> str:
     """Short stable hash of a chain: config and filter, Z (and so the arity) included.
 
     The noise seed is left out; it is reported next to the hash wherever the
     hash is, so one chain has one digest whatever seed it runs with.  Equal
     configs and filters store their values alike and so print alike, which
-    makes the digest safe to memoise: a chain is hashed once per process.
+    makes the digest safe to memoise on the values without the seed: a chain
+    is hashed once per process, at however many seeds it runs.
     """
-    # the seed line reads 0 at every seed (cheaper than hashing `replace(cfg, seed=0)`)
-    text = config_to_text(cfg).replace(f"\nseed={cfg.seed}\n", "\nseed=0\n") + \
+    return _unseeded_digest(spec, *(getattr(cfg, name) for name in _CHAIN_FIELDS))
+
+
+@functools.lru_cache(maxsize=256)
+def _unseeded_digest(spec: FilterSpec, *values) -> str:
+    """`chain_digest` of the chain whose config fields but the seed are ``values``."""
+    text = config_to_text(NonidealityConfig(**dict(zip(_CHAIN_FIELDS, values)))) + \
         f"kind={spec.kind}\ncutoff_f0={spec.cutoff_f0:.12g}\n" \
         f"order={spec.order}\nper_stage_gain={spec.per_stage_gain or 0.0:.12g}\n"
     return hashlib.sha256(text.encode()).hexdigest()[:12]

@@ -5,24 +5,36 @@ the alignment frequency f_base·gcd.  Without clipping every block is affine:
 a multiplier is a shift-and-add of coefficient arrays, the bandwidth pole is a
 real gain per harmonic (it is zero-phase), and offsets, Z and the amplifier
 act on the DC line and on the scale.  Every signal is real, so harmonic -h is
-the conjugate of harmonic h, and the whole chain runs on the K+1 complex
-coefficients of harmonics 0..K, K = total/gcd, in two buffers it allocates
-once, where the grid carries the same harmonics ``oversample`` times over and
-pays two FFTs per stage.  This is the harmonic-balance view of a circuit
-(Kundert & Sangiovanni-Vincentelli, IEEE TCAD 5(4), 1986).
+the conjugate of harmonic h, and a signal is held as its complex coefficients
+of harmonics 0..h_max, where the grid carries the same harmonics
+``oversample`` times over and pays two FFTs per stage.  This is the
+harmonic-balance view of a circuit (Kundert & Sangiovanni-Vincentelli, IEEE
+TCAD 5(4), 1986).
 
-Each stage's noise enters the chain linearly too, so the DC's noise is
-Gaussian with zero mean.  On an m-point grid, white noise of σ volts per
-sample puts σ²/m of expected power on each harmonic, so stage s adds the
-variance σ²/m·Σ_h |ρ_s[h]|², where ρ_s[h] is the DC's sensitivity to
-harmonic h of that stage's pin.  One adjoint pass of the same shift-and-add,
-from the DC line back to the first stage, gives every ρ_s.
+Each stage is affine in its accumulator, so the DC is a linear function of
+every injection: each offset, each Z and the first source's two lines.  So
+one adjoint pass of the same shift-and-add, from the DC line back to the
+first stage, gives the DC's sensitivity ρ[h] to harmonic h of every node it
+passes (Director & Rohrer, IEEE Trans. Circuit Theory 16(3), 1969), and the
+noise-free DC is the sum of each injection times ρ at its node.  Each
+stage's noise enters linearly too, so the DC's noise is Gaussian with zero
+mean.  On an m-point grid, white noise of σ volts per sample puts
+σ²/m of expected power on each harmonic, so stage s adds the variance
+σ²/m·Σ_h |ρ_s[h]|², where ρ_s is the sensitivity at that stage's pin.
+
+The clip bound comes first from a scalar recursion, the triangle bound: the
+L1 norm of a product's coefficients is at most the product of the L1 norms,
+and the pole's gains lie in [0, 1].  Only when that bound reaches the rails
+does `forward` run the chain from the first stage to the DC, on harmonics
+0..K (K = total/gcd) in two buffers, for the exact Σ|c| at every node, which
+then decides the route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,9 +45,10 @@ from .pipeline import NonidealityConfig, _per_stage, _pole_response, grid_step, 
 
 # Noise RMS multiples kept clear of the rails for a chain to count as unclipped.
 CLIP_SIGMAS = 8.0
-# Largest K folded.  A fold holds two complex buffers of K+1, the pole's K+1
+# Largest K folded.  `forward` holds two complex buffers of K+1, the pole's K+1
 # floats and one complex temporary of at most K+1: about 1.75 arrays of 2K+1
-# complex values, 112 MB at the limit.
+# complex values, 112 MB at the limit.  The adjoint pass holds as many arrays,
+# each of 1 + h_2 + … + h_{n-1} harmonics, and never while `forward` runs.
 MAX_HARMONICS = 2_000_000
 
 
@@ -47,18 +60,17 @@ class HarmonicsTooLargeError(ValueError):
 class Fold:
     """The chain folded on its harmonics.
 
-    ``harmonics[h]``, h = 0..K, is harmonic h of the final stage output (the
-    last source for a single value); harmonic -h is its conjugate.  ``dc`` is
-    ``spec.dc_gain`` times its DC line, the noise-free DC of a one-period run.
+    ``dc`` is ``spec.dc_gain`` times the final stage output's DC line (the
+    last source's for a single value), the noise-free DC of a one-period run.
     ``stage_sigma[s]`` is the standard deviation that stage s's noise adds to
     that DC.  For each stage's pin and amplifier output, in chain order,
-    ``node_bound`` holds Σ|c| over -K..K, which bounds every noise-free
-    sample, and ``node_noise`` a bound on the noise's RMS over the period.
-    The pole output between them needs no entry: its gains lie in [0, 1], so
-    the pin's bounds hold for it.
+    ``node_bound`` bounds every noise-free sample: the triangle bound, or
+    `forward`'s Σ|c| over -K..K where the triangle bound reaches the rails.
+    ``node_noise`` bounds the noise's RMS over the period.  The pole output
+    between them needs no entry: its gains lie in [0, 1], so the pin's bounds
+    hold for it.
     """
 
-    harmonics: np.ndarray
     dc: float
     stage_sigma: tuple[float, ...]
     node_bound: tuple[float, ...]
@@ -66,8 +78,12 @@ class Fold:
 
     def clips(self, supply_voltage: float) -> bool:
         """True when some node's bound plus `CLIP_SIGMAS` noise RMS reaches the rails."""
-        return any(b + CLIP_SIGMAS * r >= supply_voltage
-                   for b, r in zip(self.node_bound, self.node_noise))
+        return _reaches_rails(self.node_bound, self.node_noise, supply_voltage)
+
+
+def _reaches_rails(bounds: Sequence[float], noises: Sequence[float],
+                   supply_voltage: float) -> bool:
+    return any(b + CLIP_SIGMAS * r >= supply_voltage for b, r in zip(bounds, noises))
 
 
 def _shift_add(c: np.ndarray, h: int, w: complex, off: float, out: np.ndarray) -> np.ndarray:
@@ -92,6 +108,13 @@ def _shift_add(c: np.ndarray, h: int, w: complex, off: float, out: np.ndarray) -
     return out[:top]
 
 
+def _harmonic(c: np.ndarray, k: int) -> complex:
+    """Harmonic k of the real signal whose harmonics 0..L ``c`` holds; zero past ±L."""
+    if k < 0:
+        return np.conj(_harmonic(c, -k))
+    return c[k] if k < len(c) else 0.0
+
+
 def _scale(c: np.ndarray, gains: np.ndarray) -> None:
     """``c *= gains`` for real gains, on the real and imaginary parts: no complex copy."""
     c.real *= gains
@@ -104,18 +127,11 @@ def _abs_sum(c: np.ndarray) -> float:
     return float(mag[0] + 2.0 * mag[1:].sum())
 
 
-def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
-    """Run ``cfg``'s chain on ``inst`` as harmonic coefficients, clipping ignored.
+def _setup(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[list[int], int, list[complex]]:
+    """Each source's harmonic, the grid's m, and each source's line at its + harmonic.
 
     The sources' phases are `pipeline.source_draws`'s, so they are the grid's
-    at the same seed.  The pole's gain for harmonic h is taken at the grid's
-    own bin frequency, h·(1/(m·dt)) on the `points_per_period` grid, so a
-    harmonic exactly at a hard pole's f* passes as it does on the grid.  The
-    amplifier and multiplier act as in `pipeline.multiply_stage` and
-    `pipeline.amplify`, but with no supply clamp: the result is the grid's
-    only where `Fold.clips` is false.  The adjoint runs first, as it reads
-    nothing of the forward pass, and then the forward pass, each block from
-    one of two buffers of K+1 into the other.
+    at the same seed; without phase errors they are all 0 and nothing is drawn.
 
     Raises:
         ValueError: when ``cfg`` has frequency errors, which move the sources
@@ -130,35 +146,112 @@ def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
     if top > MAX_HARMONICS:
         raise HarmonicsTooLargeError(f"instance needs {top} harmonics "
                                      f"(limit {MAX_HARMONICS})")
-    m = points_per_period(inst, cfg)
-    pole = _pole_response(m, grid_step(inst, cfg), cfg, bins=top + 1)
-    phases = source_draws(inst, cfg)[1]
-    lines = [0.5 * _per_stage(cfg.source_amplitude, i) * np.exp(1j * phases[i])
-             for i in range(inst.n)]
-    sigma, gain = cfg.noise_sigma, cfg.amp_gain
-    held, spare = np.empty(top + 1, dtype=complex), np.empty(top + 1, dtype=complex)
+    amplitudes = [0.5 * _per_stage(cfg.source_amplitude, i) for i in range(inst.n)]
+    if cfg.phase_error_sigma:
+        phases = source_draws(inst, cfg)[1]
+        lines = [complex(a * np.exp(1j * p)) for a, p in zip(amplitudes, phases)]
+    else:
+        lines = [complex(a) for a in amplitudes]
+    return harmonics, points_per_period(inst, cfg), lines
 
-    # adjoint: lam[h] is the DC's sensitivity to harmonic h of the node, from the DC line back
+
+def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
+    """Run ``cfg``'s chain on ``inst`` as harmonic coefficients, clipping ignored.
+
+    The pole's gain for harmonic h is taken at the grid's own bin frequency,
+    h·(1/(m·dt)) on the `points_per_period` grid, so a harmonic exactly at a
+    hard pole's f* passes as it does on the grid.  The amplifier and
+    multiplier act as in `pipeline.multiply_stage` and `pipeline.amplify`,
+    but with no supply clamp: the result is the grid's only where
+    `Fold.clips` is false.  The node bounds are the triangle bound; only
+    when it reaches the rails does `forward` run, and its Σ|c| takes its
+    place.  The DC and every stage's σ then come from one adjoint pass, in
+    two buffers of its longest sensitivity, 1 + h_2 + … + h_{n-1}.
+
+    Raises:
+        ValueError: when ``cfg`` has frequency errors, which move the sources
+            off the harmonics.
+        HarmonicsTooLargeError: when total/gcd exceeds `MAX_HARMONICS`,
+            before anything is allocated.
+    """
+    harmonics, m, lines = _setup(inst, cfg)
+    stages = range(inst.n - 1)
+    ins = [_per_stage(cfg.mult_input_offset, s) for s in stages]
+    pins = [_per_stage(cfg.mult_output_offset, s)  # output offset and Z
+            + (_per_stage(cfg.z_compensation, s) if len(cfg.z_compensation) else 0.0)
+            for s in stages]
+    scale = cfg.mult_scale
+
+    # Σ|c| of a product is at most the product of the factors' Σ|c|
+    bound, rms = 2.0 * abs(lines[0]), 0.0
+    bounds, noises = [], []
+    for s in stages:
+        source = 2.0 * abs(lines[s + 1]) + abs(ins[s])
+        bound = abs(scale) * (bound + abs(ins[s])) * source + abs(pins[s])
+        # the accumulator's noise times the source, plus this stage's
+        rms = math.hypot(rms * abs(scale) * source, cfg.noise_sigma)
+        bounds.append(bound)
+        noises.append(rms)
+        bound = abs(cfg.amp_gain) * bound + abs(cfg.amp_offset)
+        rms *= abs(cfg.amp_gain)
+        bounds.append(bound)
+        noises.append(rms)
+    if _reaches_rails(bounds, noises, cfg.supply_voltage):  # too loose: Σ|c| decides
+        bounds = forward(inst, cfg)[1]
+
+    # adjoint: lam[h] is the DC's sensitivity to harmonic h of the node reached, so a
+    # DC injection there adds its size times lam[0] to the DC: the amplifier offset at
+    # each amplifier output, pins[s] at each pin, ins[s] at each accumulator input,
+    # which is the amplifier output before it
+    size = 1 + sum(harmonics[2:])
+    pole = _pole_response(m, grid_step(inst, cfg), cfg, bins=size)
+    gains = np.ones(size) if pole is None else pole
+    gains *= cfg.amp_gain  # the amplifier's gain times the pole's, per harmonic
+    held, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
     lam = held[:1]
     lam[0] = spec.dc_gain
-    stage_sigma = []
-    for s in reversed(range(inst.n - 1)):
-        lam *= gain
-        if pole is not None:
-            _scale(lam, pole[:len(lam)])
-        power = abs(lam[0]) ** 2 + 2.0 * np.vdot(lam[1:], lam[1:]).real
-        stage_sigma.append(sigma * math.sqrt(float(power) / m))
-        if s:  # the first stage's sensitivity to its inputs is never read
-            lam = _shift_add(lam, harmonics[s + 1], np.conj(lines[s + 1]),
-                             _per_stage(cfg.mult_input_offset, s), spare)
-            lam *= cfg.mult_scale
+    dc, stage_sigma = 0.0, []
+    for s in reversed(stages):
+        h, w = harmonics[s + 1], np.conj(lines[s + 1])
+        dc += lam[0].real * cfg.amp_offset
+        lam *= gains[:len(lam)]
+        # Σ|lam|² over -L..L; einsum, as a BLAS dot may wake its threads on a long lam
+        x = lam.view(float)  # harmonic h's real and imaginary parts at x[2h], x[2h + 1]
+        power = x[0] ** 2 + x[1] ** 2 + 2.0 * np.einsum("i,i->", x[2:], x[2:])
+        stage_sigma.append(cfg.noise_sigma * math.sqrt(float(power) / m))
+        dc += lam[0].real * pins[s]
+        if s:
+            lam = _shift_add(lam, h, scale * w, scale * ins[s], spare)
             held, spare = spare, held
+            dc += lam[0].real * ins[s]
+        else:
+            # the first source's lines add 2·Re(lam[h_0]·w_0) at the first accumulator
+            # input: form only harmonics 0 and h_0 of that last shift-and-add
+            def product(k: int) -> complex:
+                return scale * (w * _harmonic(lam, k - h) + np.conj(w) * _harmonic(lam, k + h)
+                                + ins[0] * _harmonic(lam, k))
 
-    c = held[:harmonics[0] + 1]  # the first source, over what the adjoint left
+            dc += product(0).real * ins[0] + 2.0 * (product(harmonics[0]) * lines[0]).real
+    return Fold(dc=float(dc), stage_sigma=tuple(reversed(stage_sigma)),
+                node_bound=tuple(bounds), node_noise=tuple(noises))
+
+
+def forward(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The chain from the first stage to the DC: harmonics 0..K of the final
+    stage output, and Σ|c| over -K..K at every node.
+
+    Each block runs from one of two buffers of K+1 into the other.  Harmonic
+    0 of the output is `Fold.dc` over the filter's DC gain; the nodes are
+    `Fold.node_bound`'s.  Raises as `fold`.
+    """
+    harmonics, m, lines = _setup(inst, cfg)
+    pole = _pole_response(m, grid_step(inst, cfg), cfg, bins=sum(harmonics) + 1)
+    held = np.empty(sum(harmonics) + 1, dtype=complex)
+    spare = np.empty_like(held)
+    c = held[:harmonics[0] + 1]  # the first source
     c[:] = 0.0
     c[-1] = lines[0]
-    rms = 0.0
-    bounds, noises = [], []
+    bounds = []
     for s in range(inst.n - 1):
         h, w = harmonics[s + 1], lines[s + 1]
         off_in = _per_stage(cfg.mult_input_offset, s)
@@ -169,17 +262,10 @@ def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
         c[0] += _per_stage(cfg.mult_output_offset, s)
         if len(cfg.z_compensation):
             c[0] += _per_stage(cfg.z_compensation, s)
-        # the accumulator's noise times a source of at most 2|w| + |off_in|, plus this stage's
-        rms = math.hypot(rms * abs(cfg.mult_scale) * (2 * abs(w) + abs(off_in)), sigma)
         bounds.append(_abs_sum(c))
-        noises.append(rms)
         if pole is not None:
             _scale(c, pole[:len(c)])
-        c *= gain
+        c *= cfg.amp_gain
         c[0] += cfg.amp_offset
-        rms *= abs(gain)
         bounds.append(_abs_sum(c))
-        noises.append(rms)
-    return Fold(harmonics=c, dc=spec.dc_gain * float(c[0].real),
-                stage_sigma=tuple(reversed(stage_sigma)), node_bound=tuple(bounds),
-                node_noise=tuple(noises))
+    return c, tuple(bounds)

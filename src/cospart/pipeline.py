@@ -561,6 +561,8 @@ def config_from_items(items: dict[str, object]) -> NonidealityConfig:
 
     A string is read as the type of its field's default, or as a sequence for
     ``z_compensation`` and a per-stage field with a comma; other values pass as they are.
+    An int field's string that is no int literal is read as a float, which the
+    config takes when it is integral (16.0 as 16) and refuses by name otherwise.
     """
     types = {f.name: type(f.default) for f in fields(NonidealityConfig)}
     kwargs = {}
@@ -571,6 +573,11 @@ def config_from_items(items: dict[str, object]) -> NonidealityConfig:
             kwargs[key] = raw
         elif key in _SEQ_FIELDS and ("," in raw or key == "z_compensation"):
             kwargs[key] = tuple(float(p) for p in raw.split(",") if p.strip())
+        elif types[key] is int:
+            try:
+                kwargs[key] = int(raw)  # exact, however large
+            except ValueError:
+                kwargs[key] = float(raw)
         else:
             kwargs[key] = types[key](raw.strip())
     return NonidealityConfig(**kwargs)

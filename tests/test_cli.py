@@ -831,3 +831,41 @@ def test_every_out_run_records_what_it_wrote(tmp_path, capsys, argv):
     assert record["command"] == "cospart " + " ".join(argv + ["--out", str(out)])
     for name in written:
         assert _hashes((out / name).read_text())[0] == record["config_hash"]
+
+
+def test_calibrated_batch_hashes_its_chain_once(tmp_path, capsys, monkeypatch):
+    from cospart import calibration
+    from cospart.pipeline import NonidealityConfig
+    from cospart.reductions import OracleBackend
+    calls = []
+    real = calibration.config_to_text
+    monkeypatch.setattr(calibration, "config_to_text", lambda cfg: calls.append(cfg) or real(cfg))
+    # an amplifier offset no other test uses, so no digest of this chain is memoised yet
+    (tmp_path / "chain.cfg").write_text("amp_offset=1.23456789e-4\n")
+    chain = OracleBackend("analog", NonidealityConfig(amp_offset=1.23456789e-4)).digest
+    (tmp_path / "cal.txt").write_text("cut=0.03\nno_band_max=1e-3\nyes_band_min=0.06\n"
+                                      f"training_size=2\nseparable=1\nchain={chain}\n")
+    (tmp_path / "batch.txt").write_text("3 2 5\n3 6 4\n" * 10)
+    code, out, _ = _run(capsys, "decide", "--oracle", "analog", "--config",
+                        str(tmp_path / "chain.cfg"), "--calibration", str(tmp_path / "cal.txt"),
+                        "--batch", str(tmp_path / "batch.txt"))
+    # twenty sub-seeds, one chain: the digest above is the only one computed
+    assert code == 0 and _hashes(out) == [chain] * 20
+    assert out.count("answer=YES") == out.count("answer=NO") == 10
+    assert len(calls) == 1
+
+
+def test_config_file_reads_an_integral_float_as_its_int(tmp_path, capsys):
+    outs = []
+    for oversample in ("16", "16.0"):
+        (tmp_path / "chain.cfg").write_text(f"oversample={oversample}\namp_offset=1e-3\n")
+        code, out, err = _run(capsys, "decide", "--oracle", "analog", "--config",
+                              str(tmp_path / "chain.cfg"), "3 2 5")
+        assert (code, err) == (1, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    (tmp_path / "chain.cfg").write_text("oversample=16.5\n")
+    code, out, err = _run(capsys, "decide", "--oracle", "analog", "--config",
+                          str(tmp_path / "chain.cfg"), "3 2 5")
+    assert (code, out) == (2, "")
+    assert err == "error: oversample must be an integer, got 16.5\n"

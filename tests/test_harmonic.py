@@ -3,6 +3,7 @@ adjoint noise and the route `calibration.measure_dc` takes."""
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,19 @@ from conftest import tracemalloc_peak
 EPS = np.finfo(float).eps
 
 
-def _coefficients(chain: harmonic.Fold) -> np.ndarray:
+def _forwarded(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> SimpleNamespace:
+    """`harmonic.fold` with `harmonic.forward`'s harmonics, and its Σ|c| as the node bounds.
+
+    The float residue of a harmonic is bounded by Σ|c|, not by the looser
+    triangle bound `fold` keeps when it clears the rails.
+    """
+    chain = harmonic.fold(inst, cfg, spec)
+    harmonics, node_bound = harmonic.forward(inst, cfg)
+    return SimpleNamespace(dc=chain.dc, stage_sigma=chain.stage_sigma, clips=chain.clips,
+                           harmonics=harmonics, node_bound=node_bound)
+
+
+def _coefficients(chain: SimpleNamespace) -> np.ndarray:
     """Harmonics -K..K of the chain's output: ``[K + h]`` is harmonic h."""
     return np.concatenate((np.conj(chain.harmonics[:0:-1]), chain.harmonics))
 
@@ -61,7 +74,7 @@ def _nonideal_chain(k: int) -> tuple[CpiInstance, NonidealityConfig, FilterSpec]
 @pytest.mark.parametrize("k", range(12))
 def test_noise_free_dc_matches_the_grid(k):
     inst, cfg, spec = _nonideal_chain(k)
-    chain = harmonic.fold(inst, cfg, spec)
+    chain = _forwarded(inst, cfg, spec)
     assert not chain.clips(cfg.supply_voltage)
     dc, trace, _ = run_and_measure(inst, cfg, spec)
     # float64 residue: m rounded samples, each within eps of the largest node bound
@@ -231,7 +244,7 @@ def test_fold_peaks_under_two_coefficient_arrays():
 @pytest.mark.parametrize("k", range(6))
 def test_coefficients_are_hermitian_and_bound_the_output(k):
     inst, cfg, spec = _nonideal_chain(k)
-    chain = harmonic.fold(inst, cfg, spec)
+    chain = _forwarded(inst, cfg, spec)
     half = inst.total // inst.gcd
     c = _coefficients(chain)
     assert len(c) == 2 * half + 1 and np.array_equal(c[half:], chain.harmonics)
@@ -268,7 +281,7 @@ def test_one_and_two_values_match_the_grid(text):
     inst, spec = parse_instance(text), FilterSpec("brickwall", 5000.0)
     cfg = NonidealityConfig(mult_output_offset=4e-3, mult_input_offset=1e-3,
                             amp_offset=2.5e-4, phase_error_sigma=0.3, seed=5)
-    chain = harmonic.fold(inst, replace(cfg, noise_sigma=1e-3), spec)
+    chain = _forwarded(inst, replace(cfg, noise_sigma=1e-3), spec)
     half, m = inst.total // inst.gcd, points_per_period(inst, cfg)
     dc, trace, _ = run_and_measure(inst, cfg, spec)
     bound = m * EPS * abs(spec.dc_gain) * max((1.0, *chain.node_bound))
@@ -279,3 +292,102 @@ def test_one_and_two_values_match_the_grid(text):
     # the one stage's noise reaches the DC through the amplifier and the filter's DC gain
     expected = (1e-3 * abs(cfg.amp_gain * spec.dc_gain) / math.sqrt(m),) * (inst.n - 1)
     assert chain.stage_sigma == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("k", range(60))
+def test_adjoint_dc_and_triangle_bound_against_forward(k):
+    inst, cfg, spec = _nonideal_chain(k)
+    harmonics, node_bound = harmonic.forward(inst, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        # the triangle bound clears the rails, so the fold keeps it
+        mp.setattr(harmonic, "forward", None)
+        chain = harmonic.fold(inst, cfg, spec)
+    # the two passes sum the same injections in another order
+    bound = 4 * EPS * abs(spec.dc_gain) * max(1.0, *node_bound)
+    assert abs(chain.dc - spec.dc_gain * harmonics[0].real) <= bound
+    # the triangle bound holds Σ|c| at every node
+    assert not chain.clips(cfg.supply_voltage)
+    assert len(chain.node_bound) == len(node_bound) == 2 * (inst.n - 1)
+    assert all(b >= s * (1 - 1e-12) for b, s in zip(chain.node_bound, node_bound))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=9), st.booleans(),
+       st.sampled_from(["hard", "one-pole", "none"]), st.sampled_from([3e4, 2e5, 1e6]),
+       st.sampled_from([FilterSpec("brickwall", 5000.0),
+                        FilterSpec("one-pole", 5000.0, order=2, per_stage_gain=2.0)]),
+       st.integers(0, 2**16))
+def test_adjoint_dc_is_forwards_on_random_chains(values, seq, model, f_star, spec, seed):
+    # input offsets, Z and per-stage sequences, which the grid-checked chains draw less often
+    inst, rng, stages = CpiInstance(tuple(values)), np.random.default_rng(seed), len(values) - 1
+
+    def per_stage(lo, hi):
+        return tuple(rng.uniform(lo, hi, stages)) if seq else float(rng.uniform(lo, hi))
+
+    cfg = NonidealityConfig(
+        mult_output_offset=per_stage(-6e-3, 6e-3), mult_input_offset=per_stage(-3e-3, 3e-3),
+        z_compensation=tuple(rng.uniform(-6e-3, 6e-3, stages)),
+        source_amplitude=tuple(rng.uniform(0.8, 1.2, inst.n)),
+        amp_offset=float(rng.normal(0, 1e-3)), phase_error_sigma=1.0, bandwidth_model=model,
+        bandwidth_f_star=f_star, seed=seed)
+    chain = harmonic.fold(inst, cfg, spec)
+    harmonics, node_bound = harmonic.forward(inst, cfg)
+    bound = 4 * EPS * abs(spec.dc_gain) * max((1.0, *node_bound))
+    assert abs(chain.dc - spec.dc_gain * harmonics[0].real) <= bound
+    assert all(b >= s * (1 - 1e-12) for b, s in zip(chain.node_bound, node_bound))
+
+
+# The benchmark's calibrated chain: per-stage output offsets (compensated through
+# Z by `calibrate`), an amplifier offset, a one-pole output pole above every
+# tone, noise, and the brickwall low-pass.
+_CALIBRATED_CHAIN = (
+    "mult_output_offset=" + ",".join(f"{4e-3 + 3e-4 * k:.4g}" for k in range(9)) + "\n"
+    "amp_offset=2.5e-4\nbandwidth_model=one-pole\nbandwidth_f_star=1e9\nnoise_sigma=1e-4\n"
+    "kind=brickwall\ncutoff_f0=5000\n")
+
+
+def test_calibrated_decisions_never_run_forward(tmp_path, capsys, monkeypatch):
+    from cospart.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("forward ran where the triangle bound clears the rails")
+
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text(_CALIBRATED_CHAIN)
+    # calibrate measures the offsets on the first NO instance, one with no balanced run
+    first = {"YES": "", "NO": "1 2 4 8 16 32 64 128 256 1024\n"}
+    for kind in ("YES", "NO"):
+        assert main(["gen", "--n", "10", "--max-mag", "300", "--kind", kind, "--count", "4",
+                     "--seed", "7"]) == 0
+        (tmp_path / f"{kind}.txt").write_text(first[kind] + capsys.readouterr().out)
+    monkeypatch.setattr(harmonic, "forward", refuse)
+    monkeypatch.setattr(calibration, "run_and_measure", refuse)
+    cal = tmp_path / "cal"
+    assert main(["calibrate", "--yes", str(tmp_path / "YES.txt"), "--no", str(tmp_path / "NO.txt"),
+                 "--config", str(cfg), "--out", str(cal)]) == 0
+    for kind in ("YES", "NO"):
+        assert main(["decide", "--oracle", "analog", "--config", str(cfg), "--calibration",
+                     str(cal / "calibration.txt"), "--batch", str(tmp_path / f"{kind}.txt")]) == 0
+        out = capsys.readouterr().out
+        assert out.count(f"answer={kind}\n") == out.count("answer=") == 4 + bool(first[kind])
+
+
+@pytest.mark.parametrize("model, f_star, dc_volts", [("hard", 45e3, 0.0), ("one-pole", 15e3, 1.94)])
+def test_loose_triangle_bound_takes_the_harmonic_route_after_forward(monkeypatch, model, f_star,
+                                                                     dc_volts):
+    # at 3 V per source the triangle bound reaches 27 V on the last amplifier output,
+    # but the pole cuts (hard) or damps (one-pole) the 3·2 product's 50 kHz line,
+    # which the 5 would bring back to DC, so Σ|c| stays below the rails
+    inst, spec = parse_instance("3 2 5"), FilterSpec("brickwall", 5000.0)
+    cfg = NonidealityConfig(source_amplitude=3.0, bandwidth_model=model, bandwidth_f_star=f_star)
+    runs = []
+    real = harmonic.forward
+    monkeypatch.setattr(harmonic, "forward", lambda *args: runs.append(args) or real(*args))
+    chain = harmonic.fold(inst, cfg, spec)
+    assert len(runs) == 1 and chain.node_bound == real(inst, cfg)[1]
+    assert not chain.clips(cfg.supply_voltage) and max(chain.node_bound) < 10.0
+    dc, sampled = measure_dc(inst, cfg, spec)
+    assert sampled is None and dc == chain.dc == pytest.approx(dc_volts, abs=5e-3)
+    m = points_per_period(inst, cfg)
+    grid = run_and_measure(inst, cfg, spec)[0]
+    assert abs(dc - grid) <= m * EPS * abs(spec.dc_gain) * max(chain.node_bound)

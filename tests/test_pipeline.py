@@ -490,6 +490,15 @@ def test_amplify_writes_over_its_input_bit_for_bit(ideal_cfg):
     assert np.array_equal(out.samples, fresh)
 
 
+def test_config_items_read_int_fields_exactly():
+    # an int literal stays exact past float's 53 bits; an integral float is taken as its int
+    assert config_from_items({"seed": "12345678901234567891"}).seed == 12345678901234567891
+    assert config_from_items({"oversample": "32.0", "seed": "1e3"}) == \
+        NonidealityConfig(oversample=32, seed=1000)
+    with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
+        config_from_items({"seed": "2.5"})
+
+
 def test_config_rejects_unknown_key():
     with pytest.raises(ValueError):
         config_from_items({"not_a_knob": "1"})
