@@ -227,18 +227,31 @@ def test_single_value_has_no_stage():
     assert chain.dc == 0.0 and chain.stage_sigma == () and chain.node_bound == ()
 
 
-def test_fold_peaks_under_two_coefficient_arrays():
-    # two buffers of K+1, the pole's K+1 floats and one temporary: 1.75 arrays of 2K+1;
-    # the superincreasing YES instance 1 2 4 … 2^12 2^13-1 has K = 2^14 - 2
+def test_fold_peaks_under_two_coefficient_arrays(monkeypatch):
+    # the superincreasing YES instance 1 2 4 … 2^12 2^13-1 has K = 2^14 - 2, and its
+    # adjoint's longest sensitivity 1 + h_2 + … + h_13 = K - 2 harmonics: two buffers
+    # of that, the pole's floats and one temporary are 1.75 arrays of 2K+1, as are
+    # `forward`'s two buffers of K+1, its pole and its temporary, freed before the adjoint
     inst = CpiInstance(tuple(1 << i for i in range(13)) + ((1 << 13) - 1,))
     spec = FilterSpec("brickwall", 5000.0)
-    cfg = NonidealityConfig(bandwidth_f_star=1e12, noise_sigma=1e-4)
     half = inst.total // inst.gcd
     assert half == 16_382
-    harmonic.fold(inst, cfg, spec)  # imports and caches outside the trace
-    chain, peak = tracemalloc_peak(lambda: harmonic.fold(inst, cfg, spec))
-    assert not chain.clips(cfg.supply_voltage)
-    assert peak < 2 * 16 * (2 * half + 1)
+    forwards = []
+    real_forward = harmonic.forward
+    monkeypatch.setattr(harmonic, "forward",
+                        lambda *args: forwards.append(args) or real_forward(*args))
+    # no two sums of its values meet, so with the pole far above every tone the triangle
+    # bound is Σ|c|, 1 V, and clears the rails; at 1.5 V sources it is 1.5^14 = 292 V,
+    # so `forward` runs, and the hard pole's Σ|c| of 3.375 V keeps the harmonic route
+    for cfg, runs in ((NonidealityConfig(bandwidth_f_star=1e12, noise_sigma=1e-4), 0),
+                      (NonidealityConfig(source_amplitude=1.5, bandwidth_model="hard",
+                                         bandwidth_f_star=1e5, noise_sigma=1e-4), 1)):
+        harmonic.fold(inst, cfg, spec)  # imports and caches outside the trace
+        forwards.clear()
+        chain, peak = tracemalloc_peak(lambda: harmonic.fold(inst, cfg, spec))
+        assert len(forwards) == runs
+        assert not chain.clips(cfg.supply_voltage)
+        assert peak < 2 * 16 * (2 * half + 1)
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -267,7 +280,7 @@ def test_fold_dc_matches_the_grid_on_random_chains(rest, above, largest_first, m
     cfg = NonidealityConfig(mult_output_offset=3e-3, mult_input_offset=off_in,
                             amp_offset=2.5e-4, phase_error_sigma=0.05,
                             bandwidth_model=model, bandwidth_f_star=f_star, seed=seed)
-    chain = harmonic.fold(inst, cfg, spec)
+    chain = _forwarded(inst, cfg, spec)
     assert not chain.clips(cfg.supply_voltage)
     dc = run_and_measure(inst, cfg, spec)[0]
     m = points_per_period(inst, cfg)
@@ -276,8 +289,7 @@ def test_fold_dc_matches_the_grid_on_random_chains(rest, above, largest_first, m
 
 @pytest.mark.parametrize("text", ["4", "3 5", "5 3", "4 4"])
 def test_one_and_two_values_match_the_grid(text):
-    # n = 1 runs no adjoint stage and n = 2 one; either way the forward pass
-    # then starts in a buffer the adjoint wrote
+    # n = 1 runs no adjoint stage and n = 2 one, which forms only harmonics 0 and h_0
     inst, spec = parse_instance(text), FilterSpec("brickwall", 5000.0)
     cfg = NonidealityConfig(mult_output_offset=4e-3, mult_input_offset=1e-3,
                             amp_offset=2.5e-4, phase_error_sigma=0.3, seed=5)
