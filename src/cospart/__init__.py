@@ -19,8 +19,8 @@ from .instances import (CpiInstance, alignment_time, load_instances, nyquist_fre
                         parse_instance, random_instance, scale_instance,
                         serialize_instance)
 from .netlist import NetlistDoc, emit_netlist, parse_trace_csv, validate_netlist
-from .pipeline import (NonidealityConfig, PipelineTrace, Signal, StageSummary, amplify,
-                       multiply_stage, run_cascade, synthesize_sources)
+from .pipeline import (NonidealityConfig, PipelineTrace, Signal, amplify, multiply_stage,
+                       run_cascade, synthesize_sources)
 from .reductions import (CnfFormula, OracleBackend, extract_witness, format_solution,
                          parse_dimacs, sat_to_partition, simplify)
 

@@ -135,7 +135,7 @@ def measure_stage_offsets(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[fl
     if solve_exact(inst):
         warnings.warn("measuring offsets on a YES instance; the report includes signal DC",
                       stacklevel=2)
-    return tuple(s.pin_dc for s in run_cascade(inst, cfg, periods=1).stages)
+    return run_cascade(inst, cfg).pin_dc
 
 
 def pick_offset_instance(train_no: Sequence[CpiInstance]) -> CpiInstance:
@@ -357,15 +357,22 @@ def threshold_from_text(text: str) -> tuple[DecisionThreshold, tuple[float, ...]
         if not items.get(f.name):
             raise ValueError(f"calibration has no {f.name}= line; "
                              "recalibrate with cospart calibrate")
+
+    def read(key: str, convert: Callable):
+        try:
+            return convert(items[key])
+        except ValueError as exc:
+            raise ValueError(f"calibration key {key}: {exc}") from None
+
     thr = DecisionThreshold(
-        cut=float(items["cut"]),
-        no_band_max=float(items["no_band_max"]),
-        yes_band_min=float(items["yes_band_min"]),
-        training_size=int(items["training_size"]),
-        separable=bool(int(items["separable"])),
+        cut=read("cut", float),
+        no_band_max=read("no_band_max", float),
+        yes_band_min=read("yes_band_min", float),
+        training_size=read("training_size", int),
+        separable=read("separable", lambda v: bool(int(v))),
         chain=items["chain"],
     )
     z = ()
     if items.get("z_compensation"):
-        z = tuple(float(p) for p in items["z_compensation"].split(","))
+        z = read("z_compensation", lambda v: tuple(float(p) for p in v.split(",")))
     return thr, z

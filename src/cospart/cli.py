@@ -32,9 +32,12 @@ def _chain(args, kind: str) -> reductions.OracleBackend:
 
     ``--config``'s fields, ``--seed`` and ``--calibration``'s Z make one config; ``--filter``
     and ``--f0`` override its filter fields, and `reductions._open_filter` fills the rest.
+    The seed is ``--seed``'s alone: a ``--config`` file that sets one is refused.
     """
     config = getattr(args, "config", None)
     items: dict[str, object] = pipeline.parse_kv(Path(config).read_text()) if config else {}
+    if "seed" in items:
+        raise ValueError(f"{config} sets seed=; give the seed with --seed")
     filt = {key: items.pop(key) for key in _FILTER_KEYS if key in items}
     flags = {"kind": getattr(args, "filter", None), "cutoff_f0": getattr(args, "f0", None)}
     filt.update((key, value) for key, value in flags.items() if value is not None)

@@ -37,8 +37,8 @@ class FilterSpec:
             raise ValueError(f"kind must be one of {FILTER_KINDS}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "order", _integral("order", self.order))
-        if self.cutoff_f0 <= 0:
-            raise ValueError("cutoff_f0 must be positive")
+        if not self.cutoff_f0 > 0:  # NaN too
+            raise ValueError(f"cutoff_f0 must be positive, got {self.cutoff_f0!r}")
         if self.order < 1:
             raise ValueError("order must be at least 1")
 

@@ -11,9 +11,9 @@ up to the next 2·3·5·7-smooth integer, so every stage's FFT runs at a length
 numpy transforms quickly.
 
 `run_cascade` streams like the hardware: one signal is in flight, and each
-stage leaves a `StageSummary` instead of its node arrays.  A source is a
-`Tone`, tables of about √m cos and sin values, made only when its stage
-needs it; the stage's product forms its samples block by block, so no
+stage leaves its multiplier pin's DC instead of its node arrays.  A source
+is a `Tone`, tables of about √m cos and sin values, made only when its
+stage needs it; the stage's product forms its samples block by block, so no
 source is ever a grid array.  The cascade is one loop on the caller's
 thread, and each stage draws its own noise.  Peak memory is two and a half
 grid arrays plus about 64 KB, whatever the number of values.  The cascade
@@ -66,7 +66,10 @@ class NonidealityConfig:
 
     Scalars apply uniformly; ``mult_output_offset``, ``mult_input_offset``
     and ``source_amplitude`` also accept per-stage / per-source sequences.
-    ``z_compensation`` is per stage (empty means no compensation).
+    ``z_compensation`` is per stage (empty means no compensation).  A NaN or
+    infinite float (but ``bandwidth_f_star=inf``), a non-positive ``f_base``,
+    ``supply_voltage`` or ``bandwidth_f_star``, or a negative sigma or seed
+    raises a ValueError naming its field.
     """
 
     f_base: float = 10_000.0          # Hz per instance unit
@@ -88,20 +91,30 @@ class NonidealityConfig:
 
     def __post_init__(self) -> None:
         # equal values are stored alike (10**20 as 1e20, 16.0 as 16): one chain, one text
+        # NaN and infinities are refused: the harmonic route and the grid read them differently
         for f in fields(self):
-            v = getattr(self, f.name)
+            v, finite = getattr(self, f.name), True
             if f.name in _SEQ_FIELDS and not isinstance(v, (int, float)):
-                object.__setattr__(self, f.name, tuple(float(x) for x in v))
+                v = tuple(float(x) for x in v)
+                finite = all(map(math.isfinite, v))
             elif f.name in _SEQ_FIELDS or isinstance(f.default, float):
-                object.__setattr__(self, f.name, float(v))
+                v = float(v)
+                finite = math.isfinite(v) or (f.name, v) == ("bandwidth_f_star", math.inf)
             elif isinstance(f.default, int):
-                object.__setattr__(self, f.name, _integral(f.name, v))
+                v = _integral(f.name, v)
+            if not finite:
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
+            object.__setattr__(self, f.name, v)
+        for name in ("f_base", "supply_voltage", "bandwidth_f_star"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("freq_error_sigma", "phase_error_sigma", "noise_sigma", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         if self.oversample < 4:
             raise ValueError("oversample must be at least 4")
         if self.bandwidth_model not in BANDWIDTH_MODELS:
             raise ValueError(f"bandwidth_model must be one of {BANDWIDTH_MODELS}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     @classmethod
     def ideal(cls, seed: int = 0, **overrides) -> "NonidealityConfig":
@@ -127,33 +140,17 @@ class Signal:
         return self.dt * np.arange(self.m)
 
 
-@dataclass(frozen=True)
-class StageSummary:
-    """What one multiplier+amplifier stage did, taken as the signal passed.
-
-    ``pin_dc`` is the mean of the multiplier pin (before the amplifier), the
-    DC that Z compensation cancels.  ``clip_fraction`` is the share of stage
-    output samples sitting at ±``supply_voltage``; ``out_min`` and
-    ``out_max`` bound the stage output.
-    """
-
-    pin_dc: float
-    clip_fraction: float
-    out_min: float
-    out_max: float
-
-
 @dataclass(eq=False)
 class PipelineTrace:
-    """Result of one cascade run: the final signal and one summary per stage.
+    """Result of one cascade run: the final signal and each stage's pin DC.
 
-    Only ``final`` is kept as an array; ``stages[k]`` summarises stage k+1
-    (n-1 entries, none for a single value).
+    Only ``final`` is kept as an array; ``pin_dc[k]`` is the mean of stage
+    k+1's multiplier pin, before the amplifier: the DC that Z compensation
+    cancels (n-1 entries, none for a single value).
     """
 
     final: Signal
-    bandwidth_warning: bool = False
-    stages: tuple[StageSummary, ...] = ()
+    pin_dc: tuple[float, ...] = ()
     # always empty: node arrays are not kept, but perfbench/tracer.py reads these names
     sources = mult_outputs = stage_outputs = ()
 
@@ -321,6 +318,8 @@ def grid_step(inst: CpiInstance, cfg: NonidealityConfig) -> float:
 
 def source_draws(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[np.ndarray, np.ndarray]:
     """Every source's relative frequency error and phase, in that order, seeded ``[seed, 101]``."""
+    if not (cfg.freq_error_sigma or cfg.phase_error_sigma):  # the bits normal(0.0, 0.0, n) draws
+        return np.zeros(inst.n), np.zeros(inst.n)
     rng = np.random.default_rng([cfg.seed, 101])
     eps = rng.normal(0.0, cfg.freq_error_sigma, inst.n)
     return eps, rng.normal(0.0, cfg.phase_error_sigma, inst.n)
@@ -461,22 +460,13 @@ def amplify(x: Signal, cfg: NonidealityConfig, out: Optional[np.ndarray] = None)
     return replace(x, samples=out)
 
 
-def _summarize(pin_dc: float, out: Signal, cfg: NonidealityConfig) -> StageSummary:
-    v = cfg.supply_voltage
-    lo, hi = float(out.samples.min()), float(out.samples.max())
-    clipped = 0
-    if lo <= -v or hi >= v:
-        clipped = np.count_nonzero(out.samples <= -v) + np.count_nonzero(out.samples >= v)
-    return StageSummary(pin_dc=pin_dc, clip_fraction=clipped / out.m, out_min=lo, out_max=hi)
-
-
 def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> PipelineTrace:
     """Fold the sources left to right through multiplier+amplifier stages.
 
     An n-value instance runs n-1 stages; a single-value instance passes its
     source straight through.  The fold streams: all frequency errors and
     phases are drawn first, source k is a `Tone` made only for stage k, and
-    each multiplier pin and stage output is reduced to a `StageSummary` and
+    each multiplier pin is reduced to its mean, the trace's ``pin_dc``, and
     dropped.  The draws, operations and their order are those of
     `synthesize_sources`, `multiply_stage` and `amplify`, so the result is
     bit-identical to folding those by hand.  Against an extended-precision
@@ -492,9 +482,7 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
     stage's noise and the pole's float gains; during the pole's FFTs the
     spectrum takes the place of the spent noise.  Beside them sits the
     tone's 64 KB of scratch during the product.  Measured with tracemalloc
-    with the pole and noise: 2.51 arrays at 352,800 points.  The bandwidth
-    warning flags instances whose summed frequency exceeds the multiplier
-    limit (`bandwidth_exceeded`).
+    with the pole and noise: 2.51 arrays at 352,800 points.
 
     Raises:
         GridTooLargeError: before any synthesis, when the grid of ``periods``
@@ -505,14 +493,12 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
     source = _source_maker(inst, cfg, periods)
     acc = source(0).signal()
     pole = _pole_response(acc.m, acc.dt, cfg)
-    stages = []
+    pin_dc = []
     for k in range(1, inst.n):
         pin = multiply_stage(acc, source(k), cfg, stage=k - 1, pole=pole, out=acc.samples)
-        pin_dc = float(np.mean(pin.samples))
+        pin_dc.append(float(np.mean(pin.samples)))
         acc = amplify(pin, cfg, out=pin.samples)
-        stages.append(_summarize(pin_dc, acc, cfg))
-    return PipelineTrace(final=acc, bandwidth_warning=bandwidth_exceeded(inst, cfg),
-                         stages=tuple(stages))
+    return PipelineTrace(final=acc, pin_dc=tuple(pin_dc))
 
 
 def volts_csv(times: Sequence[float], volts: Sequence[float]) -> str:
@@ -563,21 +549,24 @@ def config_from_items(items: dict[str, object]) -> NonidealityConfig:
     ``z_compensation`` and a per-stage field with a comma; other values pass as they are.
     An int field's string that is no int literal is read as a float, which the
     config takes when it is integral (16.0 as 16) and refuses by name otherwise.
+    A string that does not parse raises a ValueError naming its key.
     """
     types = {f.name: type(f.default) for f in fields(NonidealityConfig)}
     kwargs = {}
     for key, raw in items.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        if not isinstance(raw, str):
-            kwargs[key] = raw
-        elif key in _SEQ_FIELDS and ("," in raw or key == "z_compensation"):
-            kwargs[key] = tuple(float(p) for p in raw.split(",") if p.strip())
-        elif types[key] is int:
-            try:
+        try:
+            if not isinstance(raw, str):
+                kwargs[key] = raw
+            elif key in _SEQ_FIELDS and ("," in raw or key == "z_compensation"):
+                kwargs[key] = tuple(float(p) for p in raw.split(",") if p.strip())
+            elif types[key] is int and raw.strip().lstrip("+-").isdecimal():
                 kwargs[key] = int(raw)  # exact, however large
-            except ValueError:
+            elif types[key] is int:
                 kwargs[key] = float(raw)
-        else:
-            kwargs[key] = types[key](raw.strip())
+            else:
+                kwargs[key] = types[key](raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
     return NonidealityConfig(**kwargs)

@@ -330,6 +330,33 @@ def test_integer_fields_refuse_other_values(make, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
         make()
 
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: NonidealityConfig(noise_sigma=-0.01), "noise_sigma must be non-negative"),
+    (lambda: NonidealityConfig(noise_sigma=math.nan), "noise_sigma must be finite"),
+    (lambda: NonidealityConfig(phase_error_sigma=-0.1),
+     "phase_error_sigma must be non-negative"),
+    (lambda: NonidealityConfig(freq_error_sigma=-1e-6), "freq_error_sigma must be non-negative"),
+    (lambda: NonidealityConfig(f_base=math.nan), "f_base must be finite"),
+    (lambda: NonidealityConfig(f_base=0), "f_base must be positive"),
+    (lambda: NonidealityConfig(supply_voltage=-1), "supply_voltage must be positive"),
+    (lambda: NonidealityConfig(bandwidth_f_star=0), "bandwidth_f_star must be positive"),
+    (lambda: NonidealityConfig(bandwidth_f_star=-math.inf), "bandwidth_f_star must be finite"),
+    (lambda: NonidealityConfig(amp_gain=math.inf), "amp_gain must be finite"),
+    (lambda: NonidealityConfig(mult_output_offset=(4e-3, math.nan)),
+     "mult_output_offset must be finite"),
+    (lambda: NonidealityConfig(z_compensation=(math.inf,)), "z_compensation must be finite"),
+    (lambda: FilterSpec("brickwall", math.nan), "cutoff_f0 must be positive"),
+], ids=["noise-negative", "noise-nan", "phase-negative", "freq-negative", "f_base-nan",
+        "f_base-0", "supply-negative", "f_star-0", "f_star-minus-inf", "amp_gain-inf",
+        "offset-entry-nan", "z-entry-inf", "cutoff-nan"])
+def test_values_the_two_routes_read_differently_are_refused(make, message):
+    # each of these was read one way by the harmonic route and another by the
+    # grid, or printed a NaN or negative DC, or failed deep inside numpy
+    with pytest.raises(ValueError, match=f"^{message}, got "):
+        make()
+
+
 def test_threshold_round_trip():
     thr = DecisionThreshold(cut=0.12, no_band_max=0.07, yes_band_min=0.2,
                             training_size=4, separable=True, chain="0123456789ab")

@@ -62,6 +62,29 @@ def test_decide_rejects_malformed_calibration(tmp_path, capsys):
     assert "bad config line" in err
 
 
+def test_malformed_values_name_their_key(tmp_path, capsys):
+    (tmp_path / "c.cfg").write_text("noise_sigma=abc\n")
+    code, out, err = _run(capsys, "decide", "--oracle", "analog", "--config",
+                          str(tmp_path / "c.cfg"), "3 2 5")
+    assert (code, out) == (2, "")
+    assert err == "error: config key noise_sigma: could not convert string to float: 'abc'\n"
+    (tmp_path / "cal.txt").write_text("".join(f"{line}\n" for line in _CALIBRATION_LINES)
+                                      .replace("cut=0.1", "cut=abc"))
+    code, out, err = _run(capsys, "decide", "--oracle", "analog", "--calibration",
+                          str(tmp_path / "cal.txt"), "3 2 5")
+    assert (code, out) == (2, "")
+    assert err == "error: calibration key cut: could not convert string to float: 'abc'\n"
+
+
+def test_config_file_may_not_set_the_seed(tmp_path, capsys):
+    # --seed is the one way to set it: the file's seed=5 would be overridden by seed 0
+    (tmp_path / "c.cfg").write_text("seed=5\n")
+    code, out, err = _run(capsys, "decide", "--oracle", "analog", "--config",
+                          str(tmp_path / "c.cfg"), "3 2 5")
+    assert (code, out) == (2, "")
+    assert "seed=" in err and "--seed" in err
+
+
 def test_decide_errors_on_garbage(capsys):
     code, _, err = _run(capsys, "decide", "--oracle", "exact", "3 x 5")
     assert code >= 2

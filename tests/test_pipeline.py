@@ -12,7 +12,7 @@ from cospart.calibration import run_and_measure
 from cospart.dsp import FilterSpec, apply_lowpass, dft, sample_after_filter
 from cospart.exact import analytic_spectrum, ideal_dc
 from cospart.instances import CpiInstance, parse_instance
-from cospart.pipeline import (NonidealityConfig, Signal, StageSummary, amplify,
+from cospart.pipeline import (NonidealityConfig, Signal, amplify, bandwidth_exceeded,
                               config_from_items, GridTooLargeError, config_to_text,
                               multiply_stage, next_smooth_length, parse_kv,
                               points_per_period, run_cascade, synthesize_sources)
@@ -168,10 +168,7 @@ def test_cascade_matches_closed_form(ideal_cfg):
         trace = run_cascade(inst, ideal_cfg)
         ref = _product_reference(inst, ideal_cfg, trace.final.times())
         assert np.max(np.abs(trace.final.samples - ref)) <= 1e-6 * inst.n
-        assert len(trace.stages) == inst.n - 1
-        last = trace.stages[-1]
-        assert (last.out_min, last.out_max) == (trace.final.samples.min(),
-                                                trace.final.samples.max())
+        assert len(trace.pin_dc) == inst.n - 1
 
 
 def test_cascade_no_instance_dc_zero(ideal_cfg):
@@ -181,7 +178,7 @@ def test_cascade_no_instance_dc_zero(ideal_cfg):
 
 def test_cascade_single_value_passthrough(ideal_cfg):
     trace = run_cascade(parse_instance("5"), ideal_cfg)
-    assert trace.stages == ()
+    assert trace.pin_dc == ()
     source, = synthesize_sources(parse_instance("5"), ideal_cfg)
     assert np.array_equal(trace.final.samples, source.samples)
 
@@ -191,6 +188,17 @@ def test_cascade_deterministic():
     a = run_cascade(parse_instance("3 6 4"), cfg)
     b = run_cascade(parse_instance("3 6 4"), cfg)
     assert np.array_equal(a.final.samples, b.final.samples)
+
+
+def test_error_free_cascade_builds_no_generator(monkeypatch):
+    # without noise or source errors every draw would be a zero
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    cfg = NonidealityConfig(mult_output_offset=4e-3, amp_offset=2.5e-4)
+    trace = run_cascade(parse_instance("3 6 4"), cfg)
+    assert len(trace.pin_dc) == 2
 
 
 def test_gain_errors_scale_dc_multiplicatively(ideal_cfg):
@@ -213,19 +221,24 @@ def test_offset_at_last_stage_scales_by_amp_gain():
 def test_saturation_never_exceeds_rails():
     cfg = NonidealityConfig(mult_output_offset=5.0, amp_offset=8.0, noise_sigma=0.5,
                             seed=3)
-    trace = run_cascade(parse_instance("2 3 5"), cfg)
-    assert np.max(np.abs(trace.final.samples)) <= cfg.supply_voltage
-    for s in trace.stages:
-        assert -cfg.supply_voltage <= s.out_min <= s.out_max <= cfg.supply_voltage
+    inst = parse_instance("2 3 5")
+    sources = synthesize_sources(inst, cfg)
+    acc = sources[0]
+    for k in range(1, inst.n):
+        acc = amplify(multiply_stage(acc, sources[k], cfg, stage=k - 1), cfg)
+        out = acc.samples
+        assert -cfg.supply_voltage <= out.min() <= out.max() <= cfg.supply_voltage
         # the offsets drive every stage output into the positive rail
-        assert s.out_max == cfg.supply_voltage and s.clip_fraction > 0.5
+        assert out.max() == cfg.supply_voltage
+        assert np.count_nonzero(np.abs(out) == cfg.supply_voltage) / len(out) > 0.5
+    assert np.array_equal(run_cascade(inst, cfg).final.samples, acc.samples)
 
 
 def test_bandwidth_warning_flag():
     cfg = NonidealityConfig()  # f* = 120 kHz
-    assert run_cascade(parse_instance("3 6 4"), cfg).bandwidth_warning  # 130 kHz
-    assert not run_cascade(parse_instance("3 2 5"), cfg).bandwidth_warning  # 100 kHz
-    assert not run_cascade(parse_instance("3 6 4"), NonidealityConfig.ideal()).bandwidth_warning
+    assert bandwidth_exceeded(parse_instance("3 6 4"), cfg)  # 130 kHz
+    assert not bandwidth_exceeded(parse_instance("3 2 5"), cfg)  # 100 kHz
+    assert not bandwidth_exceeded(parse_instance("3 6 4"), NonidealityConfig.ideal())
 
 
 def test_bandwidth_one_pole_attenuates():
@@ -316,7 +329,7 @@ def test_run_and_measure_memory_independent_of_n(n, brickwall):
     assert m == 352_800
     (dc, trace, sampled), peak = tracemalloc_peak(
         lambda: run_and_measure(inst, cfg, brickwall))
-    assert trace.final.m == m and len(trace.stages) == n - 1
+    assert trace.final.m == m and len(trace.pin_dc) == n - 1
     assert peak <= 8 * m * 8  # eight grid arrays of float64, whatever n is
 
 
@@ -356,14 +369,10 @@ def test_cascade_edges_match_hand_fold(name, text, periods):
     for k in range(inst.n - 1):
         pin = multiply_stage(acc, sources[k + 1], cfg, stage=k)
         acc = amplify(pin, cfg)
-        out = acc.samples
         assert np.max(np.abs(pin.samples)) <= cfg.supply_voltage  # the pin is clamped too
-        rail = np.abs(out) == cfg.supply_voltage
-        hand.append(StageSummary(pin_dc=float(np.mean(pin.samples)),
-                                 clip_fraction=np.count_nonzero(rail) / len(out),
-                                 out_min=float(out.min()), out_max=float(out.max())))
+        hand.append(float(np.mean(pin.samples)))
     assert trace.final.m == periods * points_per_period(inst, cfg)
-    assert trace.stages == tuple(hand)  # bit-equal
+    assert trace.pin_dc == tuple(hand)  # bit-equal
     assert np.array_equal(trace.final.samples, acc.samples)
 
 
@@ -409,7 +418,7 @@ def test_concurrent_cascades_stay_bit_identical():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and len(results) == 20
     for trace in results:
-        assert trace.stages == reference.stages
+        assert trace.pin_dc == reference.pin_dc
         assert np.array_equal(trace.final.samples, reference.final.samples)
 
 
