@@ -20,9 +20,9 @@ from . import dsp
 from .dsp import FilterSpec, SampledTrace
 from .exact import solve_exact
 from .instances import CpiInstance, serialize_instance
-from .pipeline import NonidealityConfig, PipelineTrace, check_bandwidth, check_grid, \
-    config_to_text, parse_kv, points_per_period, run_cascade, stage_noise_rng, \
-    validate_stage_sequences
+from .pipeline import NonidealityConfig, PipelineTrace, _integral, check_bandwidth, check_grid, \
+    config_to_text, fields_to_text, from_items, parse_kv, points_per_period, read_field, \
+    run_cascade, stage_noise_rng, validate_stage_sequences
 
 
 class LabelError(ValueError):
@@ -48,15 +48,21 @@ class DecisionThreshold:
     separable: bool = True
     chain: str = ""  # `chain_digest` of the chain the bands were measured on; "" if none
 
+    def __post_init__(self) -> None:  # 16.0 is stored as 16, and 16.5 refused
+        object.__setattr__(self, "training_size", _integral("training_size", self.training_size))
+
 
 @dataclass(frozen=True)
 class Decision:
     answer: str  # "YES" | "NO"
     dc_measured: float
-    threshold: DecisionThreshold
-    margin: float
+    cut: float
     # the filtered samples the DC was taken from (analogue decisions on the grid only)
     sampled: Optional[SampledTrace] = field(default=None, repr=False, compare=False)
+
+    @property
+    def margin(self) -> float:
+        return abs(self.dc_measured - self.cut)
 
 
 def run_and_measure(inst: CpiInstance, cfg: NonidealityConfig,
@@ -236,7 +242,7 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
     yes_min = min(dcs[:len(train_yes)])
     no_max = max(dcs[len(train_yes):])
     floor = max(residue_floor(inst, cfg, spec) for inst in [*train_yes, *train_no])
-    separable = no_max < yes_min
+    separable = bool(no_max < yes_min)
     if separable and no_max > floor:
         cut = math.sqrt(no_max * yes_min)
     elif separable and yes_min > floor:
@@ -280,8 +286,7 @@ def decide_analog(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec,
         check_bandwidth(inst, cfg)
     dc, sampled = measure_dc(inst, cfg, spec)
     answer = "YES" if dc > thr.cut else "NO"
-    return Decision(answer=answer, dc_measured=dc, threshold=thr,
-                    margin=abs(dc - thr.cut), sampled=sampled)
+    return Decision(answer=answer, dc_measured=dc, cut=thr.cut, sampled=sampled)
 
 
 # every field of a chain's config but its noise seed
@@ -304,8 +309,7 @@ def chain_digest(cfg: NonidealityConfig, spec: FilterSpec) -> str:
 def _unseeded_digest(spec: FilterSpec, *values) -> str:
     """`chain_digest` of the chain whose config fields but the seed are ``values``."""
     text = config_to_text(NonidealityConfig(**dict(zip(_CHAIN_FIELDS, values)))) + \
-        f"kind={spec.kind}\ncutoff_f0={spec.cutoff_f0:.12g}\n" \
-        f"order={spec.order}\nper_stage_gain={spec.per_stage_gain or 0.0:.12g}\n"
+        fields_to_text(spec)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -315,7 +319,7 @@ def decision_record(decision: Decision, inst: CpiInstance, chain: str, seed: int
         f"instance={serialize_instance(inst)}",
         f"answer={decision.answer}",
         f"dc_volts={decision.dc_measured:.9g}",
-        f"cut_volts={decision.threshold.cut:.9g}",
+        f"cut_volts={decision.cut:.9g}",
         f"margin_volts={decision.margin:.9g}",
         f"config_hash={chain}",
         f"seed={seed}",
@@ -328,20 +332,13 @@ def threshold_to_text(thr: DecisionThreshold,
                       offsets: Sequence[float] = (),
                       offset_instance: Optional[CpiInstance] = None) -> str:
     """Persist a calibration: threshold, Z, and the ``offsets`` measured on ``offset_instance``."""
-    lines = [
-        f"cut={thr.cut:.12g}",
-        f"no_band_max={thr.no_band_max:.12g}",
-        f"yes_band_min={thr.yes_band_min:.12g}",
-        f"training_size={thr.training_size}",
-        f"separable={int(thr.separable)}",
-        f"chain={thr.chain}",
-    ]
+    text = fields_to_text(thr)
     if len(z_compensation):
-        lines.append("z_compensation=" + ",".join(f"{z:.12g}" for z in z_compensation))
+        text += "z_compensation=" + ",".join(f"{z:.12g}" for z in z_compensation) + "\n"
     if offset_instance is not None:
-        lines.append("per_stage_dc=" + ",".join(f"{v:.12g}" for v in offsets))
-        lines.append(f"offset_instance={serialize_instance(offset_instance)}")
-    return "\n".join(lines) + "\n"
+        text += "per_stage_dc=" + ",".join(f"{v:.12g}" for v in offsets) + "\n"
+        text += f"offset_instance={serialize_instance(offset_instance)}\n"
+    return text
 
 
 def threshold_from_text(text: str) -> tuple[DecisionThreshold, tuple[float, ...]]:
@@ -357,22 +354,7 @@ def threshold_from_text(text: str) -> tuple[DecisionThreshold, tuple[float, ...]
         if not items.get(f.name):
             raise ValueError(f"calibration has no {f.name}= line; "
                              "recalibrate with cospart calibrate")
-
-    def read(key: str, convert: Callable):
-        try:
-            return convert(items[key])
-        except ValueError as exc:
-            raise ValueError(f"calibration key {key}: {exc}") from None
-
-    thr = DecisionThreshold(
-        cut=read("cut", float),
-        no_band_max=read("no_band_max", float),
-        yes_band_min=read("yes_band_min", float),
-        training_size=read("training_size", int),
-        separable=read("separable", lambda v: bool(int(v))),
-        chain=items["chain"],
-    )
-    z = ()
-    if items.get("z_compensation"):
-        z = read("z_compensation", lambda v: tuple(float(p) for p in v.split(",")))
-    return thr, z
+    thr = from_items(DecisionThreshold, {f.name: items[f.name] for f in fields(DecisionThreshold)},
+                     "calibration")
+    return thr, read_field(NonidealityConfig, "z_compensation",
+                           items.get("z_compensation", ""), "calibration")

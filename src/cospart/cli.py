@@ -11,7 +11,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -22,10 +22,6 @@ from .instances import CpiInstance
 EXIT_NO = 0
 EXIT_YES = 1
 EXIT_ERROR = 2
-
-# The filter fields a ``--config`` file may set, each with its type.
-_FILTER_KEYS = {"kind": str, "cutoff_f0": float, "order": int, "per_stage_gain": float}
-
 
 def _chain(args, kind: str) -> reductions.OracleBackend:
     """The oracle ``kind`` on the chain the command's flags give, built and named once.
@@ -38,7 +34,7 @@ def _chain(args, kind: str) -> reductions.OracleBackend:
     items: dict[str, object] = pipeline.parse_kv(Path(config).read_text()) if config else {}
     if "seed" in items:
         raise ValueError(f"{config} sets seed=; give the seed with --seed")
-    filt = {key: items.pop(key) for key in _FILTER_KEYS if key in items}
+    filt = {f.name: items.pop(f.name) for f in fields(dsp.FilterSpec) if f.name in items}
     flags = {"kind": getattr(args, "filter", None), "cutoff_f0": getattr(args, "f0", None)}
     filt.update((key, value) for key, value in flags.items() if value is not None)
     items["seed"] = args.seed
@@ -46,9 +42,8 @@ def _chain(args, kind: str) -> reductions.OracleBackend:
     thr, z = calibration.threshold_from_text(Path(cal).read_text()) if cal else (None, ())
     if z:
         items["z_compensation"] = z
-    cfg = pipeline.config_from_items(items)
-    fspec = reductions._open_filter(cfg, **{key: _FILTER_KEYS[key](value)
-                                            for key, value in filt.items()})
+    cfg = pipeline.from_items(pipeline.NonidealityConfig, items)
+    fspec = reductions._open_filter(cfg, **filt)
     return reductions.OracleBackend(kind, cfg, fspec, thr)
 
 

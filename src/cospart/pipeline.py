@@ -28,7 +28,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -509,26 +509,31 @@ def volts_csv(times: Sequence[float], volts: Sequence[float]) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(_text, value))
+    if isinstance(value, float):  # -0.0 as 0: the two compare equal, so one chain has one text
+        return f"{value or 0.0:.12g}"
+    return str(int(value) if isinstance(value, bool) else value)
+
+
+def fields_to_text(obj, names: Optional[Sequence[str]] = None) -> str:
+    """``name=value`` lines of dataclass ``obj``'s fields ``names`` (default all, in order):
+    floats ``.12g`` (−0.0 as 0), tuples comma-joined, bools 0 or 1, as `from_items` reads."""
+    names = [f.name for f in fields(obj)] if names is None else names
+    return "".join(f"{name}={_text(getattr(obj, name))}\n" for name in names)
+
+
 def config_to_text(cfg: NonidealityConfig) -> str:
     """Flat key=value serialization, one field per line, sorted."""
-    lines = []
-    for f in sorted(fields(cfg), key=lambda f: f.name):
-        v = getattr(cfg, f.name)
-        # `x or 0.0` writes -0.0 as 0: the two compare equal, so one chain has one text
-        if isinstance(v, tuple):
-            lines.append(f"{f.name}={','.join(f'{x or 0.0:.12g}' for x in v)}")
-        elif isinstance(v, float):
-            lines.append(f"{f.name}={v or 0.0:.12g}")
-        else:
-            lines.append(f"{f.name}={v}")
-    return "\n".join(lines) + "\n"
+    return fields_to_text(cfg, sorted(f.name for f in fields(cfg)))
 
 
 def parse_kv(text: str) -> dict[str, str]:
     """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped.
 
     Raises:
-        ValueError: on a line without ``=``.
+        ValueError: on a line without ``=``, or a key given twice.
     """
     items = {}
     for line in text.splitlines():
@@ -538,35 +543,50 @@ def parse_kv(text: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"bad config line {line!r}")
-        items[key.strip()] = value.strip()
+        key = key.strip()
+        if key in items:
+            raise ValueError(f"key {key} is given twice")
+        items[key] = value.strip()
     return items
 
 
-def config_from_items(items: dict[str, object]) -> NonidealityConfig:
-    """Build a config from key=value pairs, such as a parsed config file.
+# How a field's text is read, by the field's declared type; an int literal is exact, and
+# an empty list entry is refused, as float("") is.
+_READERS = {
+    int: lambda text: int(text) if text.strip().lstrip("+-").isdecimal() else float(text),
+    float: float,
+    bool: lambda text: bool(int(text)),
+    str: str.strip,
+    PerStage: lambda text: tuple(map(float, text.split(","))) if "," in text else float(text),
+    Sequence[float]: lambda text: tuple(map(float, text.split(","))) if text.strip() else (),
+}
 
-    A string is read as the type of its field's default, or as a sequence for
-    ``z_compensation`` and a per-stage field with a comma; other values pass as they are.
-    An int field's string that is no int literal is read as a float, which the
-    config takes when it is integral (16.0 as 16) and refuses by name otherwise.
-    A string that does not parse raises a ValueError naming its key.
+
+@functools.cache
+def _readers(cls) -> dict[str, Callable[[str], object]]:
+    return {name: _READERS[hint] for name, hint in get_type_hints(cls).items()}
+
+
+def read_field(cls, key: str, value: object, source: str = "config") -> object:
+    """``value`` read as `from_items` reads it for field ``key`` of dataclass ``cls``."""
+    reader = _readers(cls).get(key)
+    if reader is None:
+        raise ValueError(f"unknown {source} key {key!r}")
+    try:
+        return reader(value) if isinstance(value, str) else value
+    except ValueError as exc:
+        raise ValueError(f"{source} key {key}: {exc}") from None
+
+
+def from_items(cls, items: dict[str, object], source: str = "config"):
+    """Build dataclass ``cls`` from key=value pairs, such as a parsed config file.
+
+    A string is read by its field's declared type; an int field's text that
+    is no int literal is read as a float, which the class takes when it is
+    integral (16.0 as 16).  A bool is read as an int, 0 or 1.  A `PerStage`
+    field's text with a comma, and a ``Sequence[float]`` field's always, is
+    comma-separated floats (``()`` when empty).  Other values pass as they
+    are.  An unknown key, or a string or list entry that does not parse,
+    raises a ValueError naming ``source`` and the key.
     """
-    types = {f.name: type(f.default) for f in fields(NonidealityConfig)}
-    kwargs = {}
-    for key, raw in items.items():
-        if key not in types:
-            raise ValueError(f"unknown config key {key!r}")
-        try:
-            if not isinstance(raw, str):
-                kwargs[key] = raw
-            elif key in _SEQ_FIELDS and ("," in raw or key == "z_compensation"):
-                kwargs[key] = tuple(float(p) for p in raw.split(",") if p.strip())
-            elif types[key] is int and raw.strip().lstrip("+-").isdecimal():
-                kwargs[key] = int(raw)  # exact, however large
-            elif types[key] is int:
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = types[key](raw.strip())
-        except ValueError as exc:
-            raise ValueError(f"config key {key}: {exc}") from None
-    return NonidealityConfig(**kwargs)
+    return cls(**{key: read_field(cls, key, value, source) for key, value in items.items()})

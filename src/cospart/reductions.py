@@ -17,11 +17,10 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import exact
-from .calibration import Decision, DecisionThreshold, chain_digest, decide_analog, \
-    fixed_threshold
+from .calibration import Decision, DecisionThreshold, chain_digest, decide_analog
 from .dsp import FilterSpec
 from .instances import MAX_TOTAL, CpiInstance, scale_instance
-from .pipeline import GridTooLargeError, NonidealityConfig, bandwidth_exceeded
+from .pipeline import GridTooLargeError, NonidealityConfig, bandwidth_exceeded, from_items
 
 
 class ParseError(ValueError):
@@ -204,8 +203,8 @@ _SQUEEZE_MARGIN = 0.9
 
 
 def _open_filter(cfg: NonidealityConfig, **fields) -> FilterSpec:
-    """The `FilterSpec` of ``fields``; a filter they leave open is a brickwall at 0.5·f_base."""
-    return FilterSpec(**{"kind": "brickwall", "cutoff_f0": 0.5 * cfg.f_base, **fields})
+    """The `FilterSpec` of ``fields`` (`from_items`); left open, a brickwall at 0.5·f_base."""
+    return from_items(FilterSpec, {"kind": "brickwall", "cutoff_f0": 0.5 * cfg.f_base, **fields})
 
 
 @functools.cache
@@ -279,8 +278,7 @@ class OracleBackend:
             yes = exact.solve_exact(inst) if counted is None else counted > 0
         dc = math.nan if counted is None else float(counted)
         cut = 0.5 ** min(inst.n + 1, 60)
-        return Decision(answer="YES" if yes else "NO", dc_measured=dc,
-                        threshold=fixed_threshold(cut), margin=abs(dc - cut))
+        return Decision(answer="YES" if yes else "NO", dc_measured=dc, cut=cut)
 
     def decide(self, inst: CpiInstance) -> bool:
         """One SAT oracle call, counted in ``calls``.

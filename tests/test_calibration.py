@@ -300,6 +300,15 @@ def test_filter_order_given_as_a_float_is_the_int_chain(ideal_cfg):
                                                                                order=2))
 
 
+def test_filter_given_ints_is_the_float_chain(ideal_cfg):
+    # equal filters store their values alike, so they print, and are named, alike
+    for a, b in ((FilterSpec("brickwall", 10**13), FilterSpec("brickwall", 1e13)),
+                 (FilterSpec("one-pole", 5e3, per_stage_gain=2),
+                  FilterSpec("one-pole", 5e3, per_stage_gain=2.0))):
+        assert a == b
+        assert chain_digest(ideal_cfg, a) == chain_digest(ideal_cfg, b)
+
+
 def test_seed_given_as_a_float_is_the_int_seed(brickwall):
     cfg = NonidealityConfig(noise_sigma=1e-3, seed=1.0)
     assert type(cfg.seed) is int and cfg == NonidealityConfig(noise_sigma=1e-3, seed=1)

@@ -665,6 +665,43 @@ def test_calibration_with_empty_chain_is_refused(tmp_path, capsys):
     assert err == "error: calibration has no chain= line; recalibrate with cospart calibrate\n"
 
 
+_ORDER_2_RECORD = ("instance=3 2 5\nanswer=YES\ndc_volts=0.923076923\ncut_volts=0.25\n"
+                   "margin_volts=0.673076923\nconfig_hash=d029622e7880\nseed=0\n")
+
+
+@pytest.mark.parametrize("flag, text, expected", [
+    ("--config", "cutoff_f0=abc\n",
+     (2, "", "error: config key cutoff_f0: could not convert string to float: 'abc'\n")),
+    ("--config", "order=x\n",
+     (2, "", "error: config key order: could not convert string to float: 'x'\n")),
+    ("--config", "kind=one-pole\norder=2.0\nper_stage_gain=2\n", (1, _ORDER_2_RECORD, "")),
+    ("--config", "kind=one-pole\norder=2\nper_stage_gain=2\n", (1, _ORDER_2_RECORD, "")),
+    ("--config", "per_stage_gain=nan\n", (2, "", "error: per_stage_gain must be finite, got nan\n")),
+    ("--config", "noise_sigma=1e-3\nnoise_sigma=0\n",
+     (2, "", "error: key noise_sigma is given twice\n")),
+    ("--config", "mult_output_offset=1e-3,,2e-3\n",
+     (2, "", "error: config key mult_output_offset: could not convert string to float: ''\n")),
+    ("--config", "mult_output_offset=1e-3,2e-3,\n",
+     (2, "", "error: config key mult_output_offset: could not convert string to float: ''\n")),
+    ("--calibration", "\n".join(_CALIBRATION_LINES) + "\ncut=0.2\n",
+     (2, "", "error: key cut is given twice\n")),
+    ("--calibration", "\n".join(_CALIBRATION_LINES) + "\nz_compensation=1e-3,,2e-3\n",
+     (2, "", "error: calibration key z_compensation: could not convert string to float: ''\n")),
+    ("--calibration", "\n".join(_CALIBRATION_LINES).replace("training_size=2", "training_size=x"),
+     (2, "", "error: calibration key training_size: could not convert string to float: 'x'\n")),
+    ("--calibration", "\n".join(_CALIBRATION_LINES).replace("training_size=2", "training_size=2.5"),
+     (2, "", "error: training_size must be an integer, got 2.5\n")),
+], ids=["cutoff_f0=abc", "order=x", "order=2.0", "order=2", "per_stage_gain=nan",
+        "key twice", "empty entry", "trailing comma", "calibration key twice",
+        "calibration empty entry", "training_size=x", "training_size=2.5"])
+def test_values_are_read_by_their_field_type(tmp_path, capsys, flag, text, expected):
+    # config, filter and calibration text go through one reader: a value that does not
+    # parse, a key given twice or an empty list entry exits 2 naming the key
+    (tmp_path / "f.txt").write_text(text)
+    assert _run(capsys, "decide", "--oracle", "analog", flag, str(tmp_path / "f.txt"),
+                "3 2 5") == expected
+
+
 @pytest.mark.parametrize("config, message", [
     ("source_amplitude=1,1\n", "source_amplitude sequence must have 3 entries"),
     ("mult_output_offset=0.001,0.002,0.003\n", "mult_output_offset sequence must have 2 entries"),

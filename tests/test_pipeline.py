@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 import sys
 import threading
@@ -6,14 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cospart import pipeline
-from cospart.calibration import run_and_measure
+from cospart.calibration import DecisionThreshold, run_and_measure
 from cospart.dsp import FilterSpec, apply_lowpass, dft, sample_after_filter
 from cospart.exact import analytic_spectrum, ideal_dc
 from cospart.instances import CpiInstance, parse_instance
 from cospart.pipeline import (NonidealityConfig, Signal, amplify, bandwidth_exceeded,
-                              config_from_items, GridTooLargeError, config_to_text,
+                              fields_to_text, from_items, GridTooLargeError, config_to_text,
                               multiply_stage, next_smooth_length, parse_kv,
                               points_per_period, run_cascade, synthesize_sources)
 from conftest import tracemalloc_peak
@@ -283,7 +285,47 @@ def test_stage_sequence_arity_checked(ideal_cfg):
 def test_config_text_round_trip():
     cfg = NonidealityConfig(mult_output_offset=(4.5e-3, 4.4e-3), noise_sigma=1e-4,
                             z_compensation=(0.001, -0.002), seed=5, oversample=32)
-    assert config_from_items(parse_kv(config_to_text(cfg))) == cfg
+    assert from_items(NonidealityConfig, parse_kv(config_to_text(cfg))) == cfg
+
+
+def _twelve_digits(lo, hi):
+    # floats that `fields_to_text` writes exactly: 12 significant digits
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False).map(
+        lambda x: float(f"{x:.12g}"))
+
+
+_ANY = _twelve_digits(-1e6, 1e6)
+_POSITIVE = _twelve_digits(1e-6, 1e12).filter(lambda x: x > 0)
+_SIGMA = _twelve_digits(0, 1)
+# a per-stage list needs a comma, so it has two entries or more
+_PER_STAGE = st.one_of(_ANY, st.lists(_ANY, min_size=2, max_size=4).map(tuple))
+
+_OBJECTS = {
+    NonidealityConfig: st.builds(
+        NonidealityConfig, f_base=_POSITIVE, supply_voltage=_POSITIVE,
+        source_amplitude=_PER_STAGE, mult_scale=_ANY, mult_output_offset=_PER_STAGE,
+        mult_input_offset=_PER_STAGE, z_compensation=st.lists(_ANY, max_size=3).map(tuple),
+        amp_gain=_ANY, amp_offset=_ANY,
+        bandwidth_f_star=st.one_of(_POSITIVE, st.just(math.inf)),
+        bandwidth_model=st.sampled_from(pipeline.BANDWIDTH_MODELS),
+        freq_error_sigma=_SIGMA, phase_error_sigma=_SIGMA, noise_sigma=_SIGMA,
+        oversample=st.integers(4, 64), seed=st.integers(0, 2**70)),
+    FilterSpec: st.builds(FilterSpec, kind=st.sampled_from(("brickwall", "one-pole", "none")),
+                          cutoff_f0=_POSITIVE, order=st.integers(1, 8), per_stage_gain=_ANY),
+    DecisionThreshold: st.builds(DecisionThreshold, cut=_ANY, no_band_max=_ANY,
+                                 yes_band_min=_ANY, training_size=st.integers(0, 10**6),
+                                 separable=st.booleans(),
+                                 chain=st.text("0123456789abcdef", min_size=1, max_size=12)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_OBJECTS), ids=lambda cls: cls.__name__)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_one_reader_reads_what_the_one_writer_writes(cls, data):
+    obj = data.draw(_OBJECTS[cls])
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert from_items(cls, parse_kv(fields_to_text(obj, names))) == obj
 
 
 def test_parse_kv_rejects_line_without_equals():
@@ -501,13 +543,14 @@ def test_amplify_writes_over_its_input_bit_for_bit(ideal_cfg):
 
 def test_config_items_read_int_fields_exactly():
     # an int literal stays exact past float's 53 bits; an integral float is taken as its int
-    assert config_from_items({"seed": "12345678901234567891"}).seed == 12345678901234567891
-    assert config_from_items({"oversample": "32.0", "seed": "1e3"}) == \
+    assert from_items(NonidealityConfig, {"seed": "12345678901234567891"}).seed == \
+        12345678901234567891
+    assert from_items(NonidealityConfig, {"oversample": "32.0", "seed": "1e3"}) == \
         NonidealityConfig(oversample=32, seed=1000)
     with pytest.raises(ValueError, match="seed must be an integer, got 2.5"):
-        config_from_items({"seed": "2.5"})
+        from_items(NonidealityConfig, {"seed": "2.5"})
 
 
 def test_config_rejects_unknown_key():
     with pytest.raises(ValueError):
-        config_from_items({"not_a_knob": "1"})
+        from_items(NonidealityConfig, {"not_a_knob": "1"})
