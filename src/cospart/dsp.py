@@ -39,8 +39,12 @@ class FilterSpec:
         object.__setattr__(self, "order", _integral("order", self.order))
         if not self.cutoff_f0 > 0:  # NaN too
             raise ValueError(f"cutoff_f0 must be positive, got {self.cutoff_f0!r}")
+        if math.isinf(self.cutoff_f0):
+            raise ValueError(f"cutoff_f0 must be finite, got {self.cutoff_f0!r}")
         if not math.isfinite(self.per_stage_gain):
             raise ValueError(f"per_stage_gain must be finite, got {self.per_stage_gain!r}")
+        if self.per_stage_gain <= 0:  # 0 nulls the DC; < 0 flips it and the cut scaled by it
+            raise ValueError(f"per_stage_gain must be positive, got {self.per_stage_gain!r}")
         for name in ("cutoff_f0", "per_stage_gain"):  # 10**13 is stored as 1e13: one text
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.order < 1:

@@ -5,11 +5,12 @@ the alignment frequency f_base·gcd.  Without clipping every block is affine:
 a multiplier is a shift-and-add of coefficient arrays, the bandwidth pole is a
 real gain per harmonic (it is zero-phase), and offsets, Z and the amplifier
 act on the DC line and on the scale.  Every signal is real, so harmonic -h is
-the conjugate of harmonic h, and a signal is held as its complex coefficients
-of harmonics 0..h_max, where the grid carries the same harmonics
-``oversample`` times over and pays two FFTs per stage.  This is the
-harmonic-balance view of a circuit (Kundert & Sangiovanni-Vincentelli, IEEE
-TCAD 5(4), 1986).
+the conjugate of harmonic h, and a signal is held as its coefficients of
+harmonics 0..h_max, where the grid carries the same harmonics ``oversample``
+times over and pays two FFTs per stage.  Without phase errors every source is
+a cosine, so every coefficient is real and held as a float64; with them the
+coefficients are complex128.  This is the harmonic-balance view of a circuit
+(Kundert & Sangiovanni-Vincentelli, IEEE TCAD 5(4), 1986).
 
 Each stage is affine in its accumulator, so the DC is a linear function of
 every injection: each offset, each Z and the first source's two lines.  So
@@ -45,10 +46,12 @@ from .pipeline import NonidealityConfig, _per_stage, _pole_response, grid_step, 
 
 # Noise RMS multiples kept clear of the rails for a chain to count as unclipped.
 CLIP_SIGMAS = 8.0
-# Largest K folded.  `forward` holds two complex buffers of K+1, the pole's K+1
-# floats and one complex temporary of at most K+1: about 1.75 arrays of 2K+1
-# complex values, 112 MB at the limit.  The adjoint pass holds as many arrays,
-# each of 1 + h_2 + … + h_{n-1} harmonics, and never while `forward` runs.
+# Largest K folded.  `forward` holds two buffers of K+1 harmonics, the pole's K+1
+# floats and one temporary of at most K+1: four float64 arrays of K+1, 64 MB at
+# the limit, for a phase-free chain; with phase errors the buffers and the
+# temporary are complex, about 1.75 complex arrays of 2K+1, 112 MB.  The adjoint
+# pass holds as many arrays, each of 1 + h_2 + … + h_{n-1} harmonics, and never
+# while `forward` runs.
 MAX_HARMONICS = 2_000_000
 
 
@@ -68,7 +71,8 @@ class Fold:
     `forward`'s Σ|c| over -K..K where the triangle bound reaches the rails.
     ``node_noise`` bounds the noise's RMS over the period.  The pole output
     between them needs no entry: its gains lie in [0, 1], so the pin's bounds
-    hold for it.
+    hold for it.  The pass that gives them holds its harmonics as float64
+    when no source carries a phase error, and as complex128 otherwise.
     """
 
     dc: float
@@ -116,9 +120,10 @@ def _harmonic(c: np.ndarray, k: int) -> complex:
 
 
 def _scale(c: np.ndarray, gains: np.ndarray) -> None:
-    """``c *= gains`` for real gains, on the real and imaginary parts: no complex copy."""
+    """``c *= gains`` for real gains; a complex ``c`` part by part, with no complex copy."""
     c.real *= gains
-    c.imag *= gains
+    if np.iscomplexobj(c):
+        c.imag *= gains
 
 
 def _abs_sum(c: np.ndarray) -> float:
@@ -127,11 +132,25 @@ def _abs_sum(c: np.ndarray) -> float:
     return float(mag[0] + 2.0 * mag[1:].sum())
 
 
-def _setup(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[list[int], int, list[complex]]:
-    """Each source's harmonic, the grid's m, and each source's line at its + harmonic.
+def _power(c: np.ndarray) -> float:
+    """Σ|c|² over harmonics -L..L, from harmonics 0..L.
+
+    By einsum, as a BLAS dot may wake its threads on a long ``c``.
+    """
+    if np.iscomplexobj(c):
+        x = c.view(float)  # harmonic h's real and imaginary parts at x[2h], x[2h + 1]
+        return float(x[0] ** 2 + x[1] ** 2 + 2.0 * np.einsum("i,i->", x[2:], x[2:]))
+    return float(c[0] ** 2 + 2.0 * np.einsum("i,i->", c[1:], c[1:]))
+
+
+def _setup(inst: CpiInstance, cfg: NonidealityConfig
+           ) -> tuple[list[int], int, list[complex], np.dtype]:
+    """Each source's harmonic, the grid's m, each source's line at its + harmonic,
+    and the dtype that holds every harmonic of the chain.
 
     The sources' phases are `pipeline.source_draws`'s, so they are the grid's
-    at the same seed; without phase errors they are all 0 and nothing is drawn.
+    at the same seed.  Without phase errors they are all 0, nothing is drawn,
+    and the lines are real, so the dtype is float64; else it is complex128.
 
     Raises:
         ValueError: when ``cfg`` has frequency errors, which move the sources
@@ -150,9 +169,9 @@ def _setup(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[list[int], int, l
     if cfg.phase_error_sigma:
         phases = source_draws(inst, cfg)[1]
         lines = [complex(a * np.exp(1j * p)) for a, p in zip(amplitudes, phases)]
-    else:
-        lines = [complex(a) for a in amplitudes]
-    return harmonics, points_per_period(inst, cfg), lines
+    else:  # cosines: a product of real lines has real lines
+        lines = [float(a) for a in amplitudes]
+    return harmonics, points_per_period(inst, cfg), lines, np.array(lines).dtype
 
 
 def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
@@ -166,7 +185,8 @@ def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
     `Fold.clips` is false.  The node bounds are the triangle bound; only
     when it reaches the rails does `forward` run, and its Σ|c| takes its
     place.  The DC and every stage's σ then come from one adjoint pass, in
-    two buffers of its longest sensitivity, 1 + h_2 + … + h_{n-1}.
+    two buffers of its longest sensitivity, 1 + h_2 + … + h_{n-1}, of
+    `_setup`'s dtype.
 
     Raises:
         ValueError: when ``cfg`` has frequency errors, which move the sources
@@ -174,7 +194,7 @@ def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
         HarmonicsTooLargeError: when total/gcd exceeds `MAX_HARMONICS`,
             before anything is allocated.
     """
-    harmonics, m, lines = _setup(inst, cfg)
+    harmonics, m, lines, dtype = _setup(inst, cfg)
     stages = range(inst.n - 1)
     ins = [_per_stage(cfg.mult_input_offset, s) for s in stages]
     pins = [_per_stage(cfg.mult_output_offset, s)  # output offset and Z
@@ -207,7 +227,7 @@ def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
     pole = _pole_response(m, grid_step(inst, cfg), cfg, bins=size)
     gains = np.ones(size) if pole is None else pole
     gains *= cfg.amp_gain  # the amplifier's gain times the pole's, per harmonic
-    held, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    held, spare = np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
     lam = held[:1]
     lam[0] = spec.dc_gain
     dc, stage_sigma = 0.0, []
@@ -215,10 +235,7 @@ def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
         h, w = harmonics[s + 1], np.conj(lines[s + 1])
         dc += lam[0].real * cfg.amp_offset
         lam *= gains[:len(lam)]
-        # Σ|lam|² over -L..L; einsum, as a BLAS dot may wake its threads on a long lam
-        x = lam.view(float)  # harmonic h's real and imaginary parts at x[2h], x[2h + 1]
-        power = x[0] ** 2 + x[1] ** 2 + 2.0 * np.einsum("i,i->", x[2:], x[2:])
-        stage_sigma.append(cfg.noise_sigma * math.sqrt(float(power) / m))
+        stage_sigma.append(cfg.noise_sigma * math.sqrt(_power(lam) / m))
         dc += lam[0].real * pins[s]
         if s:
             lam = _shift_add(lam, h, scale * w, scale * ins[s], spare)
@@ -240,13 +257,14 @@ def forward(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[np.ndarray, tupl
     """The chain from the first stage to the DC: harmonics 0..K of the final
     stage output, and Σ|c| over -K..K at every node.
 
-    Each block runs from one of two buffers of K+1 into the other.  Harmonic
-    0 of the output is `Fold.dc` over the filter's DC gain; the nodes are
-    `Fold.node_bound`'s.  Raises as `fold`.
+    Each block runs from one of two buffers of K+1 into the other.  The
+    harmonics are float64 when no source carries a phase error, and
+    complex128 otherwise.  Harmonic 0 of the output is `Fold.dc` over the
+    filter's DC gain; the nodes are `Fold.node_bound`'s.  Raises as `fold`.
     """
-    harmonics, m, lines = _setup(inst, cfg)
+    harmonics, m, lines, dtype = _setup(inst, cfg)
     pole = _pole_response(m, grid_step(inst, cfg), cfg, bins=sum(harmonics) + 1)
-    held = np.empty(sum(harmonics) + 1, dtype=complex)
+    held = np.empty(sum(harmonics) + 1, dtype=dtype)
     spare = np.empty_like(held)
     c = held[:harmonics[0] + 1]  # the first source
     c[:] = 0.0

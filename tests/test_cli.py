@@ -677,6 +677,11 @@ _ORDER_2_RECORD = ("instance=3 2 5\nanswer=YES\ndc_volts=0.923076923\ncut_volts=
     ("--config", "kind=one-pole\norder=2.0\nper_stage_gain=2\n", (1, _ORDER_2_RECORD, "")),
     ("--config", "kind=one-pole\norder=2\nper_stage_gain=2\n", (1, _ORDER_2_RECORD, "")),
     ("--config", "per_stage_gain=nan\n", (2, "", "error: per_stage_gain must be finite, got nan\n")),
+    ("--config", "per_stage_gain=0\n",
+     (2, "", "error: per_stage_gain must be positive, got 0.0\n")),
+    ("--config", "per_stage_gain=-1\n",
+     (2, "", "error: per_stage_gain must be positive, got -1.0\n")),
+    ("--config", "cutoff_f0=inf\n", (2, "", "error: cutoff_f0 must be finite, got inf\n")),
     ("--config", "noise_sigma=1e-3\nnoise_sigma=0\n",
      (2, "", "error: key noise_sigma is given twice\n")),
     ("--config", "mult_output_offset=1e-3,,2e-3\n",
@@ -692,6 +697,7 @@ _ORDER_2_RECORD = ("instance=3 2 5\nanswer=YES\ndc_volts=0.923076923\ncut_volts=
     ("--calibration", "\n".join(_CALIBRATION_LINES).replace("training_size=2", "training_size=2.5"),
      (2, "", "error: training_size must be an integer, got 2.5\n")),
 ], ids=["cutoff_f0=abc", "order=x", "order=2.0", "order=2", "per_stage_gain=nan",
+        "per_stage_gain=0", "per_stage_gain=-1", "cutoff_f0=inf",
         "key twice", "empty entry", "trailing comma", "calibration key twice",
         "calibration empty entry", "training_size=x", "training_size=2.5"])
 def test_values_are_read_by_their_field_type(tmp_path, capsys, flag, text, expected):

@@ -71,9 +71,18 @@ def _nonideal_chain(k: int) -> tuple[CpiInstance, NonidealityConfig, FilterSpec]
     return CpiInstance(values), cfg, spec
 
 
-@pytest.mark.parametrize("k", range(12))
+def _chain(k: int | str) -> tuple[CpiInstance, NonidealityConfig, FilterSpec]:
+    """`_nonideal_chain(k)`; "phase-free" is chain 0 without its phase errors, so
+    every line is real and `fold` and `forward` run on float64."""
+    if k == "phase-free":
+        inst, cfg, spec = _nonideal_chain(0)
+        return inst, replace(cfg, phase_error_sigma=0.0), spec
+    return _nonideal_chain(k)
+
+
+@pytest.mark.parametrize("k", [*range(12), "phase-free"])
 def test_noise_free_dc_matches_the_grid(k):
-    inst, cfg, spec = _nonideal_chain(k)
+    inst, cfg, spec = _chain(k)
     chain = _forwarded(inst, cfg, spec)
     assert not chain.clips(cfg.supply_voltage)
     dc, trace, _ = run_and_measure(inst, cfg, spec)
@@ -148,22 +157,24 @@ def test_adjoint_sigma_matches_the_grid_spread(inst, cfg):
 def test_adjoint_sigma_is_the_grid_response_to_each_noise_sample(monkeypatch):
     # each stage's DC is linear in its m noise samples, with weights w_j; the
     # grid's response to a small pulse on each sample gives every w_j, and the
-    # DC's variance from that stage is sigma^2 * sum(w_j^2)
+    # DC's variance from that stage is sigma^2 * sum(w_j^2); with and without phase
+    # errors, so on complex and on real coefficients
     inst, spec = parse_instance("1 2 1 2"), FilterSpec("brickwall", 5000.0)
-    cfg = NonidealityConfig(mult_output_offset=4e-3, mult_input_offset=1e-3,
-                            phase_error_sigma=1.0, bandwidth_f_star=3e4, seed=3)
-    chain = harmonic.fold(inst, replace(cfg, noise_sigma=1e-3), spec)
-    m, size = points_per_period(inst, cfg), 1e-3
-    pulses = {}
     monkeypatch.setattr(pipeline, "_stage_noise", lambda cfg, stage, m: pulses.get(stage))
-    base = run_and_measure(inst, cfg, spec)[0]
-    for stage in range(inst.n - 1):
-        weights = []
-        for j in range(m):
-            pulses = {stage: np.where(np.arange(m) == j, size, 0.0)}
-            weights.append((run_and_measure(inst, cfg, spec)[0] - base) / size)
-        assert chain.stage_sigma[stage] == pytest.approx(
-            1e-3 * math.sqrt(sum(w * w for w in weights)), rel=1e-6)
+    for phase_error_sigma in (1.0, 0.0):
+        cfg = NonidealityConfig(mult_output_offset=4e-3, mult_input_offset=1e-3,
+                                phase_error_sigma=phase_error_sigma, bandwidth_f_star=3e4, seed=3)
+        chain = harmonic.fold(inst, replace(cfg, noise_sigma=1e-3), spec)
+        m, size = points_per_period(inst, cfg), 1e-3
+        pulses = {}
+        base = run_and_measure(inst, cfg, spec)[0]
+        for stage in range(inst.n - 1):
+            weights = []
+            for j in range(m):
+                pulses = {stage: np.where(np.arange(m) == j, size, 0.0)}
+                weights.append((run_and_measure(inst, cfg, spec)[0] - base) / size)
+            assert chain.stage_sigma[stage] == pytest.approx(
+                1e-3 * math.sqrt(sum(w * w for w in weights)), rel=1e-6)
 
 
 def test_noise_sigma_falls_as_the_square_root_of_the_grid():
@@ -227,11 +238,13 @@ def test_single_value_has_no_stage():
     assert chain.dc == 0.0 and chain.stage_sigma == () and chain.node_bound == ()
 
 
-def test_fold_peaks_under_two_coefficient_arrays(monkeypatch):
+def test_fold_peaks_under_four_real_or_two_complex_arrays(monkeypatch):
     # the superincreasing YES instance 1 2 4 … 2^12 2^13-1 has K = 2^14 - 2, and its
     # adjoint's longest sensitivity 1 + h_2 + … + h_13 = K - 2 harmonics: two buffers
-    # of that, the pole's floats and one temporary are 1.75 arrays of 2K+1, as are
-    # `forward`'s two buffers of K+1, its pole and its temporary, freed before the adjoint
+    # of that, the pole's floats and one temporary are four float64 arrays of K+1
+    # without phase errors, as are `forward`'s two buffers of K+1, its pole and its
+    # temporary, freed before the adjoint; with phase errors the buffers and the
+    # temporary are complex, 1.75 complex arrays of 2K+1
     inst = CpiInstance(tuple(1 << i for i in range(13)) + ((1 << 13) - 1,))
     spec = FilterSpec("brickwall", 5000.0)
     half = inst.total // inst.gcd
@@ -243,21 +256,26 @@ def test_fold_peaks_under_two_coefficient_arrays(monkeypatch):
     # no two sums of its values meet, so with the pole far above every tone the triangle
     # bound is Σ|c|, 1 V, and clears the rails; at 1.5 V sources it is 1.5^14 = 292 V,
     # so `forward` runs, and the hard pole's Σ|c| of 3.375 V keeps the harmonic route
-    for cfg, runs in ((NonidealityConfig(bandwidth_f_star=1e12, noise_sigma=1e-4), 0),
-                      (NonidealityConfig(source_amplitude=1.5, bandwidth_model="hard",
-                                         bandwidth_f_star=1e5, noise_sigma=1e-4), 1)):
+    loose = NonidealityConfig(source_amplitude=1.5, bandwidth_model="hard",
+                              bandwidth_f_star=1e5, noise_sigma=1e-4)
+    real, complex_ = 4.1 * 8 * (half + 1), 2 * 16 * (2 * half + 1)
+    for cfg, runs, limit in ((NonidealityConfig(bandwidth_f_star=1e12, noise_sigma=1e-4), 0, real),
+                             (loose, 1, real),
+                             (replace(loose, phase_error_sigma=0.05), 1, complex_)):
         harmonic.fold(inst, cfg, spec)  # imports and caches outside the trace
         forwards.clear()
         chain, peak = tracemalloc_peak(lambda: harmonic.fold(inst, cfg, spec))
         assert len(forwards) == runs
         assert not chain.clips(cfg.supply_voltage)
-        assert peak < 2 * 16 * (2 * half + 1)
+        assert peak < limit
 
 
-@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("k", [*range(6), "phase-free"])
 def test_coefficients_are_hermitian_and_bound_the_output(k):
-    inst, cfg, spec = _nonideal_chain(k)
+    inst, cfg, spec = _chain(k)
     chain = _forwarded(inst, cfg, spec)
+    # a product of cosines has real coefficients; a phase makes them complex
+    assert chain.harmonics.dtype == (np.complex128 if cfg.phase_error_sigma else np.float64)
     half = inst.total // inst.gcd
     c = _coefficients(chain)
     assert len(c) == 2 * half + 1 and np.array_equal(c[half:], chain.harmonics)
@@ -269,16 +287,17 @@ def test_coefficients_are_hermitian_and_bound_the_output(k):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=6), st.integers(0, 60),
        st.booleans(), st.sampled_from(["hard", "one-pole", "none"]),
-       st.sampled_from([3e4, 2e5, 1e6]), st.floats(-2e-3, 2e-3), st.integers(0, 2**16))
+       st.sampled_from([3e4, 2e5, 1e6]), st.floats(-2e-3, 2e-3), st.sampled_from([0.05, 0.0]),
+       st.integers(0, 2**16))
 def test_fold_dc_matches_the_grid_on_random_chains(rest, above, largest_first, model, f_star,
-                                                   off_in, seed):
+                                                   off_in, phase, seed):
     # the largest value first makes every later shift h fall below the accumulated
     # length L; last, and above the sum of the rest, it falls above
     largest = max(rest) + above
     values = (largest, *rest) if largest_first else (*rest, largest)
     inst, spec = CpiInstance(values), FilterSpec("brickwall", 5000.0)
     cfg = NonidealityConfig(mult_output_offset=3e-3, mult_input_offset=off_in,
-                            amp_offset=2.5e-4, phase_error_sigma=0.05,
+                            amp_offset=2.5e-4, phase_error_sigma=phase,
                             bandwidth_model=model, bandwidth_f_star=f_star, seed=seed)
     chain = _forwarded(inst, cfg, spec)
     assert not chain.clips(cfg.supply_voltage)
@@ -328,8 +347,8 @@ def test_adjoint_dc_and_triangle_bound_against_forward(k):
        st.sampled_from(["hard", "one-pole", "none"]), st.sampled_from([3e4, 2e5, 1e6]),
        st.sampled_from([FilterSpec("brickwall", 5000.0),
                         FilterSpec("one-pole", 5000.0, order=2, per_stage_gain=2.0)]),
-       st.integers(0, 2**16))
-def test_adjoint_dc_is_forwards_on_random_chains(values, seq, model, f_star, spec, seed):
+       st.sampled_from([1.0, 0.0]), st.integers(0, 2**16))
+def test_adjoint_dc_is_forwards_on_random_chains(values, seq, model, f_star, spec, phase, seed):
     # input offsets, Z and per-stage sequences, which the grid-checked chains draw less often
     inst, rng, stages = CpiInstance(tuple(values)), np.random.default_rng(seed), len(values) - 1
 
@@ -340,7 +359,7 @@ def test_adjoint_dc_is_forwards_on_random_chains(values, seq, model, f_star, spe
         mult_output_offset=per_stage(-6e-3, 6e-3), mult_input_offset=per_stage(-3e-3, 3e-3),
         z_compensation=tuple(rng.uniform(-6e-3, 6e-3, stages)),
         source_amplitude=tuple(rng.uniform(0.8, 1.2, inst.n)),
-        amp_offset=float(rng.normal(0, 1e-3)), phase_error_sigma=1.0, bandwidth_model=model,
+        amp_offset=float(rng.normal(0, 1e-3)), phase_error_sigma=phase, bandwidth_model=model,
         bandwidth_f_star=f_star, seed=seed)
     chain = harmonic.fold(inst, cfg, spec)
     harmonics, node_bound = harmonic.forward(inst, cfg)

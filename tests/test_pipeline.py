@@ -311,7 +311,8 @@ _OBJECTS = {
         freq_error_sigma=_SIGMA, phase_error_sigma=_SIGMA, noise_sigma=_SIGMA,
         oversample=st.integers(4, 64), seed=st.integers(0, 2**70)),
     FilterSpec: st.builds(FilterSpec, kind=st.sampled_from(("brickwall", "one-pole", "none")),
-                          cutoff_f0=_POSITIVE, order=st.integers(1, 8), per_stage_gain=_ANY),
+                          cutoff_f0=_POSITIVE, order=st.integers(1, 8),
+                          per_stage_gain=_POSITIVE),
     DecisionThreshold: st.builds(DecisionThreshold, cut=_ANY, no_band_max=_ANY,
                                  yes_band_min=_ANY, training_size=st.integers(0, 10**6),
                                  separable=st.booleans(),
