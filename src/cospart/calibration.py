@@ -20,9 +20,9 @@ from . import dsp
 from .dsp import FilterSpec, SampledTrace
 from .exact import solve_exact
 from .instances import CpiInstance, serialize_instance
-from .pipeline import NonidealityConfig, PipelineTrace, _integral, check_bandwidth, check_grid, \
+from .pipeline import NonidealityConfig, PipelineTrace, _text, check_bandwidth, check_grid, \
     config_to_text, fields_to_text, from_items, parse_kv, points_per_period, read_field, \
-    run_cascade, stage_noise_rng, validate_stage_sequences
+    run_cascade, stage_noise_rng, store_fields, validate_stage_sequences
 
 
 class LabelError(ValueError):
@@ -39,7 +39,9 @@ class ChainMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class DecisionThreshold:
-    """Voltage bands learned from training runs and the cut between them."""
+    """Voltage bands learned from training runs and the cut between them, each
+    field stored by `pipeline.store_fields`: a NaN or infinite cut or band edge
+    is refused."""
 
     cut: float
     no_band_max: float
@@ -48,8 +50,7 @@ class DecisionThreshold:
     separable: bool = True
     chain: str = ""  # `chain_digest` of the chain the bands were measured on; "" if none
 
-    def __post_init__(self) -> None:  # 16.0 is stored as 16, and 16.5 refused
-        object.__setattr__(self, "training_size", _integral("training_size", self.training_size))
+    __post_init__ = store_fields
 
 
 @dataclass(frozen=True)
@@ -334,9 +335,9 @@ def threshold_to_text(thr: DecisionThreshold,
     """Persist a calibration: threshold, Z, and the ``offsets`` measured on ``offset_instance``."""
     text = fields_to_text(thr)
     if len(z_compensation):
-        text += "z_compensation=" + ",".join(f"{z:.12g}" for z in z_compensation) + "\n"
+        text += f"z_compensation={_text(tuple(z_compensation))}\n"
     if offset_instance is not None:
-        text += "per_stage_dc=" + ",".join(f"{v:.12g}" for v in offsets) + "\n"
+        text += f"per_stage_dc={_text(tuple(offsets))}\n"
         text += f"offset_instance={serialize_instance(offset_instance)}\n"
     return text
 

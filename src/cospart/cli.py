@@ -232,12 +232,19 @@ def cmd_gen(args, argv: list[str]) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:  # a count flag: below 1, argparse exits 2 naming it
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
+_at_least_one.__name__ = "int"  # a non-integer is refused as type=int refuses it
 _FLAGS = {
     "--config": dict(help="key=value config file"),
     "--seed": dict(type=int, default=0),
     "--filter": dict(choices=dsp.FILTER_KINDS, default=None),
     "--f0": dict(type=float, default=None, help="filter cutoff in Hz"),
-    "--jobs": dict(type=int, default=1),
+    "--jobs": dict(type=_at_least_one, default=1),
     "--out": dict(help="output directory"),
     "--strict": dict(action="store_true"),
 }
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-mag", type=int, default=50)
     p.add_argument("--kind", choices=["YES", "NO"], default="YES")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_at_least_one, default=1)
     _add_flags(p, "--seed", "--out")
     return parser
 

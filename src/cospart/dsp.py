@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import Spectrum
-from .pipeline import Signal, _integral, zero_phase_filter
+from .pipeline import Signal, store_fields, zero_phase_filter
 
 _KIND_ALIASES = {
     "ideal-brickwall": "brickwall",
@@ -23,7 +23,8 @@ class FilterSpec:
     """Low-pass description: kind, cutoff, order and per-stage gain.
 
     The compensating design uses gain 2 per stage so an order-n cascade
-    restores the 2**n amplitude loss of an n-cosine product at DC.
+    restores the 2**n amplitude loss of an n-cosine product at DC.  Fields are
+    stored by `pipeline.store_fields`: finite floats and an integral order.
     """
 
     kind: str
@@ -32,21 +33,14 @@ class FilterSpec:
     per_stage_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        kind = _KIND_ALIASES.get(self.kind, self.kind)
-        if kind not in FILTER_KINDS:
+        object.__setattr__(self, "kind", _KIND_ALIASES.get(self.kind, self.kind))
+        if self.kind not in FILTER_KINDS:
             raise ValueError(f"kind must be one of {FILTER_KINDS}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "order", _integral("order", self.order))
-        if not self.cutoff_f0 > 0:  # NaN too
+        if not self.cutoff_f0 > 0:  # NaN too, before the store calls it not finite
             raise ValueError(f"cutoff_f0 must be positive, got {self.cutoff_f0!r}")
-        if math.isinf(self.cutoff_f0):
-            raise ValueError(f"cutoff_f0 must be finite, got {self.cutoff_f0!r}")
-        if not math.isfinite(self.per_stage_gain):
-            raise ValueError(f"per_stage_gain must be finite, got {self.per_stage_gain!r}")
+        store_fields(self)
         if self.per_stage_gain <= 0:  # 0 nulls the DC; < 0 flips it and the cut scaled by it
             raise ValueError(f"per_stage_gain must be positive, got {self.per_stage_gain!r}")
-        for name in ("cutoff_f0", "per_stage_gain"):  # 10**13 is stored as 1e13: one text
-            object.__setattr__(self, name, float(getattr(self, name)))
         if self.order < 1:
             raise ValueError("order must be at least 1")
 

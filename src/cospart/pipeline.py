@@ -37,9 +37,7 @@ from .instances import CpiInstance, alignment_time
 PerStage = Union[float, Sequence[float]]
 
 BANDWIDTH_MODELS = ("one-pole", "hard", "none")
-# `NonidealityConfig` fields that take one value or one per stage.
-_SEQ_FIELDS = ("source_amplitude", "mult_output_offset", "mult_input_offset",
-               "z_compensation")
+_UNLIMITED = ("bandwidth_f_star", math.inf)  # the one non-finite float a field may hold
 
 # Largest grid simulated, over all periods of a run (16 MB per grid array).
 MAX_GRID_POINTS = 2_000_000
@@ -66,10 +64,10 @@ class NonidealityConfig:
 
     Scalars apply uniformly; ``mult_output_offset``, ``mult_input_offset``
     and ``source_amplitude`` also accept per-stage / per-source sequences.
-    ``z_compensation`` is per stage (empty means no compensation).  A NaN or
-    infinite float (but ``bandwidth_f_star=inf``), a non-positive ``f_base``,
-    ``supply_voltage`` or ``bandwidth_f_star``, or a negative sigma or seed
-    raises a ValueError naming its field.
+    ``z_compensation`` is per stage (empty means no compensation).  Fields
+    are stored by `store_fields` (finite floats, but ``bandwidth_f_star=inf``);
+    a non-positive ``f_base``, ``supply_voltage`` or ``bandwidth_f_star``, or
+    a negative sigma or seed, also raises a ValueError naming its field.
     """
 
     f_base: float = 10_000.0          # Hz per instance unit
@@ -90,21 +88,7 @@ class NonidealityConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # equal values are stored alike (10**20 as 1e20, 16.0 as 16): one chain, one text
-        # NaN and infinities are refused: the harmonic route and the grid read them differently
-        for f in fields(self):
-            v, finite = getattr(self, f.name), True
-            if f.name in _SEQ_FIELDS and not isinstance(v, (int, float)):
-                v = tuple(float(x) for x in v)
-                finite = all(map(math.isfinite, v))
-            elif f.name in _SEQ_FIELDS or isinstance(f.default, float):
-                v = float(v)
-                finite = math.isfinite(v) or (f.name, v) == ("bandwidth_f_star", math.inf)
-            elif isinstance(f.default, int):
-                v = _integral(f.name, v)
-            if not finite:
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
-            object.__setattr__(self, f.name, v)
+        store_fields(self)
         for name in ("f_base", "supply_voltage", "bandwidth_f_star"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -562,14 +546,41 @@ _READERS = {
 }
 
 
+# How `store_fields` converts a field's value, by the field's declared type.
+_STORES = {
+    int: _integral,
+    float: lambda name, v: float(v),
+    bool: lambda name, v: bool(v),
+    str: lambda name, v: v,
+    PerStage: lambda name, v: float(v) if isinstance(v, (int, float)) else tuple(map(float, v)),
+    Sequence[float]: lambda name, v: tuple(map(float, v)),
+}
+
+
 @functools.cache
-def _readers(cls) -> dict[str, Callable[[str], object]]:
-    return {name: _READERS[hint] for name, hint in get_type_hints(cls).items()}
+def _rules(cls) -> dict[str, tuple[Callable, Callable]]:  # each field's reader and store
+    return {name: (_READERS[hint], _STORES[hint]) for name, hint in get_type_hints(cls).items()}
+
+
+def store_fields(obj) -> None:
+    """Store each field of frozen dataclass ``obj`` as its declared type (`_STORES`).
+
+    Equal values are stored alike (10**20 as 1e20, 16.0 as 16), so one chain
+    has one text.  A non-integral int, or a NaN or infinite float or entry but
+    `_UNLIMITED`, raises a ValueError naming the field: the harmonic route and
+    the grid read them differently, and a NaN cut answers every instance NO.
+    """
+    for name, (_, store) in _rules(type(obj)).items():
+        value = store(name, getattr(obj, name))
+        if type(value) is tuple and not all(map(math.isfinite, value)) or \
+                type(value) is float and not math.isfinite(value) and (name, value) != _UNLIMITED:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(obj, name, value)
 
 
 def read_field(cls, key: str, value: object, source: str = "config") -> object:
     """``value`` read as `from_items` reads it for field ``key`` of dataclass ``cls``."""
-    reader = _readers(cls).get(key)
+    reader, _ = _rules(cls).get(key, (None, None))
     if reader is None:
         raise ValueError(f"unknown {source} key {key!r}")
     try:

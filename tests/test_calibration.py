@@ -375,6 +375,16 @@ def test_threshold_round_trip():
     assert z == pytest.approx((-0.004, -0.0041))
 
 
+def test_threshold_text_writes_z_and_offsets_as_every_float_line():
+    # .12g with -0.0 as 0, as `fields_to_text` writes a config's floats
+    thr = DecisionThreshold(cut=0.12, no_band_max=0.07, yes_band_min=0.2, training_size=4,
+                            chain="0123456789ab")
+    text = threshold_to_text(thr, z_compensation=(-0.0, -1 / 3), offsets=(1 / 3, -0.0),
+                             offset_instance=parse_instance("1 2 4"))
+    assert "\nz_compensation=0,-0.333333333333\nper_stage_dc=0.333333333333,0\n" in text
+    assert threshold_from_text(text)[1] == (0.0, -0.333333333333)
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records ``max_workers``, maps in this process."""
 

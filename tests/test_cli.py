@@ -696,16 +696,40 @@ _ORDER_2_RECORD = ("instance=3 2 5\nanswer=YES\ndc_volts=0.923076923\ncut_volts=
      (2, "", "error: calibration key training_size: could not convert string to float: 'x'\n")),
     ("--calibration", "\n".join(_CALIBRATION_LINES).replace("training_size=2", "training_size=2.5"),
      (2, "", "error: training_size must be an integer, got 2.5\n")),
+    # a NaN cut would answer every instance NO, and exit 0
+    ("--calibration", "\n".join(_CALIBRATION_LINES).replace("cut=0.1", "cut=nan"),
+     (2, "", "error: cut must be finite, got nan\n")),
+    ("--calibration", "\n".join(_CALIBRATION_LINES).replace("cut=0.1", "cut=inf"),
+     (2, "", "error: cut must be finite, got inf\n")),
+    ("--calibration", "\n".join(_CALIBRATION_LINES).replace("yes_band_min=0.2", "yes_band_min=nan"),
+     (2, "", "error: yes_band_min must be finite, got nan\n")),
 ], ids=["cutoff_f0=abc", "order=x", "order=2.0", "order=2", "per_stage_gain=nan",
         "per_stage_gain=0", "per_stage_gain=-1", "cutoff_f0=inf",
         "key twice", "empty entry", "trailing comma", "calibration key twice",
-        "calibration empty entry", "training_size=x", "training_size=2.5"])
+        "calibration empty entry", "training_size=x", "training_size=2.5", "cut=nan", "cut=inf",
+        "yes_band_min=nan"])
 def test_values_are_read_by_their_field_type(tmp_path, capsys, flag, text, expected):
     # config, filter and calibration text go through one reader: a value that does not
     # parse, a key given twice or an empty list entry exits 2 naming the key
     (tmp_path / "f.txt").write_text(text)
     assert _run(capsys, "decide", "--oracle", "analog", flag, str(tmp_path / "f.txt"),
                 "3 2 5") == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decide", "--jobs", "0", "3 2 5"], "argument --jobs: must be at least 1, got 0"),
+    (["decide", "--jobs", "-3", "3 2 5"], "argument --jobs: must be at least 1, got -3"),
+    (["calibrate", "--yes", "y", "--no", "n", "--jobs", "0"],
+     "argument --jobs: must be at least 1, got 0"),
+    (["gen", "--n", "3", "--count", "-2"], "argument --count: must be at least 1, got -2"),
+    (["gen", "--n", "3", "--count", "0"], "argument --count: must be at least 1, got 0"),
+    (["decide", "--jobs", "x", "3 2 5"], "argument --jobs: invalid int value: 'x'"),
+], ids=["jobs=0", "jobs=-3", "calibrate-jobs=0", "count=-2", "count=0", "jobs=x"])
+def test_job_and_instance_counts_below_one_are_refused(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 @pytest.mark.parametrize("config, message", [

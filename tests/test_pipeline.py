@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from typing import Sequence, get_type_hints
 
 import numpy as np
 import pytest
@@ -327,6 +328,80 @@ def test_one_reader_reads_what_the_one_writer_writes(cls, data):
     obj = data.draw(_OBJECTS[cls])
     names = [f.name for f in dataclasses.fields(cls)]
     assert from_items(cls, parse_kv(fields_to_text(obj, names))) == obj
+
+
+# a valid object of each class that stores its fields by their declared types
+_VALID = {
+    NonidealityConfig: {},
+    FilterSpec: {"kind": "brickwall", "cutoff_f0": 5e3},
+    DecisionThreshold: {"cut": 0.1, "no_band_max": 0.0, "yes_band_min": 0.2, "training_size": 2},
+}
+
+
+def _fields_of(*hints):
+    return [(cls, name, hint) for cls in _VALID
+            for name, hint in get_type_hints(cls).items() if hint in hints]
+
+
+def _non_finite_cases():
+    for cls, name, hint in _fields_of(float, pipeline.PerStage, Sequence[float]):
+        for bad in (math.nan, math.inf, -math.inf):
+            if hint != Sequence[float]:  # one value
+                yield pytest.param(cls, name, bad, id=f"{cls.__name__}.{name}={bad}")
+            if hint != float:  # a sequence with one bad entry
+                yield pytest.param(cls, name, (1.0, bad), id=f"{cls.__name__}.{name}=1,{bad}")
+
+
+@pytest.mark.parametrize("cls, name, value", list(_non_finite_cases()))
+def test_every_float_field_refuses_nan_and_infinities(cls, name, value):
+    kwargs = {**_VALID[cls], name: value}
+    if (name, value) == ("bandwidth_f_star", math.inf):  # the one non-finite value taken
+        assert cls(**kwargs).bandwidth_f_star == math.inf
+        return
+    # a NaN or negative cutoff is not positive, which the filter checks first
+    reason = "positive" if name == "cutoff_f0" and not value > 0 else "finite"
+    with pytest.raises(ValueError, match=f"^{name} must be {reason}, got "):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, name, id=f"{cls.__name__}.{name}") for cls, name, _ in _fields_of(int)])
+def test_every_int_field_refuses_a_fraction(cls, name):
+    with pytest.raises(ValueError, match=fr"^{name} must be an integer, got 2\.5$"):
+        cls(**{**_VALID[cls], name: 2.5})
+
+
+# each field given in another type than the one it is stored in
+_LOOSE = {
+    NonidealityConfig: dict(f_base=20_000, source_amplitude=[1, 2.0, np.float64(0.5)],
+                            mult_output_offset=0, mult_input_offset=np.array([1e-3, 2e-3]),
+                            z_compensation=[0, -1e-3], bandwidth_f_star=10**6,
+                            noise_sigma=np.float32(0.25), oversample=32.0, seed=np.int64(3)),
+    FilterSpec: dict(kind="ideal-brickwall", cutoff_f0=5000, order=2.0,
+                     per_stage_gain=np.float64(2)),
+    DecisionThreshold: dict(cut=1, no_band_max=np.float64(0.5), yes_band_min=2,
+                            training_size=4.0, separable=1, chain="ab"),
+}
+
+
+def _is_stored(hint, value):
+    """Whether ``value`` has the type a field declared ``hint`` stores."""
+    if hint == pipeline.PerStage and type(value) is float:
+        return True
+    if hint in (pipeline.PerStage, Sequence[float]):
+        return type(value) is tuple and all(type(x) is float for x in value)
+    return type(value) is hint
+
+
+@pytest.mark.parametrize("cls", list(_LOOSE), ids=lambda cls: cls.__name__)
+def test_stored_values_rebuild_the_same_object(cls):
+    obj = cls(**_LOOSE[cls])
+    stored = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
+    hints = get_type_hints(cls)
+    assert all(_is_stored(hints[name], value) for name, value in stored.items()), stored
+    again = cls(**stored)
+    assert again == obj
+    assert [type(getattr(again, name)) for name in stored] == [type(v) for v in stored.values()]
 
 
 def test_parse_kv_rejects_line_without_equals():
