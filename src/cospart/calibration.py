@@ -225,9 +225,10 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
     `residue_floor` of the training runs is float rounding, not a level, and
     counts as at or below 0 V.  The cut is the geometric mean of the band
     edges when both lie above that floor, half the YES band's bottom when
-    only that one does, and the midpoint otherwise (overlapping bands, or
-    both within the floor or below it).  The threshold is stamped with the
-    `chain_digest` of ``cfg`` and ``spec``.
+    only that one does and the half clears the NO band's top, and the
+    midpoint otherwise (overlapping bands, both within the floor or below it,
+    or a NO top within the floor above half the YES bottom).  The threshold
+    is stamped with the `chain_digest` of ``cfg`` and ``spec``.
     """
     if not train_yes or not train_no:
         raise ValueError("both training sets must be non-empty")
@@ -246,7 +247,7 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
     separable = bool(no_max < yes_min)
     if separable and no_max > floor:
         cut = math.sqrt(no_max * yes_min)
-    elif separable and yes_min > floor:
+    elif separable and yes_min > floor and 0.5 * yes_min > no_max:
         cut = 0.5 * yes_min
     else:
         cut = 0.5 * (no_max + yes_min)
@@ -348,7 +349,8 @@ def threshold_from_text(text: str) -> tuple[DecisionThreshold, tuple[float, ...]
     Raises:
         ValueError: when the text lacks a `DecisionThreshold` field or leaves
             it empty, as a calibration written before thresholds were bound
-            to their chain leaves ``chain``.
+            to their chain leaves ``chain``, or when a separable calibration's
+            cut does not lie between its bands.
     """
     items = parse_kv(text)
     for f in fields(DecisionThreshold):
@@ -357,5 +359,8 @@ def threshold_from_text(text: str) -> tuple[DecisionThreshold, tuple[float, ...]
                              "recalibrate with cospart calibrate")
     thr = from_items(DecisionThreshold, {f.name: items[f.name] for f in fields(DecisionThreshold)},
                      "calibration")
+    if thr.separable and not thr.no_band_max < thr.cut < thr.yes_band_min:
+        raise ValueError(f"calibration cut={thr.cut!r} does not lie between no_band_max="
+                         f"{thr.no_band_max!r} and yes_band_min={thr.yes_band_min!r}")
     return thr, read_field(NonidealityConfig, "z_compensation",
                            items.get("z_compensation", ""), "calibration")

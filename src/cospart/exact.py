@@ -34,7 +34,10 @@ on either side).
 
 Spectrum amplitudes use the time-average convention: the line at frequency
 w carries (number of sign vectors summing to w) / 2**n, which is directly
-testable against numerical integration.  The Dirac-weight convention of the
+testable against numerical integration.  `analytic_spectrum` takes them from
+the same counting kernel as `ideal_dc`: a sign vector whose + values sum to s
+sums to 2s - total, so its cost grows with the number of distinct subset
+sums, not with the total.  The Dirac-weight convention of the
 angular-frequency Fourier transform differs by a constant sqrt(2*pi).
 """
 
@@ -59,7 +62,8 @@ _TABLE_BITS = 12
 MAX_MIM_N = 44
 # Guard of the 2**n sign-vector enumeration in `decide_bruteforce`.
 MAX_ENUM_N = 30
-# Guards of `analytic_spectrum`: its line count grows with the total.
+# Guards of `analytic_spectrum`: they bound its line count, the CSV's row
+# count, by min(2**n, total+1) distinct subset sums.
 MAX_SPECTRUM_N = 20
 MAX_SPECTRUM_TOTAL = 2_000_000
 # Budget of the DP reachability table: total/2+1 cells, one bit each.
@@ -311,21 +315,15 @@ def analytic_spectrum(inst: CpiInstance) -> Spectrum:
 
     Lines sit at every signed sum of the values; coincident subsets add
     coherently, so the amplitude at w is (multiplicity of w) / 2**n and the
-    DC line equals `ideal_dc`.
+    DC line equals `ideal_dc`.  The c subsets whose values sum to s, counted
+    by `_subset_sums`, are the sign vectors at w = 2s - total.
     """
     _check_enum_guard(inst, MAX_SPECTRUM_N)
     total = inst.total
     if total > MAX_SPECTRUM_TOTAL:
         raise InstanceTooLargeError(
             f"sum={total} exceeds the spectrum guard of {MAX_SPECTRUM_TOTAL}")
-    counts = np.zeros(2 * total + 1, dtype=np.int64)
-    counts[total] = 1
-    for a in inst.values:
-        nxt = np.zeros_like(counts)
-        nxt[a:] += counts[:-a]
-        nxt[:-a] += counts[a:]
-        counts = nxt
+    sums, counts = _subset_sums(inst.values, counts=True)
     denom = 2**inst.n
-    lines = {int(i - total): Fraction(int(c), denom)
-             for i, c in enumerate(counts) if c}
+    lines = {2 * s - total: Fraction(c, denom) for s, c in zip(sums.tolist(), counts.tolist())}
     return Spectrum(lines=lines, resolution=0.0)

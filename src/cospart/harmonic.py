@@ -42,7 +42,7 @@ import numpy as np
 from .dsp import FilterSpec
 from .instances import CpiInstance
 from .pipeline import NonidealityConfig, _per_stage, _pole_response, grid_step, \
-    points_per_period, source_draws
+    points_per_period, source_draws, validate_stage_sequences
 
 # Noise RMS multiples kept clear of the rails for a chain to count as unclipped.
 CLIP_SIGMAS = 8.0
@@ -151,13 +151,9 @@ def _setup(inst: CpiInstance, cfg: NonidealityConfig
     The sources' phases are `pipeline.source_draws`'s, so they are the grid's
     at the same seed.  Without phase errors they are all 0, nothing is drawn,
     and the lines are real, so the dtype is float64; else it is complex128.
-
-    Raises:
-        ValueError: when ``cfg`` has frequency errors, which move the sources
-            off the harmonics.
-        HarmonicsTooLargeError: when total/gcd exceeds `MAX_HARMONICS`,
-            before anything is allocated.
+    Raises what `fold` raises.
     """
+    validate_stage_sequences(cfg, inst.n)
     if cfg.freq_error_sigma:
         raise ValueError("frequency errors move the sources off the harmonics")
     harmonics = [a // inst.gcd for a in inst.values]
@@ -189,17 +185,18 @@ def fold(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) -> Fold:
     `_setup`'s dtype.
 
     Raises:
-        ValueError: when ``cfg`` has frequency errors, which move the sources
-            off the harmonics.
+        ValueError: when a per-stage or per-source sequence of ``cfg`` does
+            not fit ``inst`` (`validate_stage_sequences`, as `run_cascade`
+            refuses it), or when ``cfg`` has frequency errors, which move the
+            sources off the harmonics.
         HarmonicsTooLargeError: when total/gcd exceeds `MAX_HARMONICS`,
             before anything is allocated.
     """
     harmonics, m, lines, dtype = _setup(inst, cfg)
     stages = range(inst.n - 1)
     ins = [_per_stage(cfg.mult_input_offset, s) for s in stages]
-    pins = [_per_stage(cfg.mult_output_offset, s)  # output offset and Z
-            + (_per_stage(cfg.z_compensation, s) if len(cfg.z_compensation) else 0.0)
-            for s in stages]
+    pins = [_per_stage(cfg.mult_output_offset, s) + _per_stage(cfg.z_compensation, s)
+            for s in stages]  # output offset and Z
     scale = cfg.mult_scale
 
     # Σ|c| of a product is at most the product of the factors' Σ|c|
@@ -278,8 +275,7 @@ def forward(inst: CpiInstance, cfg: NonidealityConfig) -> tuple[np.ndarray, tupl
         held, spare = spare, held
         c *= cfg.mult_scale
         c[0] += _per_stage(cfg.mult_output_offset, s)
-        if len(cfg.z_compensation):
-            c[0] += _per_stage(cfg.z_compensation, s)
+        c[0] += _per_stage(cfg.z_compensation, s)
         bounds.append(_abs_sum(c))
         if pole is not None:
             _scale(c, pole[:len(c)])

@@ -70,11 +70,9 @@ def emit_netlist(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) ->
         amp = _per_stage(cfg.source_amplitude, i - 1)
         cards.append(f"V{i} src{i} 0 SINE(0 {_si(amp)} {_si(a * cfg.f_base)} 0 0 90)")
 
-    z = cfg.z_compensation
     prev = "src1"
     for k in range(1, n_stages + 1):
-        zval = z[k - 1] if len(z) else 0.0
-        cards.append(f"VZ{k} z{k} 0 DC {_si(zval)}")
+        cards.append(f"VZ{k} z{k} 0 DC {_si(_per_stage(cfg.z_compensation, k - 1))}")
         cards.append(f"BM{k} m{k} 0 V=V({prev})*V(src{k + 1})*{_si(cfg.mult_scale)}+V(z{k})")
         cards.append(f"EA{k} s{k} 0 m{k} 0 {_si(cfg.amp_gain)}")
         doc.node_map[k] = f"s{k}"

@@ -140,10 +140,11 @@ class PipelineTrace:
 
 
 def _per_stage(value: PerStage, stage: int) -> float:
+    """``value`` at ``stage``: a scalar at every stage, an empty sequence (no Z) 0."""
     if isinstance(value, (int, float)):
         return float(value)
     try:
-        return float(value[stage])
+        return float(value[stage]) if len(value) else 0.0
     except IndexError:
         raise ValueError(f"per-stage sequence too short for stage {stage}") from None
 
@@ -410,7 +411,7 @@ def multiply_stage(x: Signal, y: Union[Signal, Tone], cfg: NonidealityConfig,
     _check_same_grid(x, y)
     off_in = _per_stage(cfg.mult_input_offset, stage)
     off_out = _per_stage(cfg.mult_output_offset, stage)
-    z = _per_stage(cfg.z_compensation, stage) if len(cfg.z_compensation) else 0.0
+    z = _per_stage(cfg.z_compensation, stage)
     out = np.add(x.samples, off_in, out=out)
     if isinstance(y, Tone):
         y.multiply_into(out, off_in)

@@ -233,7 +233,6 @@ class OracleBackend:
     fspec: Optional[FilterSpec] = None
     threshold: Optional[DecisionThreshold] = None
     calls: int = 0
-    last_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ORACLES:
@@ -286,7 +285,7 @@ class OracleBackend:
         The exact oracles take `exact.solve_exact`, the cheaper of the DP and
         meet-in-the-middle; ``exact-bf`` enumerates.  An analogue oracle
         squeezes an instance above the multiplier bandwidth, scaling ``f_base``
-        and the cutoff by ``last_scale``; a calibrated threshold then refuses
+        and the cutoff by the squeeze factor; a calibrated threshold then refuses
         the squeezed chain (`ChainMismatchError`).
         """
         self.calls += 1
@@ -295,10 +294,8 @@ class OracleBackend:
         if self.kind.startswith("exact"):
             return exact.solve_exact(inst)
         cfg, spec = self.cfg, self.fspec
-        self.last_scale = 1.0
         if bandwidth_exceeded(inst, cfg):
             lam = scale_instance(inst, cfg.bandwidth_f_star / cfg.f_base, _SQUEEZE_MARGIN)
-            self.last_scale = lam
             cfg = replace(cfg, f_base=lam * cfg.f_base)
             spec = replace(spec, cutoff_f0=lam * spec.cutoff_f0)
         return decide_analog(inst, cfg, spec, self.threshold).answer == "YES"

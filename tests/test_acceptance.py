@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from cospart import reductions
 from cospart.calibration import (auto_threshold, compensate, decide_analog,
                                  measure_stage_offsets, perturb_to_no_instance,
                                  run_and_measure)
@@ -166,7 +167,7 @@ def _truth_table_sat(f: CnfFormula) -> bool:
                for bits in itertools.product((False, True), repeat=f.num_vars))
 
 
-def test_criterion_07_sat_end_to_end():
+def test_criterion_07_sat_end_to_end(monkeypatch):
     rng = random.Random(7)
     sat_count = 0
     for _ in range(200):
@@ -186,8 +187,13 @@ def test_criterion_07_sat_end_to_end():
     backend = OracleBackend(kind="analog", cfg=cfg)
     inst = sat_to_partition(demo)
     assert inst.total * cfg.f_base > cfg.bandwidth_f_star  # squeezing required
+    f_bases = []
+    real_decide = reductions.decide_analog
+    monkeypatch.setattr(reductions, "decide_analog", lambda inst, cfg, spec, thr:
+                        f_bases.append(cfg.f_base) or real_decide(inst, cfg, spec, thr))
     assert backend.decide(inst) is True
-    assert backend.last_scale < 1.0
+    (f_base,) = f_bases
+    assert f_base < cfg.f_base  # squeezed
     assignment = extract_witness(demo, backend)
     assert assignment is not None and evaluate(demo, assignment)
     assert _truth_table_sat(demo)

@@ -156,6 +156,36 @@ def test_bootstrap_cut_treats_residue_band_edge_as_zero(monkeypatch, brickwall):
     assert bands(1.1e-16, -1e-3).cut == 0.5 * (1.1e-16 - 1e-3)  # both within or below
 
 
+def test_bootstrap_cuts_between_bands_whose_no_edge_is_residue_above_half_the_yes_edge(
+        monkeypatch, brickwall):
+    # half the YES edge, 3.5e-14 V, would cut below the NO edge of 4.2e-14 V
+    yes, no = [parse_instance("3 2 5")], [parse_instance("3 6 4")]
+    cfg = NonidealityConfig.ideal()
+    floor = max(residue_floor(inst, cfg, brickwall) for inst in yes + no)
+    yes_min, no_max = 1.5 * floor, 0.9 * floor
+    monkeypatch.setattr(calibration, "_measured_dc",
+                        lambda inst, cfg, spec: yes_min if solve_exact(inst) else no_max)
+    thr = bootstrap_threshold(yes, no, cfg, brickwall)
+    assert thr.separable and 0.5 * yes_min < no_max
+    assert thr.cut == 0.5 * (no_max + yes_min)
+    assert thr.no_band_max < thr.cut < thr.yes_band_min
+    threshold_from_text(threshold_to_text(thr))  # loads: its cut lies between its bands
+
+
+@pytest.mark.parametrize("cut, no_max, yes_min", [
+    (-1.0, 0.0, 0.2), (0.0, 0.0, 0.2), (0.2, 0.0, 0.2), (0.1, 5.0, 0.2)])
+def test_threshold_text_refuses_a_separable_cut_outside_its_bands(cut, no_max, yes_min):
+    thr = DecisionThreshold(cut=cut, no_band_max=no_max, yes_band_min=yes_min, training_size=2,
+                            chain="0123456789ab")
+    with pytest.raises(ValueError, match=f"^calibration cut={cut!r} does not lie between "
+                                         f"no_band_max={no_max!r} and yes_band_min={yes_min!r}$"):
+        threshold_from_text(threshold_to_text(thr))
+    # overlapping bands have no cut between them; deciding on them raises NonSeparableError
+    loose = DecisionThreshold(cut=cut, no_band_max=no_max, yes_band_min=yes_min, training_size=2,
+                              separable=False, chain="0123456789ab")
+    assert threshold_from_text(threshold_to_text(loose))[0] == loose
+
+
 def test_residue_floor_from_amplitudes_and_sample_count(brickwall):
     inst = parse_instance("3 6 4")  # 210 points per period
     eps = np.finfo(float).eps

@@ -703,11 +703,18 @@ _ORDER_2_RECORD = ("instance=3 2 5\nanswer=YES\ndc_volts=0.923076923\ncut_volts=
      (2, "", "error: cut must be finite, got inf\n")),
     ("--calibration", "\n".join(_CALIBRATION_LINES).replace("yes_band_min=0.2", "yes_band_min=nan"),
      (2, "", "error: yes_band_min must be finite, got nan\n")),
+    # a separable cut outside its bands would answer the NO band YES, or the YES band NO
+    ("--calibration", "\n".join(_CALIBRATION_LINES).replace("cut=0.1", "cut=-1"),
+     (2, "", "error: calibration cut=-1.0 does not lie between no_band_max=0.0 and "
+             "yes_band_min=0.2\n")),
+    ("--calibration", "\n".join(_CALIBRATION_LINES).replace("no_band_max=0", "no_band_max=5"),
+     (2, "", "error: calibration cut=0.1 does not lie between no_band_max=5.0 and "
+             "yes_band_min=0.2\n")),
 ], ids=["cutoff_f0=abc", "order=x", "order=2.0", "order=2", "per_stage_gain=nan",
         "per_stage_gain=0", "per_stage_gain=-1", "cutoff_f0=inf",
         "key twice", "empty entry", "trailing comma", "calibration key twice",
         "calibration empty entry", "training_size=x", "training_size=2.5", "cut=nan", "cut=inf",
-        "yes_band_min=nan"])
+        "yes_band_min=nan", "cut=-1", "no_band_max=5"])
 def test_values_are_read_by_their_field_type(tmp_path, capsys, flag, text, expected):
     # config, filter and calibration text go through one reader: a value that does not
     # parse, a key given twice or an empty list entry exits 2 naming the key

@@ -17,6 +17,7 @@ from cospart.exact import (DpBudgetError, InstanceTooLargeError, analytic_spectr
 from cospart.instances import CpiInstance, parse_instance
 from cospart.pipeline import NonidealityConfig
 from cospart.reductions import CnfFormula, OracleBackend, sat_to_partition
+from conftest import tracemalloc_peak
 
 
 def test_decide_examples():
@@ -301,6 +302,26 @@ def test_spectrum_examples():
 def test_spectrum_refuses_a_total_over_its_guard():
     with pytest.raises(InstanceTooLargeError, match="exceeds the spectrum guard of 2000000"):
         analytic_spectrum(CpiInstance((exact.MAX_SPECTRUM_TOTAL, 1)))
+
+
+def test_spectrum_lines_count_every_sign_vector():
+    # the spectrum and ideal_dc share `_subset_sums`; `_signed_sums` lists all 2**n sums
+    rng = random.Random(30)
+    for _ in range(60):
+        n = rng.randint(1, 16)  # past 12 values the kernel merges beyond its first table
+        values = tuple(rng.randint(1, rng.choice((3, 40, 5000))) for _ in range(n))
+        freqs, counts = np.unique(exact._signed_sums(values), return_counts=True)
+        assert analytic_spectrum(CpiInstance(values)).lines == {
+            int(w): Fraction(int(c), 2**n) for w, c in zip(freqs, counts)}
+
+
+def test_spectrum_memory_follows_its_lines_not_its_total():
+    # a dense array of 2*total+1 bins would peak at 64 MB on these seven lines
+    spectrum, peak = tracemalloc_peak(
+        lambda: analytic_spectrum(CpiInstance((1000000, 999999, 1))))
+    assert spectrum.lines == {w: Fraction(1, 8) for w in (-2000000, -1999998, -2, 2, 1999998,
+                                                           2000000)} | {0: Fraction(1, 4)}
+    assert peak < 1 << 20
 
 
 @settings(max_examples=100)

@@ -226,6 +226,24 @@ def test_measure_dc_guards_before_the_engine(monkeypatch):
         measure_dc(parse_instance("3 2 5"), NonidealityConfig(mult_output_offset=(1e-3,)), spec)
 
 
+@pytest.mark.parametrize("cfg", [
+    NonidealityConfig(mult_output_offset=(1e-3,) * 9),
+    NonidealityConfig(mult_input_offset=(1e-3,)),
+    NonidealityConfig(z_compensation=(1e-3,)),
+    NonidealityConfig(source_amplitude=(1.0, 2.0)),
+], ids=["9 output offsets", "1 input offset", "1 Z", "2 amplitudes"])
+def test_engines_refuse_what_the_grid_refuses(cfg):
+    # else a 9-entry offset sequence on two stages folds to 0.2408 V with two of its entries
+    inst = parse_instance("3 2 5")
+    with pytest.raises(ValueError) as grid:
+        pipeline.run_cascade(inst, cfg)
+    for engine in (lambda: harmonic.fold(inst, cfg, FilterSpec("none", 1.0)),
+                   lambda: harmonic.forward(inst, cfg)):
+        with pytest.raises(ValueError) as refused:
+            engine()
+        assert str(refused.value) == str(grid.value)
+
+
 def test_fold_refuses_too_many_harmonics():
     inst = CpiInstance((1, harmonic.MAX_HARMONICS))
     with pytest.raises(harmonic.HarmonicsTooLargeError, match="harmonics"):

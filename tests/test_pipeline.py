@@ -410,6 +410,21 @@ def test_parse_kv_rejects_line_without_equals():
         parse_kv("a=1\nno equals sign\n")
 
 
+def test_run_cascade_refuses_zero_periods(ideal_cfg):
+    with pytest.raises(ValueError, match="^periods must be at least 1$"):
+        run_cascade(parse_instance("2 3"), ideal_cfg, periods=0)
+
+
+def test_multiply_stage_reads_an_empty_sequence_as_zero_and_refuses_a_short_one(ideal_cfg):
+    x, y = synthesize_sources(parse_instance("2 3"), ideal_cfg)
+    no_z = multiply_stage(x, y, ideal_cfg, stage=1)
+    assert np.array_equal(multiply_stage(x, y, replace(ideal_cfg, z_compensation=(0.0, 0.0)),
+                                         stage=1).samples, no_z.samples)
+    for name in ("mult_output_offset", "mult_input_offset", "z_compensation"):
+        with pytest.raises(ValueError, match="^per-stage sequence too short for stage 1$"):
+            multiply_stage(x, y, replace(ideal_cfg, **{name: (1e-3,)}), stage=1)
+
+
 def test_run_cascade_refuses_oversized_grid_before_allocating():
     def refuse():
         with pytest.raises(GridTooLargeError, match=r"2000376 grid points per period"):

@@ -264,14 +264,26 @@ def test_analog_backend_small_formula():
     assert assignment == (False, True)
 
 
-def test_analog_backend_squeezes():
+def _spy_chains(monkeypatch) -> list:
+    """The (cfg, spec) of every chain `OracleBackend.decide` runs `decide_analog` on."""
+    chains, real = [], reductions.decide_analog
+    monkeypatch.setattr(reductions, "decide_analog", lambda inst, cfg, spec, thr:
+                        chains.append((cfg, spec)) or real(inst, cfg, spec, thr))
+    return chains
+
+
+def test_analog_backend_squeezes(monkeypatch):
     backend = OracleBackend(kind="analog",
                             cfg=NonidealityConfig(bandwidth_model="none"))
     inst = sat_to_partition(CnfFormula(2, ((1, 2), (-1,))))
     assert inst.total * 1e4 > 120e3
+    chains = _spy_chains(monkeypatch)
     assert backend.decide(inst) is True
-    assert backend.last_scale < 1.0
-    assert backend.last_scale * inst.total * 1e4 < 120e3
+    (cfg, spec), = chains
+    scale = cfg.f_base / 1e4  # the squeeze factor
+    assert scale < 1.0
+    assert scale * inst.total * 1e4 < 120e3
+    assert spec.cutoff_f0 == pytest.approx(scale * backend.fspec.cutoff_f0)
 
 
 # its reduction needs 7,200,000 grid points per period, over the 2,000,000 limit
