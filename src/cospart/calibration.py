@@ -109,13 +109,12 @@ def _measured_dc(inst: CpiInstance, cfg: NonidealityConfig, spec: FilterSpec) ->
 
 
 def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """``[fn(x) for x in items]``, over up to ``jobs`` spawned worker processes.
+    """``[fn(x) for x in items]``, over up to ``jobs`` threads of this process.
 
-    ``fn`` must pickle by import path: a module-level function or a
-    `functools.partial` of one.  The workers are capped by the number of
-    items and by the CPUs this process may run on, so a large ``jobs`` never
-    starts more interpreters than can run at once.  Runs in this process
-    when that leaves fewer than two workers.
+    The threads are capped by the number of items and by the CPUs this
+    process may run on.  Runs inline when that leaves fewer than two.
+    Every task seeds its own generators, so the results do not depend on
+    the thread that ran them.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -125,10 +124,8 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
     if workers <= 1:
         return [fn(x) for x in items]
     # imported here: the pool machinery would add to every command's start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -221,7 +218,7 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
     """Learn the YES/NO voltage bands from labeled training runs.
 
     Labels are verified with `solve_exact` first; the runs are spread over
-    ``jobs`` processes by `parallel_map`.  An edge at or below the largest
+    ``jobs`` threads by `parallel_map`.  An edge at or below the largest
     `residue_floor` of the training runs is float rounding, not a level, and
     counts as at or below 0 V.  The cut is the geometric mean of the band
     edges when both lie above that floor, half the YES band's bottom when
@@ -239,8 +236,7 @@ def bootstrap_threshold(train_yes: Sequence[CpiInstance], train_no: Sequence[Cpi
         if solve_exact(inst):
             raise LabelError(f"training NO instance {serialize_instance(inst)} is a YES instance")
 
-    dcs = parallel_map(functools.partial(_measured_dc, cfg=cfg, spec=spec),
-                       [*train_yes, *train_no], jobs)
+    dcs = parallel_map(lambda inst: _measured_dc(inst, cfg, spec), [*train_yes, *train_no], jobs)
     yes_min = min(dcs[:len(train_yes)])
     no_max = max(dcs[len(train_yes):])
     floor = max(residue_floor(inst, cfg, spec) for inst in [*train_yes, *train_no])

@@ -83,17 +83,6 @@ def _write_out(args, argv: list[str], t0: float, digest: str, files: dict[str, s
     return [out / name for name in sorted(files)]
 
 
-def _decide_one(task: tuple[CpiInstance, int], chain: reductions.OracleBackend,
-                strict: bool, keep_sampled: bool) -> calibration.Decision:
-    """`OracleBackend.decision` at the task's seed, as a picklable call for `parallel_map`.
-
-    An analogue decision keeps its filtered samples only with ``keep_sampled``.
-    """
-    inst, seed = task
-    decision = chain.decision(inst, seed, strict)
-    return decision if keep_sampled else replace(decision, sampled=None)
-
-
 def cmd_decide(args, argv: list[str]) -> int:
     t0 = time.monotonic()
     insts = _load_instance_arg(args.instance)
@@ -104,10 +93,13 @@ def cmd_decide(args, argv: list[str]) -> int:
     # deterministic per-instance sub-seeds keep batch runs reproducible
     tasks = [(inst, args.seed + i if args.batch else args.seed) for i, inst in enumerate(insts)]
     write_trace = bool(args.out) and not args.batch and chain.kind.startswith("analog")
-    decisions = calibration.parallel_map(
-        functools.partial(_decide_one, chain=chain, strict=args.strict,
-                          keep_sampled=write_trace),
-        tasks, args.jobs)
+
+    def decide_one(task: tuple[CpiInstance, int]) -> calibration.Decision:
+        # an analogue decision keeps its filtered samples only for the trace
+        decision = chain.decision(*task, args.strict)
+        return decision if write_trace else replace(decision, sampled=None)
+
+    decisions = calibration.parallel_map(decide_one, tasks, args.jobs)
     records = [decision_record(d, inst, chain.digest, seed)
                for d, (inst, seed) in zip(decisions, tasks)]
     last_answer = decisions[-1].answer

@@ -159,23 +159,22 @@ def validate_netlist(doc: NetlistDoc) -> None:
 def parse_trace_csv(text: str) -> SampledTrace:
     """Read a two-column (time, volts) trace from an external simulator.
 
-    A single header line is tolerated.  Non-uniform time steps (variable
-    step transient output) are resampled onto a uniform grid by linear
-    interpolation and flagged as such.
+    Comment lines (``#`` or ``;``) are skipped, and one header row is
+    tolerated before the first data row, as `pipeline.volts_csv` writes it.
+    Non-uniform time steps (variable step transient output) are resampled
+    onto a uniform grid by linear interpolation and flagged as such.
     """
     times: list[float] = []
     volts: list[float] = []
-    for lineno, line in enumerate(text.splitlines()):
-        s = line.strip()
-        if not s or s.startswith("#") or s.startswith(";"):
-            continue
-        parts = s.replace(",", " ").split()
+    rows = [s for s in map(str.strip, text.splitlines()) if s and s[0] not in "#;"]
+    for i, row in enumerate(rows):
+        parts = row.replace(",", " ").split()
         try:
             t, v = float(parts[0]), float(parts[1])
         except (ValueError, IndexError):
-            if not times and lineno < 2:
-                continue  # header line
-            raise ValueError(f"bad trace row: {line!r}") from None
+            if i == 0:
+                continue  # the header row
+            raise ValueError(f"bad trace row: {row!r}") from None
         times.append(t)
         volts.append(v)
     if len(times) < 2:

@@ -63,14 +63,20 @@ class CnfFormula:
 
 
 def parse_dimacs(text: str, strict: bool = False) -> CnfFormula:
-    """Parse DIMACS CNF ('p cnf V C' header, zero-terminated clauses)."""
+    """Parse DIMACS CNF ('p cnf V C' header, zero-terminated clauses).
+
+    A ``%`` line ends the clause data: SATLIB's files follow it with a ``0``
+    line that is not an empty clause.
+    """
     num_vars: Optional[int] = None
     declared = 0
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for line in text.splitlines():
         s = line.strip()
-        if not s or s.startswith("c") or s.startswith("%"):
+        if s.startswith("%"):
+            break
+        if not s or s.startswith("c"):
             continue
         if s.startswith("p"):
             if num_vars is not None:

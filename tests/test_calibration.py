@@ -416,11 +416,11 @@ def test_threshold_text_writes_z_and_offsets_as_every_float_line():
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps in this process."""
+    """Stands in for ThreadPoolExecutor: records ``max_workers``, maps in this thread."""
 
     created: list = []
 
-    def __init__(self, max_workers=None, mp_context=None):
+    def __init__(self, max_workers=None):
         self.created.append(max_workers)
 
     def __enter__(self):
@@ -443,7 +443,7 @@ class _SerialPool:
 def test_parallel_map_caps_workers(monkeypatch, affinity, cpu_count, jobs, items, workers):
     import concurrent.futures
     import os
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "created", [])
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -453,3 +453,38 @@ def test_parallel_map_caps_workers(monkeypatch, affinity, cpu_count, jobs, items
     assert calibration.parallel_map(abs, list(range(-items, 0)), jobs) == \
         list(range(items, 0, -1))
     assert _SerialPool.created == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("freq_error_sigma, route", [(0.0, "harmonic"), (1e-6, "grid")])
+def test_concurrent_measure_dc_stays_bit_identical(brickwall, freq_error_sigma, route):
+    # as `parallel_map` runs it: four threads on two cores or fewer, switching
+    # as often as the interpreter allows
+    import sys
+    import threading
+    inst = parse_instance("2 3 5 4")
+    cfg = NonidealityConfig(mult_output_offset=4e-3, mult_input_offset=1e-3,
+                            amp_offset=2.5e-4, bandwidth_f_star=1e6, noise_sigma=1e-4,
+                            phase_error_sigma=0.05, freq_error_sigma=freq_error_sigma, seed=4)
+    dc, sampled = calibration.measure_dc(inst, cfg, brickwall)
+    assert (sampled is None) == (route == "harmonic")
+    results = []
+
+    def worker():
+        for _ in range(5):
+            results.append(calibration.measure_dc(inst, cfg, brickwall))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 20
+    for dc_i, sampled_i in results:
+        assert dc_i == dc
+        if sampled is not None:
+            assert np.array_equal(sampled_i.values, sampled.values)

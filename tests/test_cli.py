@@ -285,6 +285,38 @@ def test_calibrate_jobs_match(tmp_path, capsys):
     assert seq_out == par_out
 
 
+def test_jobs_run_on_threads_of_this_process(tmp_path):
+    # a fresh interpreter, so that no earlier test has imported multiprocessing;
+    # two CPUs pinned, so that a one-CPU runner still starts the pool
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import cospart
+    (tmp_path / "yes.txt").write_text("3 2 5\n1 4 5\n")
+    (tmp_path / "no.txt").write_text("3 6 4\n2 3 4\n")
+    code = ("import os, sys, threading\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from cospart import calibration, cli\n"
+            "seen, checks = set(), []\n"
+            "measure = calibration.measure_dc\n"
+            "def recorded(*args):\n"
+            "    seen.add((os.getpid(), threading.current_thread() is threading.main_thread()))\n"
+            "    return measure(*args)\n"
+            "calibration.measure_dc = recorded\n"
+            "for argv in (['decide', '--batch', '--oracle', 'analog', '--jobs', '2', 'no.txt'],\n"
+            "             ['calibrate', '--yes', 'yes.txt', '--no', 'no.txt', '--jobs', '2']):\n"
+            "    assert cli.main(argv) == 0\n"
+            "    checks.append(seen == {(os.getpid(), False)})\n"
+            "    seen.clear()\n"
+            "print(*checks, 'multiprocessing' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cospart.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.splitlines()[-1] == "True True False"
+
+
 def test_calibrate_overlapping_bands(tmp_path, capsys):
     # noise_sigma=2 spreads the measured DCs until the YES and NO bands overlap
     code, out, err = _calibrate(capsys, tmp_path, ["1 1", "2 2", "3 3"],
@@ -354,6 +386,24 @@ def test_sat_model_verified(tmp_path, capsys):
     lits = [int(x) for x in model_line[2:].split() if x != "0"]
     values = [l > 0 for l in sorted(lits, key=abs)]
     assert evaluate(parse_dimacs(text), values)
+
+
+@pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
+def test_sat_satlib_trailer_ends_the_clauses(tmp_path, capsys, strict):
+    # SATLIB files end with a '%' line and a '0' line, which is not an empty clause
+    import warnings
+    from cospart.reductions import evaluate, parse_dimacs
+    text = "p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n"
+    (tmp_path / "sat.cnf").write_text(text)
+    (tmp_path / "unsat.cnf").write_text("p cnf 1 2\n1 0\n-1 0\n%\n0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a miscounted header would exit 2
+        code, out, err = _run(capsys, "sat", str(tmp_path / "sat.cnf"), *strict)
+        assert (code, err) == (1, "")
+        lits = [int(x) for x in out.splitlines()[-1][2:].split() if x != "0"]
+        assert evaluate(parse_dimacs(text), [l > 0 for l in sorted(lits, key=abs)])
+        code, out, err = _run(capsys, "sat", str(tmp_path / "unsat.cnf"), *strict)
+        assert (code, out, err) == (0, "s UNSATISFIABLE\n", "")
 
 
 def test_sat_reports_the_bit_budget(tmp_path, capsys):

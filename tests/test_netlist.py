@@ -164,3 +164,24 @@ def test_round_trip_tran_window_matches_pipeline(text, expected):
                                           tau=final.dt))
     ideal = float(ideal_dc(inst)) * spec.dc_gain
     assert dc == pytest.approx(ideal, abs=max(0.05 * abs(ideal), 1e-3))
+
+
+def test_parse_trace_reads_a_decide_trace(tmp_path, capsys):
+    # the trace `decide --out` writes on the grid route: provenance comments, a header
+    from cospart.cli import main
+    (tmp_path / "freq.cfg").write_text("mult_output_offset=4e-3\nfreq_error_sigma=1e-6\n")
+    code = main(["decide", "--oracle", "analog", "--config", str(tmp_path / "freq.cfg"),
+                 "--out", str(tmp_path / "out"), "3 2 5"])
+    capsys.readouterr()
+    assert code == 1
+    text = (tmp_path / "out" / "trace.csv").read_text()
+    lines = text.splitlines()
+    assert [l.startswith("#") for l in lines[:4]] == [True, True, True, False]
+    assert lines[3] == "time_s,volts"
+    rows = np.array([[float(x) for x in l.split(",")] for l in lines[4:]])
+    trace = parse_trace_csv(text)
+    assert not trace.resampled
+    assert trace.m == len(rows)
+    assert trace.t_start == rows[0, 0]
+    assert trace.tau == pytest.approx(rows[1, 0] - rows[0, 0], rel=1e-9)
+    assert np.array_equal(trace.values, rows[:, 1])
