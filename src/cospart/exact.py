@@ -12,7 +12,8 @@ Three exact decision routes are kept:
   whatever the magnitudes.
 
 `solve_exact` takes whichever of DP and MIM costs fewer operations by these
-estimates, DP only within `DP_MAX_CELLS` cells.
+estimates, DP only within `DP_MAX_CELLS` cells (and, from n = 65 on, within
+that many words of shifts).
 
 Every balanced sign vector or its negation has (one copy of) the largest
 value a_max on its + side, so MIM pins it there: the other values must reach
@@ -22,11 +23,17 @@ stay in one half, whose c copies of a value add only c+1 sums, and the
 groups go, most copies first, to the half with the smaller product of
 (c+1); the colliding values of SAT reductions then give two halves of equal
 size, not one large one.  Both halves' sorted distinct sums come from one
-kernel, `_subset_sums`.  Its first 12 values give one table of all 4096
-subset sums, sorted once; each later value merges the sorted sums s with
-the sorted s + a and drops repeats.  The decision only asks whether a pair
-exists: it sorts one half's sums with the target minus the other's, two
-ascending runs that a stable sort merges, and looks for equal neighbours.
+kernel, `_subset_sums`, which takes those (value, copies) groups.  Its
+leading groups fill one table of at most 4096 sums, the c copies of a
+adding c shifted blocks; the table is sorted and its repeats merged only
+when some value does not exceed the span of the sums before it.  Each later
+value a extends the sorted sums s by s + a: a plain concatenation when a
+exceeds their span, and otherwise a merge that drops repeats.  A SAT
+reduction's slack pairs lie below its literals, so when each half holds one
+literal of each variable its halves are listed without a sort.  The
+decision only asks whether a pair exists: it sorts one half's sums with the
+target minus the other's, two ascending runs that a stable sort merges, and
+looks for equal neighbours.
 `ideal_dc` counts the pairs: the kernel tags each sum with the number of
 subsets behind it, `_match` finds every pair of sums that reaches the
 target, and each pair adds the product of its tags, twice (the pinned value
@@ -44,7 +51,9 @@ angular-frequency Fourier transform differs by a constant sqrt(2*pi).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -55,7 +64,7 @@ from .instances import CpiInstance
 
 # Block size for the doubling enumeration (2**22 int64 values = 32 MB).
 _ENUM_CHUNK = 22
-# Values listed as one table of every subset sum before the kernel merges.
+# The kernel's first table, filled before it merges, holds at most 2**12 sums.
 _TABLE_BITS = 12
 # Guard of the meet-in-the-middle kernel: besides the pinned value, each half
 # lists at most 2**22 sums.
@@ -66,7 +75,8 @@ MAX_ENUM_N = 30
 # count, by min(2**n, total+1) distinct subset sums.
 MAX_SPECTRUM_N = 20
 MAX_SPECTRUM_TOTAL = 2_000_000
-# Budget of the DP reachability table: total/2+1 cells, one bit each.
+# Budget of the DP reachability table: total/2+1 cells, one bit each, and of
+# the 64-bit words its n shifts touch.
 DP_MAX_CELLS = 10**8
 
 
@@ -75,7 +85,7 @@ class InstanceTooLargeError(ValueError):
 
 
 class DpBudgetError(RuntimeError):
-    """Reachability table would exceed `DP_MAX_CELLS`."""
+    """Reachability table, or the words its shifts touch, would exceed `DP_MAX_CELLS`."""
 
 
 @dataclass
@@ -148,67 +158,118 @@ def _run_starts(merged: np.ndarray) -> np.ndarray:
     return first
 
 
-def _subset_sums(values: tuple[int, ...],
+def _groups(values: Iterable[int]) -> list[tuple[int, int]]:
+    """(value, copies) groups of `values`: most copies first, then ascending value."""
+    return sorted(Counter(values).items(), key=lambda g: (-g[1], g[0]))
+
+
+def _sort_distinct(sums: np.ndarray, tags: Optional[np.ndarray], counts: bool,
+                   kind: Optional[str] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sort `sums` in place (numpy's sort ``kind``) and merge equal sums, adding their tags.
+
+    Without ``tags`` each sum stands for one subset, so with ``counts`` the
+    tags are the lengths of the runs of equal sums.  On two sorted runs the
+    stable sort merges in linear time.
+    """
+    if tags is None:
+        sums.sort(kind=kind)
+        first = _run_starts(sums)
+        if counts:
+            tags = np.diff(np.flatnonzero(first), append=len(sums))
+        return sums[first], tags
+    order = sums.argsort(kind=kind)
+    sums = sums[order]
+    starts = np.flatnonzero(_run_starts(sums))
+    return sums[starts], np.add.reduceat(tags[order], starts)
+
+
+def _subset_sums(groups: Sequence[tuple[int, int]],
                  counts: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Sorted distinct subset sums of `values`, with ``counts`` their subset counts.
+    """Sorted distinct subset sums of the multiset of (value, copies) `groups`.
 
     Without ``counts`` the second item is None.  With it, each sum's int64
-    count is the number of subsets behind it; the counts of equal sums add,
-    and all counts sum to 2**len(values).
+    count is the number of subsets behind it, equal values told apart, so
+    all counts sum to 2**(number of values).
 
-    The first `_TABLE_BITS` values give one table of every subset sum.  It
-    is sorted once, and counts are the lengths of its runs of equal sums.
-    Each later value merges the sorted sums s with the sorted s + a: the
-    stable sort finds the two runs and merges them in linear time, and
-    equal neighbours are dropped.
+    The leading groups, while the product of their (copies + 1) stays
+    within 2**`_TABLE_BITS`, fill one table group by group: c copies of a
+    add the c blocks s + k*a, k = 1..c, of the sums s before them, and with
+    ``counts`` block k's tags are the earlier tags times comb(c, k).  The
+    table is sorted, and its equal sums merged, only when some a does not
+    exceed the span of the sums before it; otherwise its blocks already
+    ascend and are distinct.  Each copy of a later group adds s + a to the
+    sums s: a concatenation when a exceeds their span, and otherwise a
+    stable sort of the two sorted runs that merges equal sums.
     """
-    k = min(len(values), _TABLE_BITS)
-    table = np.empty(1 << k, dtype=np.int64)
+    table = np.empty(1 << min(sum(c for _, c in groups), _TABLE_BITS), dtype=np.int64)
     table[0] = 0
-    for i, a in enumerate(values[:k]):
-        np.add(table[:1 << i], a, out=table[1 << i:2 << i])
-    table.sort()
-    first = _run_starts(table)
     tags = None
-    if counts:
-        tags = np.diff(np.flatnonzero(first), append=len(table))
-    sums = table[first]
-    for a in values[k:]:
-        merged = np.concatenate([sums, sums + a])
-        if not counts:
-            merged.sort(kind="stable")
-            sums = merged[_run_starts(merged)]
-            continue
-        order = merged.argsort(kind="stable")
-        merged = merged[order]
-        starts = np.flatnonzero(_run_starts(merged))
-        sums = merged[starts]
-        tags = np.add.reduceat(np.concatenate([tags, tags])[order], starts)
+    width, span, head, overlap = 1, 0, 0, False
+    for a, c in groups:
+        end = width * (c + 1)
+        if end > len(table):
+            break
+        overlap = overlap or a <= span
+        if c == 1:  # one block: most groups, spared the block loop's cost
+            np.add(table[:width], a, out=table[width:end])
+            if tags is not None:
+                tags[width:end] = tags[:width]
+        else:
+            if counts and tags is None:
+                tags = np.ones(len(table), dtype=np.int64)
+            for k in range(1, c + 1):
+                block = slice(k * width, (k + 1) * width)
+                np.add(table[:width], k * a, out=table[block])
+                if tags is not None:
+                    np.multiply(tags[:width], math.comb(c, k), out=tags[block])
+        width = end
+        span += c * a
+        head += 1
+    sums = table[:width]
+    if tags is not None:
+        tags = tags[:width]
+    if overlap:
+        sums, tags = _sort_distinct(sums, tags, counts)
+    elif counts and tags is None:
+        tags = np.ones(width, dtype=np.int64)
+    for a, c in groups[head:]:
+        for _ in range(c):
+            m = len(sums)
+            merged = np.empty(2 * m, dtype=np.int64)
+            merged[:m] = sums
+            np.add(sums, a, out=merged[m:])
+            if tags is not None:
+                tags = np.concatenate([tags, tags])
+            if a > sums[-1]:  # the span, as the smallest sum is 0
+                sums = merged
+            else:
+                sums, tags = _sort_distinct(merged, tags, counts, kind="stable")
     return sums, tags
 
 
-def _halves(inst: CpiInstance) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _halves(inst: CpiInstance) -> tuple[tuple[tuple[int, int], ...],
+                                        tuple[tuple[int, int], ...], int]:
     """Two halves of the values besides one pinned copy of the largest, and their target.
+
+    Each half is a tuple of (value, copies) groups, as `_subset_sums` takes.
 
     Every balanced sign vector or its negation has the largest value a_max
     on its + side, so the other + values must sum to target = total/2 -
     a_max.  Values above the target drop out; a negative target leaves both
     halves empty and no pair of sums can reach it.  Equal values stay in one
-    half: groups of c equal values go, by falling c and then ascending
-    value, to the half with the smaller product of (c+1) over its groups,
-    the bound on its distinct sums (the left half on ties).
+    half: groups of c equal values go, in `_groups` order (falling c, then
+    ascending value), to the half with the smaller product of (c+1) over its
+    groups, the bound on its distinct sums (the left half on ties).
     """
     a_max = max(inst.values)
     target = inst.total // 2 - a_max
-    counts = Counter(inst.values)
-    counts[a_max] -= 1
-    groups = sorted(((c, a) for a, c in counts.items() if c and a <= target),
-                    key=lambda g: (-g[0], g[1]))
-    halves: tuple[list[int], list[int]] = ([], [])
+    rest = list(inst.values)
+    rest.remove(a_max)
+    halves: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
     bounds = [1, 1]
-    for c, a in groups:
+    for a, c in _groups(a for a in rest if a <= target):
         side = bounds[1] < bounds[0]
-        halves[side].extend([a] * c)
+        halves[side].append((a, c))
         bounds[side] *= c + 1
     return tuple(halves[0]), tuple(halves[1]), target
 
@@ -274,12 +335,21 @@ def _dp_is_cheaper(inst: CpiInstance) -> bool:
 
 
 def decide_dp(inst: CpiInstance) -> bool:
-    """Pseudo-polynomial decision: subset-sum reachability of total/2."""
+    """Pseudo-polynomial decision: subset-sum reachability of total/2.
+
+    Refused with `DpBudgetError` when the table's cells, or the words its n
+    shifts touch (about n*cells/64), exceed `DP_MAX_CELLS`; the second
+    bound binds only from n = 65 on.
+    """
     if inst.total % 2:
         return False
     cells = _dp_budget_cells(inst)
     if cells > DP_MAX_CELLS:
         raise DpBudgetError(f"{cells} reachability cells exceed the budget of {DP_MAX_CELLS}")
+    words = inst.n * cells // 64
+    if words > DP_MAX_CELLS:
+        raise DpBudgetError(f"{inst.n} shifts of {cells} reachability cells, about {words} "
+                            f"words, exceed the budget of {DP_MAX_CELLS}")
     half = inst.total // 2
     return bool((_dp_reachable(inst.values, half) >> half) & 1)
 
@@ -303,7 +373,8 @@ def solve_exact(inst: CpiInstance) -> bool:
     DP is taken only within `DP_MAX_CELLS` cells.  An odd total is NO at
     once; past n = MAX_MIM_N an even one makes MIM raise
     `InstanceTooLargeError`, and from n = 45 on DP is the cheaper route
-    whenever it fits the budget.
+    whenever it fits the budget, which `decide_dp` also holds its shifts to
+    from n = 65 on (`DpBudgetError`).
     """
     if _dp_is_cheaper(inst):
         return decide_dp(inst)
@@ -323,7 +394,7 @@ def analytic_spectrum(inst: CpiInstance) -> Spectrum:
     if total > MAX_SPECTRUM_TOTAL:
         raise InstanceTooLargeError(
             f"sum={total} exceeds the spectrum guard of {MAX_SPECTRUM_TOTAL}")
-    sums, counts = _subset_sums(inst.values, counts=True)
+    sums, counts = _subset_sums(_groups(inst.values), counts=True)
     denom = 2**inst.n
     lines = {2 * s - total: Fraction(c, denom) for s, c in zip(sums.tolist(), counts.tolist())}
     return Spectrum(lines=lines, resolution=0.0)

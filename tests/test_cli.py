@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 
@@ -50,6 +51,18 @@ def test_decide_exact_dc_beyond_dp_cutoff(capsys):
     assert code == 1
     assert "answer=YES" in out
     assert "dc_volts=nan\n" in out and "margin_volts=nan\n" in out
+
+
+def test_decide_exact_refuses_dp_past_its_work_bound(capsys):
+    # 2,000 values whose 99,452,031 reachability cells fit the budget: their
+    # 2,000 shifts would take seconds, and the refusal comes before the first one
+    values = " ".join(["99452"] * 1999 + ["99512"])
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "decide", "--oracle", "exact", values)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "2000 shifts of 99452031 reachability cells" in err
+    assert "exceed the budget of 100000000" in err
 
 
 def test_decide_rejects_malformed_calibration(tmp_path, capsys):

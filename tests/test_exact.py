@@ -1,7 +1,6 @@
 import itertools
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +60,21 @@ def test_guards(monkeypatch):
     assert solve_exact(parse_instance("1000000 1000000")) is True
 
 
+def test_dp_bounds_the_words_it_shifts(monkeypatch):
+    # 2,000 values whose 99,452,031 cells fit the budget: their 2,000 shifts
+    # would touch about 3.1e9 words, refused before the first one
+    many = CpiInstance((99_452,) * 1999 + (99_512,))
+    assert exact._dp_budget_cells(many) <= exact.DP_MAX_CELLS
+    with pytest.raises(DpBudgetError, match="3107875968 words, exceed the budget of 100000000"):
+        solve_exact(many)
+    # up to n = 64 the shifts touch no more words than the table has cells
+    monkeypatch.setattr(exact, "DP_MAX_CELLS", 1000)
+    assert exact._dp_budget_cells(CpiInstance((31,) * 62 + (38, 38))) == 1000
+    assert decide_dp(CpiInstance((31,) * 62 + (38, 38))) is True
+    with pytest.raises(DpBudgetError, match="65 shifts of 986 reachability cells"):
+        decide_dp(CpiInstance((30,) * 63 + (46, 34)))
+
+
 def test_parity_decides_before_the_guards(monkeypatch):
     # an odd total has no balanced split, however large n or the total
     odd = CpiInstance((1000000007,) * 44 + (1,))
@@ -92,7 +106,7 @@ def test_exact_routes_agree(values):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=64), min_size=26, max_size=30))
 def test_exact_routes_agree_past_the_table(values):
-    # halves of 13-15 values leave the 12-value table head and merge
+    # halves of 13-15 values, few of them repeated, pass the 4096-sum table head and merge
     inst = CpiInstance(tuple(values))
     counts = np.zeros(inst.total + 1, dtype=np.int64)  # subsets by their sum
     counts[0] = 1
@@ -120,17 +134,26 @@ def test_exact_routes_agree_large_magnitudes(values, balance):
 @given(st.one_of(st.lists(st.integers(min_value=1, max_value=4), max_size=16),
                  st.lists(st.integers(min_value=1, max_value=64), max_size=16),
                  st.lists(st.integers(min_value=1, max_value=2**40), max_size=16)))
+# SAT-like: pairs below singles, each value above the span of the sums before
+# it, so the 3**5 * 2**4 table and the two later values need no sort
+@example([1, 1, 3, 3, 9, 9, 27, 27, 81, 81, 243, 486, 972, 1944, 3888, 7776])
+# the same but for a last value equal to the span of the sums before it
+@example([1, 1, 3, 3, 9, 9, 27, 27, 81, 81, 243, 486, 972, 1944, 3888, 7775])
+# eight overlapping pairs: a tagged table of seven sorted, then two merges
+@example([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8])
 def test_subset_sum_kernel(values):
-    # up to 16 values: past the 12-value table head, merges of colliding
-    # (values <= 4) and of distinct (wide) sums
+    # up to 16 values: groups of copies, past the 4096-sum table head, merges
+    # of colliding (values <= 4) and of distinct (wide) sums
     values = tuple(values)
     masks = np.arange(2 ** len(values))
     every = ((masks[:, None] >> np.arange(len(values))) & 1) @ np.array(values, dtype=np.int64)
     distinct, counts = np.unique(every, return_counts=True)
-    sums, none = exact._subset_sums(values)
-    assert none is None and sums.tolist() == distinct.tolist()
-    sums, tally = exact._subset_sums(values, counts=True)
-    assert sums.tolist() == distinct.tolist() and tally.tolist() == counts.tolist()
+    groups = exact._groups(values)
+    for order in (groups, groups[::-1]):  # any order of the groups lists the same sums
+        sums, none = exact._subset_sums(order)
+        assert none is None and sums.tolist() == distinct.tolist()
+        sums, tally = exact._subset_sums(order, counts=True)
+        assert sums.tolist() == distinct.tolist() and tally.tolist() == counts.tolist()
 
 
 @settings(max_examples=200)
@@ -138,7 +161,7 @@ def test_subset_sum_kernel(values):
        st.lists(st.integers(min_value=1, max_value=8), max_size=14),
        st.integers(min_value=0, max_value=112))
 def test_match_finds_every_pair(lo, hi, half):
-    left, right = exact._subset_sums(tuple(lo))[0], exact._subset_sums(tuple(hi))[0]
+    left, right = (exact._subset_sums(exact._groups(half))[0] for half in (lo, hi))
     want = [(i, j) for i, x in enumerate(left.tolist())
             for j, y in enumerate(right.tolist()) if x + y == half]
     i, j = exact._match(left, right, half)
@@ -233,10 +256,11 @@ def test_halves_keep_the_mim_guard_promise(labels):
     # alphabet size k sets how many repeat
     inst = CpiInstance(tuple(1000 + label for label in labels))
     lo, hi, _ = exact._halves(inst)
-    assert not set(lo) & set(hi)  # equal values stay in one half
+    assert not {a for a, _ in lo} & {a for a, _ in hi}  # equal values stay in one half
     for half in (lo, hi):
+        assert len({a for a, _ in half}) == len(half)  # one group per value
         bound = 1
-        for c in Counter(half).values():
+        for _, c in half:
             bound *= c + 1
         # at most 2**ceil(n/2) sums: `_dp_is_cheaper`'s estimate bounds the halves
         assert bound <= 2 ** ((inst.n + 1) // 2) <= 2**22
@@ -253,6 +277,15 @@ def test_bruteforce_independent_of_kernel(monkeypatch):
     assert decide_bruteforce(parse_instance("3 2 5")) is True
     assert decide_bruteforce(parse_instance("3 6 4")) is False
     assert exact._zero_sign_count((1,) * 24) == 2704156  # C(24, 12)
+
+
+def test_sat_reductions_are_listed_without_a_sort(monkeypatch):
+    # slack pairs below the literals and one literal of each variable a side:
+    # every value exceeds the span of the sums before it
+    monkeypatch.setattr(exact, "_sort_distinct", _refuse("_sort_distinct"))
+    for inst in _sat_reductions():
+        assert decide_meet_in_middle(inst) is True
+        assert ideal_dc(inst) > 0
 
 
 # A YES instance with n = 24 and total 1.82e8: its 9.1e7 reachability cells
