@@ -18,19 +18,21 @@ that many words of shifts).
 Every balanced sign vector or its negation has (one copy of) the largest
 value a_max on its + side, so MIM pins it there: the other values must reach
 target = total/2 - a_max, values above the target drop out, and a negative
-target is NO.  The rest split into two halves by multiplicity.  Equal values
-stay in one half, whose c copies of a value add only c+1 sums, and the
-groups go, most copies first, to the half with the smaller product of
-(c+1); the colliding values of SAT reductions then give two halves of equal
-size, not one large one.  Both halves' sorted distinct sums come from one
+target is NO.  Equal values stay in one group, whose c copies add only c+1
+sums, and the groups, most copies first, then ascending, are dealt to the
+two halves in turn: each half lists at most 2**ceil(n/2) sums.  One value
+repeated many times beside many large distinct ones makes one half larger
+than the other (15 copies of 10**6 beside 28 values in 1e7..1e9: 2**17 sums
+against 2**14).  Both halves' sorted distinct sums come from one
 kernel, `_subset_sums`, which takes those (value, copies) groups.  Its
 leading groups fill one table of at most 4096 sums, the c copies of a
 adding c shifted blocks; the table is sorted and its repeats merged only
 when some value does not exceed the span of the sums before it.  Each later
 value a extends the sorted sums s by s + a: a plain concatenation when a
 exceeds their span, and otherwise a merge that drops repeats.  A SAT
-reduction's slack pairs lie below its literals, so when each half holds one
-literal of each variable its halves are listed without a sort.  The
+reduction's slack pairs lie below its literals, and the two literals of a
+variable are adjacent in value, so they land in different halves, each
+value exceeds the span of the sums before it, and no sort runs.  The
 decision only asks whether a pair exists: it sorts one half's sums with the
 target minus the other's, two ascending runs that a stable sort merges, and
 looks for equal neighbours.
@@ -145,11 +147,6 @@ def decide_bruteforce(inst: CpiInstance) -> bool:
     return _zero_sign_count(inst.values) > 0
 
 
-def _check_mim_guard(inst: CpiInstance) -> None:
-    if inst.n > MAX_MIM_N:
-        raise InstanceTooLargeError(f"n={inst.n} exceeds the n<={MAX_MIM_N} meet-in-middle guard")
-
-
 def _run_starts(merged: np.ndarray) -> np.ndarray:
     """Boolean mask of the first element of each run of equal sorted values."""
     first = np.empty(len(merged), dtype=bool)
@@ -251,27 +248,24 @@ def _halves(inst: CpiInstance) -> tuple[tuple[tuple[int, int], ...],
                                         tuple[tuple[int, int], ...], int]:
     """Two halves of the values besides one pinned copy of the largest, and their target.
 
-    Each half is a tuple of (value, copies) groups, as `_subset_sums` takes.
+    Each half is a tuple of (value, copies) groups, as `_subset_sums` takes;
+    past n = `MAX_MIM_N` the instance is refused.
 
     Every balanced sign vector or its negation has the largest value a_max
     on its + side, so the other + values must sum to target = total/2 -
     a_max.  Values above the target drop out; a negative target leaves both
     halves empty and no pair of sums can reach it.  Equal values stay in one
-    half: groups of c equal values go, in `_groups` order (falling c, then
-    ascending value), to the half with the smaller product of (c+1) over its
-    groups, the bound on its distinct sums (the left half on ties).
+    group, and the groups, in `_groups` order (falling copies, then
+    ascending value), are dealt to the two halves in turn.
     """
+    if inst.n > MAX_MIM_N:
+        raise InstanceTooLargeError(f"n={inst.n} exceeds the n<={MAX_MIM_N} meet-in-middle guard")
     a_max = max(inst.values)
     target = inst.total // 2 - a_max
     rest = list(inst.values)
     rest.remove(a_max)
-    halves: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
-    bounds = [1, 1]
-    for a, c in _groups(a for a in rest if a <= target):
-        side = bounds[1] < bounds[0]
-        halves[side].append((a, c))
-        bounds[side] *= c + 1
-    return tuple(halves[0]), tuple(halves[1]), target
+    groups = _groups(a for a in rest if a <= target)
+    return tuple(groups[0::2]), tuple(groups[1::2]), target
 
 
 def _match(left: np.ndarray, right: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +293,6 @@ def ideal_dc(inst: CpiInstance) -> Fraction:
     """
     if inst.total % 2:
         return Fraction(0)
-    _check_mim_guard(inst)
     lo, hi, target = _halves(inst)
     left, c_left = _subset_sums(lo, counts=True)
     right, c_right = _subset_sums(hi, counts=True)
@@ -326,9 +319,10 @@ def _dp_is_cheaper(inst: CpiInstance) -> bool:
 
     DP shifts a (total/2+1)-bit mask once per value, n*cells/64 words; MIM
     merges up to 2**ceil(n/2) sums in n/2+1 steps, (n/2+1)*2**ceil(n/2).
-    With the pinned value, the dropped values and the halves balanced by
-    multiplicity, that MIM estimate is an upper bound.  It is kept as it is
-    on purpose, so that the dispatch between the routes does not move.
+    With the pinned value, the dropped values and the groups dealt to the
+    halves in turn (`_halves`), that MIM estimate is an upper bound.  It is
+    kept as it is on purpose, so that the dispatch between the routes does
+    not move.
     """
     n, cells = inst.n, _dp_budget_cells(inst)
     return cells <= DP_MAX_CELLS and n * cells <= 32 * (n + 2) * 2 ** ((n + 1) // 2)
@@ -358,7 +352,6 @@ def decide_meet_in_middle(inst: CpiInstance) -> bool:
     """Magnitude-independent exact decision at 2**(n/2) cost (Horowitz-Sahni)."""
     if inst.total % 2:
         return False
-    _check_mim_guard(inst)
     lo, hi, target = _halves(inst)
     # two ascending runs of distinct sums: the stable sort merges them, and
     # a pair reaches the target exactly where two neighbours are equal

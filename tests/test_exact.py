@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +16,8 @@ from cospart.exact import (DpBudgetError, InstanceTooLargeError, analytic_spectr
                            solve_exact)
 from cospart.instances import CpiInstance, parse_instance
 from cospart.pipeline import NonidealityConfig
-from cospart.reductions import CnfFormula, OracleBackend, sat_to_partition
+from cospart.reductions import (CnfFormula, OracleBackend, evaluate, extract_witness,
+                                sat_to_partition)
 from conftest import tracemalloc_peak
 
 
@@ -266,6 +268,34 @@ def test_halves_keep_the_mim_guard_promise(labels):
         assert bound <= 2 ** ((inst.n + 1) // 2) <= 2**22
 
 
+def _partitions(m, most=None):
+    """The integer partitions of m, each as its parts in falling order."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, most or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def test_halves_bound_every_multiplicity_pattern():
+    # the n - 1 values besides the pinned one, split into groups by copy
+    # count in every way: 35,470 patterns for n = 2..32 (up to `MAX_MIM_N`,
+    # 376,325 patterns keep the same bound)
+    patterns = 0
+    for n in range(2, 33):
+        for copies in _partitions(n - 1):
+            values = tuple(1000 + i for i, c in enumerate(copies) for _ in range(c))
+            inst = CpiInstance(values + (1000 + len(copies),))  # the pinned value
+            lo, hi, _ = exact._halves(inst)
+            assert n < 5 or sum(c for _, c in lo + hi) == n - 1  # none drops out
+            for half in (lo, hi):
+                # at most 2**ceil(n/2) sums, as `MAX_MIM_N` and `_dp_is_cheaper` assume
+                assert math.prod(c + 1 for _, c in half) <= 2 ** ((n + 1) // 2), copies
+            patterns += 1
+    assert patterns == 35_470
+
+
 def _refuse(name):
     def refuse(*_, **__):
         raise AssertionError(f"{name} must not be called")
@@ -286,6 +316,35 @@ def test_sat_reductions_are_listed_without_a_sort(monkeypatch):
     for inst in _sat_reductions():
         assert decide_meet_in_middle(inst) is True
         assert ideal_dc(inst) > 0
+
+
+class _CountingOracle:
+    """A SAT oracle that answers by MIM and checks the counted DC against it."""
+
+    def decide(self, inst):
+        yes = decide_meet_in_middle(inst)
+        assert (ideal_dc(inst) > 0) == yes
+        return yes
+
+
+# three distinct variables of six, each negated or not, as the `sat-witness` formulas are drawn
+_CLAUSE = st.builds(lambda vs, signs: tuple(v if s else -v for v, s in zip(vs, signs)),
+                    st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=3,
+                             unique=True),
+                    st.lists(st.booleans(), min_size=3, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_CLAUSE, min_size=1, max_size=10))
+def test_every_reduction_of_witness_extraction_is_listed_without_a_sort(clauses):
+    # the two literals of a variable are adjacent in value and land in
+    # different halves, whatever the simplified formula's slack pairs
+    formula = CnfFormula(6, tuple(clauses))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_sort_distinct", _refuse("_sort_distinct"))
+        assignment = extract_witness(formula, _CountingOracle())
+    assert (assignment is not None) == any(
+        evaluate(formula, bits) for bits in itertools.product((False, True), repeat=6))
 
 
 # A YES instance with n = 24 and total 1.82e8: its 9.1e7 reachability cells
