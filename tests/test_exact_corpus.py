@@ -93,6 +93,11 @@ def corpus(workdir: Path) -> list[list[str]]:
         ["spectrum", "1000000 999999 1"],
         ["spectrum", "2 3 5"],
         ["spectrum", " ".join(["1"] * 21)],
+        # many lines, whose rows stdout carries: 20,736 distinct sums; 211 lines of counts
+        # up to 2**20; copies beside singles, whose kernel table is sorted and merged
+        ["spectrum", "1 3 9 27 81 243 729 2187 6561 19683 59049 177147 7 11 13 17"],
+        ["spectrum", " ".join(map(str, range(1, 21)))],
+        ["spectrum", "3 3 5 5 5 9 1000 1001 1002 40000 40001 123456 7 7 7 7"],
         ["gen", "--n", "6", "--max-mag", "16", "--kind", "YES", "--count", "4", "--seed", "3"],
         ["gen", "--n", "6", "--max-mag", "16", "--kind", "NO", "--count", "4", "--seed", "3"],
         ["sat", str(workdir / "formula.cnf")],
