@@ -112,7 +112,7 @@ def cmd_decide(args, argv: list[str]) -> int:
             sampled = decisions[0].sampled  # None when the DC came from the harmonics
             if sampled is None:
                 sampled = calibration.run_and_measure(insts[0], chain.cfg, chain.fspec)[2]
-            files["trace.csv"] = pipeline.volts_csv(sampled.times(), sampled.values)
+            files["trace.csv"] = pipeline.xy_csv("time_s,volts", sampled.times(), sampled.values)
             files["spectrum.csv"] = dsp.dft(sampled).to_csv(units="Hz")
         _write_out(args, argv, t0, chain.digest, files)
     if args.batch:

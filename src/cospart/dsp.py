@@ -153,9 +153,6 @@ def dft(trace: SampledTrace) -> Spectrum:
     """
     if trace.m < 2:
         raise ValueError("need at least two samples")
-    x = np.fft.rfft(trace.values)
-    amps = np.abs(x) / trace.m
+    amps = np.abs(np.fft.rfft(trace.values)) / trace.m
     amps[0] = dc_component(trace)
-    freqs = np.fft.rfftfreq(trace.m, d=trace.tau)
-    return Spectrum(lines=dict(zip(freqs.tolist(), amps.tolist())),
-                    resolution=1.0 / (trace.m * trace.tau))
+    return Spectrum(np.fft.rfftfreq(trace.m, d=trace.tau), amps, 1.0 / (trace.m * trace.tau))

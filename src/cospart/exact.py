@@ -2,8 +2,8 @@
 
 Three exact decision routes are kept:
 
-- `decide_bruteforce` enumerates the 2**n sign vectors.  It shares no code
-  with the other routes, which are tested against it.
+- `decide_bruteforce` and `bruteforce_dc` scan the 2**n sign vectors.
+  They share no code with the other routes, which are tested against them.
 - `decide_dp` computes subset-sum reachability of total/2 in a big-int
   bitmask: about n*(total/2+1)/64 word operations.
 - `decide_meet_in_middle` (Horowitz and Sahni, J. ACM 1974) lists the
@@ -46,8 +46,9 @@ w carries (number of sign vectors summing to w) / 2**n, which is directly
 testable against numerical integration.  `analytic_spectrum` takes them from
 the same counting kernel as `ideal_dc`: a sign vector whose + values sum to s
 sums to 2s - total, so its cost grows with the number of distinct subset
-sums, not with the total.  The Dirac-weight convention of the
-angular-frequency Fourier transform differs by a constant sqrt(2*pi).
+sums, not with the total.  Its `Spectrum` holds two arrays, exact in float64:
+2*sums - total and counts / 2**n, each count below 2**21.  The Dirac-weight
+convention of the angular-frequency Fourier transform differs by sqrt(2*pi).
 """
 
 from __future__ import annotations
@@ -56,13 +57,14 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .instances import CpiInstance
+from .pipeline import xy_csv
 
 # Block size for the doubling enumeration (2**22 int64 values = 32 MB).
 _ENUM_CHUNK = 22
@@ -92,25 +94,26 @@ class DpBudgetError(RuntimeError):
 
 @dataclass
 class Spectrum:
-    """Frequency -> amplitude map.
+    """Ascending line frequencies ``freqs`` and their amplitudes ``amps``, as arrays.
 
-    Analytic spectra have ``resolution == 0``, integer frequencies in
-    instance units and exact `Fraction` amplitudes; measured spectra carry
-    the DFT bin width and float amplitudes.
+    Analytic spectra have ``resolution == 0``, int64 frequencies in instance units
+    and exact float64 amplitudes; measured spectra carry the DFT bin width.
     """
 
-    lines: dict = field(default_factory=dict)
+    freqs: np.ndarray
+    amps: np.ndarray
     resolution: float = 0.0
 
     @property
-    def dc(self):
-        return self.lines.get(0, 0)
+    def lines(self) -> dict:
+        return dict(zip(self.freqs.tolist(), self.amps.tolist()))
+
+    @property
+    def dc(self) -> float:  # 0.0 when no line sits at frequency 0
+        return float(self.amps[self.freqs == 0].sum())
 
     def to_csv(self, units: str = "Hz") -> str:
-        rows = [f"# units={units}", "frequency,amplitude"]
-        for f in sorted(self.lines):
-            rows.append(f"{float(f):.12g},{float(self.lines[f]):.12g}")
-        return "\n".join(rows) + "\n"
+        return f"# units={units}\n" + xy_csv("frequency,amplitude", self.freqs, self.amps)
 
 
 def _signed_sums(values: tuple[int, ...]) -> np.ndarray:
@@ -141,10 +144,15 @@ def _check_enum_guard(inst: CpiInstance, max_n: int) -> None:
         raise InstanceTooLargeError(f"n={inst.n} exceeds the n<={max_n} enumeration guard")
 
 
+def bruteforce_dc(inst: CpiInstance) -> Fraction:
+    """`ideal_dc` by the direct 2**n scan: (balanced sign vectors) / 2**n."""
+    _check_enum_guard(inst, MAX_ENUM_N)
+    return Fraction(_zero_sign_count(inst.values), 2**inst.n)
+
+
 def decide_bruteforce(inst: CpiInstance) -> bool:
     """True iff some sign vector balances the instance.  Direct 2**n scan."""
-    _check_enum_guard(inst, MAX_ENUM_N)
-    return _zero_sign_count(inst.values) > 0
+    return bruteforce_dc(inst) > 0
 
 
 def _run_starts(merged: np.ndarray) -> np.ndarray:
@@ -388,6 +396,4 @@ def analytic_spectrum(inst: CpiInstance) -> Spectrum:
         raise InstanceTooLargeError(
             f"sum={total} exceeds the spectrum guard of {MAX_SPECTRUM_TOTAL}")
     sums, counts = _subset_sums(_groups(inst.values), counts=True)
-    denom = 2**inst.n
-    lines = {2 * s - total: Fraction(c, denom) for s, c in zip(sums.tolist(), counts.tolist())}
-    return Spectrum(lines=lines, resolution=0.0)
+    return Spectrum(freqs=2 * sums - total, amps=counts / 2**inst.n)

@@ -160,7 +160,7 @@ def parse_trace_csv(text: str) -> SampledTrace:
     """Read a two-column (time, volts) trace from an external simulator.
 
     Comment lines (``#`` or ``;``) are skipped, and one header row is
-    tolerated before the first data row, as `pipeline.volts_csv` writes it.
+    tolerated before the first data row, as `pipeline.xy_csv` writes it.
     Non-uniform time steps (variable step transient output) are resampled
     onto a uniform grid by linear interpolation and flagged as such.
     """

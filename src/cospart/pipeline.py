@@ -486,12 +486,9 @@ def run_cascade(inst: CpiInstance, cfg: NonidealityConfig, periods: int = 1) -> 
     return PipelineTrace(final=acc, pin_dc=tuple(pin_dc))
 
 
-def volts_csv(times: Sequence[float], volts: Sequence[float]) -> str:
-    """Two-column export: time_s, volts."""
-    rows = ["time_s,volts"]
-    for t, v in zip(times, volts):
-        rows.append(f"{t:.12g},{v:.12g}")
-    return "\n".join(rows) + "\n"
+def xy_csv(header: str, xs: np.ndarray, ys: np.ndarray) -> str:
+    """Two-column export of two arrays: the ``header`` row, then one ``.12g`` row per pair."""
+    return "\n".join([header, *map("{:.12g},{:.12g}".format, xs.tolist(), ys.tolist())]) + "\n"
 
 
 def _text(value) -> str:

@@ -265,7 +265,7 @@ class OracleBackend:
 
         The exact oracles answer from the sign of the counted `exact.ideal_dc`
         (`exact.solve_exact` past its guard, where the DC is NaN); ``exact-bf``
-        answers by enumeration and reports the same DC.  Their cut is
+        from the DC its own enumeration counts (`exact.bruteforce_dc`).  Their cut is
         ``0.5**min(n+1, 60)``.  An analogue oracle runs `decide_analog` at
         ``seed`` (default ``cfg``'s) and ``strict``.
         """
@@ -273,14 +273,14 @@ class OracleBackend:
             cfg = self.cfg if seed in (None, self.cfg.seed) else replace(self.cfg, seed=seed)
             return decide_analog(inst, cfg, self.fspec, self.threshold, strict=strict)
         if self.kind == "exact-bf":
-            yes = exact.decide_bruteforce(inst)  # the independent enumeration
-        try:
-            counted = exact.ideal_dc(inst)
-        except exact.InstanceTooLargeError:
-            counted = None  # beyond the meet-in-the-middle guard the DC is unknown
-        if self.kind != "exact-bf":
-            # some sign vector balances exactly when the counted DC is above 0
-            yes = exact.solve_exact(inst) if counted is None else counted > 0
+            counted = exact.bruteforce_dc(inst)  # the independent enumeration's own count
+        else:
+            try:
+                counted = exact.ideal_dc(inst)
+            except exact.InstanceTooLargeError:
+                counted = None  # beyond the meet-in-the-middle guard the DC is unknown
+        # some sign vector balances exactly when the counted DC is above 0
+        yes = exact.solve_exact(inst) if counted is None else counted > 0
         dc = math.nan if counted is None else float(counted)
         cut = 0.5 ** min(inst.n + 1, 60)
         return Decision(answer="YES" if yes else "NO", dc_measured=dc, cut=cut)

@@ -47,13 +47,14 @@ def _oracle_calls(monkeypatch, argv):
         code = cospart.cli.main(argv)
     finally:
         tracer.uninstall()
-    assert tracer.spans  # the tracer saw the command run
     return code, sum(s.name == "reductions.oracle_call" for s in tracer.spans)
 
 
 @pytest.mark.parametrize("name", reductions.ORACLES)
 def test_an_oracle_call_is_a_sat_call(monkeypatch, capsys, tmp_path, name):
-    # `decide` opens none, so `analog-calibrated` and `exact-reference` read 0 per op
+    # `decide` opens none, so `analog-calibrated` and `exact-reference` read 0 per op;
+    # `exact-bf`'s decision runs no traced name at all, so the `sat` run below is what
+    # shows that the tracer bound `OracleBackend.decide`
     assert _oracle_calls(monkeypatch, ["decide", "--oracle", name, "3 2 5"]) == (1, 0)
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")

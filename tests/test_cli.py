@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from cospart import exact
 from cospart.cli import main
 
 
@@ -116,6 +117,18 @@ def test_exact_oracles_answer_odd_totals_past_the_guard(tmp_path, oracle, capsys
     # the enumeration route keeps its own guard
     code, _, err = _run(capsys, "decide", "--oracle", "exact-bf", str(f))
     assert code == 2 and "n<=30 enumeration guard" in err
+
+
+@pytest.mark.parametrize("values", ["3 2 5", "3 6 4", "3 2 6", "10 90 10 40", "7 7 7 8 9 25",
+                                    "1 1 1 1 1 1 1 1 1 1 1 1", "5 9 14 20 26 33 40 41 58 60 62"])
+def test_exact_bf_prints_the_dc_of_its_own_enumeration(monkeypatch, values, capsys):
+    # the same record as the counting kernel's, with that kernel out of reach: the
+    # enumeration's DC comes from its own scan, so a kernel bug cannot hide in both
+    want = _run(capsys, "decide", "--oracle", "exact", values)
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact-bf reached the meet-in-the-middle kernel")
+    monkeypatch.setattr(exact, "_subset_sums", refuse)
+    assert _run(capsys, "decide", "--oracle", "exact-bf", values) == want
 
 
 def test_long_inline_instance_is_not_a_file_name(capsys):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from cospart import exact
 from cospart.dsp import (FilterSpec, SampledTrace, apply_lowpass, dc_component,
                          design_compensating_filter, dft, sample_after_filter)
 from cospart.instances import parse_instance
-from cospart.pipeline import Signal, run_cascade, volts_csv
+from cospart.pipeline import Signal, run_cascade, xy_csv
 
 
 def _const_plus_ripple():
@@ -200,6 +202,31 @@ def test_aliasing_shrinks_with_filter_order(ideal_cfg):
 
 def test_sampled_csv():
     trace = SampledTrace(t_start=0.0, tau=1e-6, values=np.array([0.1, 0.2]))
-    lines = volts_csv(trace.times(), trace.values).strip().splitlines()
+    lines = xy_csv("time_s,volts", trace.times(), trace.values).strip().splitlines()
     assert lines[0] == "time_s,volts"
     assert len(lines) == 3
+
+
+_FLOATS = (st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308])
+           | st.integers(-2**60, 2**60).map(float))
+_FREQS = st.integers(-exact.MAX_SPECTRUM_TOTAL, exact.MAX_SPECTRUM_TOTAL)
+
+
+@st.composite
+def _columns(draw):
+    """Equal-length x and y arrays: float64 or int64 x (an analytic spectrum's), float64 y."""
+    n = draw(st.integers(0, 40))
+    ints = draw(st.booleans())
+    xs = draw(st.lists(_FREQS if ints else _FLOATS, min_size=n, max_size=n))
+    ys = draw(st.lists(_FLOATS, min_size=n, max_size=n))
+    return np.array(xs, dtype=np.int64 if ints else np.float64), np.array(ys)
+
+
+@example((np.array([0, 1, -2000000, 2000000]), np.array([-0.0, 5e-324, 1e308, -1e308])))
+@example((np.array([-0.0, 5e-324, 3.0, 1e308]), np.array([2.0**-20, 0.25, 1e15, 123456789012.0])))
+@given(_columns())
+def test_xy_csv_rows_are_the_per_row_format(columns):
+    # every row as a per-row loop formats it, digits included
+    xs, ys = columns
+    rows = "".join(f"{float(x):.12g},{float(y):.12g}\n" for x, y in zip(xs, ys))
+    assert xy_csv("x,y", xs, ys) == "x,y\n" + rows

@@ -416,6 +416,15 @@ def test_spectrum_memory_follows_its_lines_not_its_total():
     assert peak < 1 << 20
 
 
+def test_spectrum_memory_is_a_few_words_per_line():
+    # the kernel's sums and counts, then the spectrum's frequencies and amplitudes: 8-byte
+    # words in arrays, where one Python object per line would take more than 64 bytes
+    inst = parse_instance("1 3 9 27 81 243 729 2187 6561 19683 59049 177147 7 11 13 17")
+    spectrum, peak = tracemalloc_peak(lambda: analytic_spectrum(inst))
+    assert len(spectrum.lines) == 20736
+    assert peak < 64 * 20736
+
+
 @settings(max_examples=100)
 @given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=10))
 def test_spectrum_properties(values):
