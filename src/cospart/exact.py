@@ -29,13 +29,11 @@ leading groups fill one table of at most 4096 sums, the c copies of a
 adding c shifted blocks; the table is sorted and its repeats merged only
 when some value does not exceed the span of the sums before it.  Each later
 value a extends the sorted sums s by s + a: a plain concatenation when a
-exceeds their span, and otherwise a merge that drops repeats.  A SAT
-reduction's slack pairs lie below its literals, and the two literals of a
-variable are adjacent in value, so they land in different halves, each
-value exceeds the span of the sums before it, and no sort runs.  The
-decision only asks whether a pair exists: it sorts one half's sums with the
-target minus the other's, two ascending runs that a stable sort merges, and
-looks for equal neighbours.
+exceeds their span, and otherwise a merge that drops repeats (most of a SAT
+reduction's signed variable numbers take a merge).  The decision only asks
+whether a pair exists: it sorts one half's sums with the target minus the
+other's, two ascending runs that a stable sort merges, and looks for equal
+neighbours.
 `ideal_dc` counts the pairs: the kernel tags each sum with the number of
 subsets behind it, `_match` finds every pair of sums that reaches the
 target, and each pair adds the product of its tags, twice (the pinned value

@@ -1,11 +1,11 @@
 """CNF parsing, the SAT-to-PARTITION reduction and witness extraction.
 
-The reduction is the textbook digit construction: one number per literal
-polarity and two slack numbers per clause, base 6 (so columns never carry),
-followed by the standard two-number padding that turns subset-sum into an
-equal-split question.  Satisfying assignments come out of the decision
-oracle by fixing variables one at a time and re-reducing the simplified
-formula: at most 1 + num_vars oracle calls.
+The reduction gives each clause one base-7 digit and each variable one
+signed number, whose side of the split is its value, beside two slack
+numbers per clause and one pad; columns never carry.  Satisfying
+assignments come out of the decision oracle by fixing variables one at a
+time and re-reducing the simplified formula: at most 1 + num_vars oracle
+calls.
 """
 
 from __future__ import annotations
@@ -152,22 +152,31 @@ def _widen_to_3cnf(clauses: Sequence[tuple[int, ...]], next_var: int) -> list[tu
     return out
 
 
-# The finished instance sums to 4*total, which must stay below `MAX_TOTAL`:
-# (4*total).bit_length() <= 62 is exactly `CpiInstance`'s int64 guard.
+# The finished instance's sum must stay below `MAX_TOTAL`: a sum of at most
+# 62 bits is exactly `CpiInstance`'s int64 guard.
 _BUDGET_BITS = (MAX_TOTAL - 1).bit_length()
 
 
 def sat_to_partition(f: CnfFormula) -> CpiInstance:
-    """Digit-vector reduction; the result is balanced iff ``f`` is satisfiable.
+    """Signed-digit reduction; the result is balanced iff ``f`` is satisfiable.
 
-    Positions follow the formula: the true and false numbers of each active
-    variable in ascending order (fresh variables of widened clauses last),
-    then two slacks per clause, then the two padding numbers.  A formula
-    with an empty clause gives ``1 2``, one without clauses ``1 1``.
+    Clause j of the widened formula weighs 7**j.  Positions follow the
+    formula: one number per active variable in ascending order (fresh
+    variables of widened clauses last), |sum_j (a_j - b_j) * 7**j| where a_j
+    is 1 when the variable is in clause j and b_j when its negation is,
+    left out when it is 0; then two slacks 7**j per clause; then one pad,
+    sum_j (4 - |C_j|) * 7**j.  A formula with an empty clause gives ``1 2``,
+    one without clauses ``1 1``.
+
+    With the pad on the - side, a number on the + side reads "true" (or
+    "false" when its sum was negated).  Column j then sums to twice (true
+    literals + slacks on the + side - 3), which some slacks make 0 exactly
+    when 1 to 3 of its literals are true; no column exceeds 6 in magnitude,
+    so base 7 never carries and the sum is 0 exactly when every column is.
 
     Raises:
-        ReductionOverflowError: when the construction needs integers wider
-            than `CpiInstance`'s budget (the required width is reported).
+        ReductionOverflowError: when the instance's sum needs more bits than
+            `CpiInstance`'s budget (the required width is reported).
     """
     if any(len(cl) == 0 for cl in f.clauses):
         return CpiInstance((1, 2))
@@ -176,28 +185,17 @@ def sat_to_partition(f: CnfFormula) -> CpiInstance:
 
     max_var = max(abs(l) for cl in f.clauses for l in cl)
     clauses = _widen_to_3cnf(f.clauses, max_var + 1)
-    active = sorted({abs(l) for cl in clauses for l in cl})
-    n_clauses = len(clauses)
-    n_vars = len(active)
-
-    pw = [6 ** k for k in range(n_clauses + n_vars)]
-    # the true and false numbers of each active variable, keyed by literal
-    lit_num: dict[int, int] = {}
-    for col, v in enumerate(active):
-        lit_num[v] = lit_num[-v] = pw[n_clauses + col]
-    for j, clause in enumerate(clauses):  # widened clauses repeat no literal
+    weights = [7 ** j for j in range(len(clauses))]
+    signed: dict[int, int] = {}
+    for w, clause in zip(weights, clauses):  # widened clauses repeat no literal
         for lit in clause:
-            lit_num[lit] += pw[j]
-    numbers = [lit_num[s * v] for v in active for s in (1, -1)]
-    numbers += [p for p in pw[:n_clauses] for _ in range(2)]
-
-    target = sum(pw[n_clauses:]) + 3 * sum(pw[:n_clauses])
-    total = sum(numbers)
-    required_bits = (4 * total).bit_length()
+            signed[abs(lit)] = signed.get(abs(lit), 0) + (w if lit > 0 else -w)
+    numbers = [abs(signed[v]) for v in sorted(signed) if signed[v]]
+    numbers += [w for w in weights for _ in range(2)]
+    numbers.append(sum((4 - len(cl)) * w for w, cl in zip(weights, clauses)))
+    required_bits = sum(numbers).bit_length()
     if required_bits > _BUDGET_BITS:
         raise ReductionOverflowError(required_bits, _BUDGET_BITS)
-    numbers.append(total + target)       # forces the "target" side
-    numbers.append(2 * total - target)   # forces the complement side
     return CpiInstance(tuple(numbers))
 
 

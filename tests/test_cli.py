@@ -433,12 +433,12 @@ def test_sat_satlib_trailer_ends_the_clauses(tmp_path, capsys, strict):
 
 
 def test_sat_reports_the_bit_budget(tmp_path, capsys):
-    # a ring of 12 clauses over 12 variables reduces to an instance summing past 2**62
-    clauses = "".join(f"{i} {i % 12 + 1} {-((i + 1) % 12 + 1)} 0\n" for i in range(1, 13))
-    (tmp_path / "ring.cnf").write_text("p cnf 12 12\n" + clauses)
+    # a ring of 23 clauses over 23 variables reduces to an instance summing past 2**62
+    clauses = "".join(f"{i} {i % 23 + 1} {-((i + 1) % 23 + 1)} 0\n" for i in range(1, 24))
+    (tmp_path / "ring.cnf").write_text("p cnf 23 23\n" + clauses)
     code, out, err = _run(capsys, "sat", str(tmp_path / "ring.cnf"))
     assert code == 2 and out == ""
-    assert err == "error: reduction needs 63-bit integers (budget is 62 bits)\n"
+    assert err == "error: reduction needs 65-bit integers (budget is 62 bits)\n"
 
 
 def test_netlist_command(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cospart import exact
+from cospart import exact, reductions
 from cospart.calibration import decide_analog
 from cospart.dsp import FilterSpec
 from cospart.exact import (DpBudgetError, InstanceTooLargeError, analytic_spectrum,
@@ -18,7 +18,7 @@ from cospart.instances import CpiInstance, parse_instance
 from cospart.pipeline import NonidealityConfig
 from cospart.reductions import (CnfFormula, OracleBackend, evaluate, extract_witness,
                                 sat_to_partition)
-from conftest import tracemalloc_peak
+from conftest import base6_reduction, tracemalloc_peak
 
 
 def test_decide_examples():
@@ -172,20 +172,27 @@ def test_match_finds_every_pair(lo, hi, half):
     assert sorted(zip(i.tolist(), j.tolist())) == want
 
 
-def _mim_corpus():
-    """n = 14..34, colliding to wide values, and six n = 34 SAT reductions."""
+def _mim_draws():
+    """n = 14..34, colliding to wide values, and six random 3-CNFs of 6 variables."""
     rng = random.Random(15)
+    instances = []
     for k in range(42):
         n = 14 + k % 21
         mag = (4, 16, 64, 10**6, 2**40, 10**6)[k % 6]
         values = [rng.randint(1, mag) for _ in range(n)]
         if mag > 64 and k % 2:  # the last value balances the alternate others
             values[-1] = abs(sum(values[:-1:2]) - sum(values[1:-1:2])) or 1
-        yield CpiInstance(tuple(values))
-    for _ in range(6):
-        clauses = tuple(tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), 3))
-                        for _ in range(10))
-        yield sat_to_partition(CnfFormula(6, clauses))
+        instances.append(CpiInstance(tuple(values)))
+    formulas = [CnfFormula(6, tuple(tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, 7), 3))
+                                    for _ in range(10)))
+                for _ in range(6)]
+    return instances, formulas
+
+
+def _mim_corpus():
+    """`_mim_draws`' instances, then the SAT reductions of its formulas."""
+    instances, formulas = _mim_draws()
+    return instances + [sat_to_partition(f) for f in formulas]
 
 
 # the MIM route's answers over `_mim_corpus`
@@ -222,24 +229,32 @@ def test_pinned_split_agrees_with_enumeration(values):
     assert ideal_dc(inst) * 2**inst.n == exact._zero_sign_count(inst.values)
 
 
-def _sat_reductions():
-    return [inst for inst in _mim_corpus() if inst.n == 34][-6:]
+def _sat_reductions(build=sat_to_partition):
+    """The reductions of `_mim_draws`' formulas, by ``build``."""
+    return [build(f) for f in _mim_draws()[1]]
 
 
-def test_pinned_halves_of_sat_reductions():
-    # the pinned padding number drops its partner; twelve literal numbers and
-    # ten slack pairs split into six literals and five pairs a side, 2**6 * 3**5
-    # sums (split at position n/2, the left half listed 73,728)
-    for inst in _sat_reductions():
+@pytest.mark.parametrize("build, n, bound", [(base6_reduction, 34, 15_552),
+                                              (sat_to_partition, 27, 4096)])
+def test_pinned_halves_of_sat_reductions(build, n, bound):
+    # base 6: the pinned padding number drops its partner; twelve literal
+    # numbers and ten slack pairs split into six literals and five pairs a
+    # side, 2**6 * 3**5 sums (split at position n/2, the left half listed
+    # 73,728).  Signed, the pad pinned: five slack pairs and three variable
+    # numbers a side, 3**5 * 2**3 = 1,944 sums
+    for inst in _sat_reductions(build):
+        assert inst.n == n
         lo, hi, _ = exact._halves(inst)
-        assert max(len(exact._subset_sums(h)[0]) for h in (lo, hi)) <= 15_552
+        assert max(len(exact._subset_sums(h)[0]) for h in (lo, hi)) <= bound
 
 
-@pytest.mark.parametrize("route, bound_kb", [(decide_meet_in_middle, 768), (ideal_dc, 1536)])
-def test_mim_peak_memory_on_sat_reductions(route, bound_kb):
-    # with numpy 2.4 the peaks are 486 KB and 1,070 KB; split at position n/2
-    # they were 1,572 KB and 3,781 KB
-    for inst in _sat_reductions():
+@pytest.mark.parametrize("build, route, bound_kb", [
+    (base6_reduction, decide_meet_in_middle, 768), (base6_reduction, ideal_dc, 1536),
+    (sat_to_partition, decide_meet_in_middle, 128), (sat_to_partition, ideal_dc, 320)])
+def test_mim_peak_memory_on_sat_reductions(build, route, bound_kb):
+    # with numpy 2.4 the peaks are 486 KB and 866 KB in base 6 (split at
+    # position n/2 they were 1,572 KB and 3,781 KB), 65 KB and 187 KB signed
+    for inst in _sat_reductions(build):
         tracemalloc.start()
         try:
             route(inst)
@@ -310,10 +325,10 @@ def test_bruteforce_independent_of_kernel(monkeypatch):
 
 
 def test_sat_reductions_are_listed_without_a_sort(monkeypatch):
-    # slack pairs below the literals and one literal of each variable a side:
-    # every value exceeds the span of the sums before it
+    # base 6's slack pairs lie below its literals, one literal of each
+    # variable a side: every value exceeds the span of the sums before it
     monkeypatch.setattr(exact, "_sort_distinct", _refuse("_sort_distinct"))
-    for inst in _sat_reductions():
+    for inst in _sat_reductions(base6_reduction):
         assert decide_meet_in_middle(inst) is True
         assert ideal_dc(inst) > 0
 
@@ -337,10 +352,11 @@ _CLAUSE = st.builds(lambda vs, signs: tuple(v if s else -v for v, s in zip(vs, s
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_CLAUSE, min_size=1, max_size=10))
 def test_every_reduction_of_witness_extraction_is_listed_without_a_sort(clauses):
-    # the two literals of a variable are adjacent in value and land in
-    # different halves, whatever the simplified formula's slack pairs
+    # under base 6 the two literals of a variable are adjacent in value and
+    # land in different halves, whatever the simplified formula's slack pairs
     formula = CnfFormula(6, tuple(clauses))
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reductions, "sat_to_partition", base6_reduction)
         mp.setattr(exact, "_sort_distinct", _refuse("_sort_distinct"))
         assignment = extract_witness(formula, _CountingOracle())
     assert (assignment is not None) == any(

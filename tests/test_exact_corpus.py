@@ -29,7 +29,7 @@ DIGESTS = Path(__file__).with_name("exact_corpus.txt")
 TOKEN = "<tmp>"
 SEEDS = (1, 2, 3)
 
-# CI's SAT formulas: a satisfiable 3-CNF whose first oracle call is an n = 34
+# CI's SAT formulas: a satisfiable 3-CNF whose first oracle call is an n = 27
 # reduction, and SATLIB's trailer of a '%' line and a '0' line
 _FORMULA = ("p cnf 6 10\n-2 -5 6 0\n-5 1 4 0\n-6 4 5 0\n6 2 4 0\n5 -1 -3 0\n"
             "-5 -4 6 0\n3 -1 5 0\n-3 -4 -6 0\n5 -6 4 0\n-3 5 2 0\n")

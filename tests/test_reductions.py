@@ -2,15 +2,16 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cospart import reductions
-from cospart.exact import decide_dp, solve_exact
+from cospart.exact import bruteforce_dc, decide_dp, ideal_dc, solve_exact
 from cospart.pipeline import GridTooLargeError, NonidealityConfig, points_per_period
 from cospart.reductions import (CnfFormula, ExtractionError,
                                 OracleBackend, ParseError, ReductionOverflowError,
                                 evaluate, extract_witness, format_solution,
                                 parse_dimacs, sat_to_partition, simplify)
+from conftest import base6_reduction
 
 
 def _truth_table_sat(f: CnfFormula) -> bool:
@@ -116,8 +117,8 @@ def test_simplify_preserves_models(seed, var, val):
 def test_reduction_unit_clause():
     inst = sat_to_partition(CnfFormula(1, ((1,),)))
     assert decide_dp(inst) is True
-    # one active variable's two numbers, one clause's two slacks, the padding
-    assert inst.values == (6 + 1, 6, 1, 1, 15 + 9, 2 * 15 - 9)
+    # one variable's number, one clause's two slacks, the pad of its width-1 clause
+    assert inst.values == (1, 1, 1, 3)
 
 
 def test_reduction_contradiction():
@@ -136,30 +137,45 @@ def test_reduction_trivial_cases():
 def test_reduction_metadata_positions():
     f = CnfFormula(2, ((1, 2), (-1,)))
     inst = sat_to_partition(f)
-    # the "true" number of x1 carries its clause-0 digit; the "false" number
-    # carries the clause-1 digit
-    assert inst.values[:2] == (6**2 + 1, 6**2 + 6)
-    assert inst.values[4:8] == (1, 1, 6, 6)  # two slacks per clause
-    assert len(inst.values) == 2 * 2 + 2 * 2 + 2
+    # x1 is in clause 0 and negated in clause 1: |1 - 7|, negated, so its
+    # + side reads "false"; x2 is in clause 0 only
+    assert inst.values[:2] == (7 - 1, 1)
+    assert inst.values[2:6] == (1, 1, 7, 7)  # two slacks per clause
+    assert inst.values[6] == (4 - 2) * 1 + (4 - 1) * 7  # the pad
+    assert inst.n == 2 + 2 * 2 + 1
+
+
+def test_reduction_drops_a_variable_of_tautologies_only():
+    # x1 is only in the tautology (1, -1, 2): its number, 1 - 1, is 0
+    inst = sat_to_partition(CnfFormula(2, ((1, -1, 2), (-2,))))
+    # x2's number is |1 - 7|; the pad is (4 - 3) * 1 + (4 - 1) * 7
+    assert inst.values == (6, 1, 1, 7, 7, 22)
+    assert decide_dp(inst) is True
 
 
 def test_reduction_widens_wide_clauses():
     f = CnfFormula(5, ((1, 2, 3, 4, 5),))
     inst = sat_to_partition(f)
-    # split into three clauses with two fresh variables: 7 variables, 3 clauses
-    assert inst.n == 2 * 7 + 2 * 3 + 2
+    # split into (1, 2, 6), (-6, 3, 7), (-7, 4, 5): 7 variables, 3 clauses
+    assert inst.values == (1, 1, 7, 49, 49, 7 - 1, 49 - 7, 1, 1, 7, 7, 49, 49, 1 + 7 + 49)
     assert decide_dp(inst) is True
 
 
-# a ring of 12 clauses over 12 variables: its reduction sums to a 63-bit integer
-_RING = CnfFormula(12, tuple((i, i % 12 + 1, -((i + 1) % 12 + 1)) for i in range(1, 13)))
+def _ring(k: int) -> CnfFormula:
+    """k clauses over k variables, (i, i+1, -(i+2)) cyclically."""
+    return CnfFormula(k, tuple((i, i % k + 1, -((i + 1) % k + 1)) for i in range(1, k + 1)))
+
+
+# a ring of 23 clauses: its reduction sums to a 65-bit integer
+_RING = _ring(23)
 
 
 def test_reduction_overflow_reports_bits():
+    assert sat_to_partition(_ring(22)).total.bit_length() == 62  # the last ring that fits
     with pytest.raises(ReductionOverflowError) as err:
         sat_to_partition(_RING)
-    assert err.value.required_bits == 63
-    assert str(err.value) == "reduction needs 63-bit integers (budget is 62 bits)"
+    assert err.value.required_bits == 65
+    assert str(err.value) == "reduction needs 65-bit integers (budget is 62 bits)"
     backend = OracleBackend("exact-dp")
     with pytest.raises(ReductionOverflowError):
         extract_witness(_RING, backend)
@@ -184,20 +200,17 @@ def test_reduction_agrees_with_truth_table_random(seed):
     assert solve_exact(inst) == _truth_table_sat(f)
 
 
-def _reduction_by_columns(f: CnfFormula) -> tuple[int, ...]:
-    """The digit construction written column by column, as a reference."""
+def _signed_by_columns(f: CnfFormula) -> tuple[int, ...]:
+    """The signed construction written column by column, as a reference."""
     max_var = max(abs(l) for cl in f.clauses for l in cl)
     clauses = reductions._widen_to_3cnf(f.clauses, max_var + 1)
     active = sorted({abs(l) for cl in clauses for l in cl})
     m = len(clauses)
-    numbers = []
-    for col, v in enumerate(active):
-        for lit in (v, -v):
-            numbers.append(6 ** (m + col) + sum(6 ** j for j, cl in enumerate(clauses) if lit in cl))
-    numbers += [6 ** j for j in range(m) for _ in range(2)]
-    total = sum(numbers)
-    target = sum(6 ** (m + i) for i in range(len(active))) + sum(3 * 6 ** j for j in range(m))
-    return tuple(numbers) + (total + target, 2 * total - target)
+    numbers = [abs(sum(((v in cl) - (-v in cl)) * 7 ** j for j, cl in enumerate(clauses)))
+               for v in active]
+    numbers = [a for a in numbers if a]
+    numbers += [7 ** j for j in range(m) for _ in range(2)]
+    return tuple(numbers) + (sum((4 - len(cl)) * 7 ** j for j, cl in enumerate(clauses)),)
 
 
 _LITERAL = st.integers(min_value=-6, max_value=6).filter(bool)
@@ -208,13 +221,38 @@ _LITERAL = st.integers(min_value=-6, max_value=6).filter(bool)
 def test_reduction_matches_the_column_construction(clauses):
     # wide clauses, repeated literals and both polarities of one variable in a clause
     f = CnfFormula(6, tuple(map(tuple, clauses)))
-    want = _reduction_by_columns(f)
-    bits = (4 * sum(want[:-2])).bit_length()
+    want = _signed_by_columns(f)
+    bits = sum(want).bit_length()
     if bits > 62:
         with pytest.raises(ReductionOverflowError, match=f"needs {bits}-bit integers"):
             sat_to_partition(f)
     else:
         assert sat_to_partition(f).values == want
+
+
+def _active_variables(f: CnfFormula) -> int:
+    """The number of variables in the clauses of ``f`` widened to 3-CNF."""
+    max_var = max(abs(l) for cl in f.clauses for l in cl)
+    return len({abs(l) for cl in reductions._widen_to_3cnf(f.clauses, max_var + 1) for l in cl})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=-4, max_value=4).filter(bool),
+                         min_size=1, max_size=4), min_size=1, max_size=5))
+@example([[1, -1, 2], [-2]])  # x1 drops out
+@example([[1, 2, 3, 4], [-1, 1], [2, 2]])  # widened, a tautology and a repeated literal
+def test_signed_dc_is_the_base6_dc_times_two_to_the_active_variables(clauses):
+    # both count two balanced vectors per satisfying assignment and slack
+    # choice, except that the v - v' dropped variables make no signed values:
+    # 2**(-(v - v')) the count over 2**(v' + 2c + 1) sign vectors, against
+    # 2**(2v + 2c + 2), so 2**(v+1) times the DC
+    f = CnfFormula(4, tuple(map(tuple, clauses)))
+    signed = sat_to_partition(f)
+    dc = ideal_dc(signed)
+    assert dc == 2 ** (_active_variables(f) + 1) * ideal_dc(base6_reduction(f))
+    assert (dc > 0) == solve_exact(signed) == _truth_table_sat(f)
+    if signed.n <= 30:
+        assert bruteforce_dc(signed) == dc
 
 
 def test_extract_witness_unique_model():
@@ -264,6 +302,16 @@ def test_analog_backend_small_formula():
     assert assignment == (False, True)
 
 
+def test_analog_backend_answers_a_four_variable_formula():
+    # every reduction, n = 13 at most, fits the grid guard (the base-6
+    # reduction's first call needed 43,200,000 points)
+    f = parse_dimacs("p cnf 4 4\n-2 4 -3 0\n4 3 -1 0\n3 -1 -2 0\n-2 -4 -3 0\n")
+    backend = OracleBackend(kind="analog")
+    assert extract_witness(f, backend) == extract_witness(f, OracleBackend("exact-dp")) \
+        == (True, False, True, True)
+    assert backend.calls == 5
+
+
 def _spy_chains(monkeypatch) -> list:
     """The (cfg, spec) of every chain `OracleBackend.decide` runs `decide_analog` on."""
     chains, real = [], reductions.decide_analog
@@ -286,14 +334,14 @@ def test_analog_backend_squeezes(monkeypatch):
     assert spec.cutoff_f0 == pytest.approx(scale * backend.fspec.cutoff_f0)
 
 
-# its reduction needs 7,200,000 grid points per period, over the 2,000,000 limit
-_OVERSIZED = CnfFormula(3, ((1, 2, 3), (-1, 2), (-2, -3), (1, -3)))
+# its reduction needs 12,582,912 grid points per period, over the 2,000,000 limit
+_OVERSIZED = CnfFormula(3, ((1, 2, 3), (-1, 2), (-2, -3), (1, -3), (2, 3), (-1, -3), (1, 2, -3)))
 
 
 def test_analog_backend_refuses_oversized():
     backend = OracleBackend(kind="analog")
     inst = sat_to_partition(_OVERSIZED)
-    assert points_per_period(inst, NonidealityConfig.ideal()) == 7_200_000
+    assert points_per_period(inst, NonidealityConfig.ideal()) == 12_582_912
     with pytest.raises(GridTooLargeError):
         backend.decide(inst)
 
