@@ -25,27 +25,32 @@ repeated many times beside many large distinct ones makes one half larger
 than the other (15 copies of 10**6 beside 28 values in 1e7..1e9: 2**17 sums
 against 2**14).  Both halves' sorted distinct sums come from one
 kernel, `_subset_sums`, which takes those (value, copies) groups.  Its
-leading groups fill one table of at most 4096 sums, the c copies of a
-adding c shifted blocks; the table is sorted and its repeats merged only
-when some value does not exceed the span of the sums before it.  Each later
-value a extends the sorted sums s by s + a: a plain concatenation when a
-exceeds their span, and otherwise a merge that drops repeats (most of a SAT
-reduction's signed variable numbers take a merge).  The decision only asks
-whether a pair exists: it sorts one half's sums with the target minus the
-other's, two ascending runs that a stable sort merges, and looks for equal
-neighbours.
-`ideal_dc` counts the pairs: the kernel tags each sum with the number of
-subsets behind it, `_match` finds every pair of sums that reaches the
-target, and each pair adds the product of its tags, twice (the pinned value
-on either side).
+leading groups fill one table, of exactly the product of their (copies + 1)
+sums and at most 4096, the c copies of a adding c shifted blocks; the table
+is sorted and its repeats merged only when some value does not exceed the
+span of the sums before it.  Each later value a extends the sorted sums s by
+s + a: a plain concatenation when a exceeds their span, and otherwise a
+merge that drops repeats (most of a SAT reduction's signed variable numbers
+take a merge).
+The decision and the count pair the halves one way, `_merge`: one half's
+sums and the target minus the other's are two ascending runs that a stable
+sort merges, and a pair of sums reaches the target exactly where two
+neighbours are equal.  The decision asks whether there is one.  `ideal_dc`
+counts them (`_pairs`): each pair adds the product of the numbers of
+subsets behind its two sums, twice (the pinned value on either side).  The
+kernel returns a half's counts only when some sum stands for two or more
+subsets (equal values, or sums that collide); a half whose sums are all
+distinct has none, a missing count reads as 1, and its pairs are just the
+equal neighbours.
 
 Spectrum amplitudes use the time-average convention: the line at frequency
 w carries (number of sign vectors summing to w) / 2**n, which is directly
 testable against numerical integration.  `analytic_spectrum` takes them from
-the same counting kernel as `ideal_dc`: a sign vector whose + values sum to s
-sums to 2s - total, so its cost grows with the number of distinct subset
-sums, not with the total.  Its `Spectrum` holds two arrays, exact in float64:
-2*sums - total and counts / 2**n, each count below 2**21.  The Dirac-weight
+the same counting kernel as `ideal_dc`, a missing count again read as 1: a
+sign vector whose + values sum to s sums to 2s - total, so its cost grows
+with the number of distinct subset sums, not with the total.  Its
+`Spectrum` holds two arrays, exact in float64: 2*sums - total and
+counts / 2**n, each count below 2**21.  The Dirac-weight
 convention of the angular-frequency Fourier transform differs by sqrt(2*pi).
 """
 
@@ -170,15 +175,22 @@ def _sort_distinct(sums: np.ndarray, tags: Optional[np.ndarray], counts: bool,
                    kind: Optional[str] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Sort `sums` in place (numpy's sort ``kind``) and merge equal sums, adding their tags.
 
-    Without ``tags`` each sum stands for one subset, so with ``counts`` the
-    tags are the lengths of the runs of equal sums.  On two sorted runs the
-    stable sort merges in linear time.
+    Without ``tags`` each sum stands for one subset.  If the sorted sums are
+    distinct they are returned as they are, still without tags; otherwise
+    they are compacted and, with ``counts``, tagged with the lengths of
+    their runs of equal sums.  On two sorted runs the stable sort merges in
+    linear time.
     """
     if tags is None:
         sums.sort(kind=kind)
         first = _run_starts(sums)
+        if first.all():
+            return sums, None
         if counts:
-            tags = np.diff(np.flatnonzero(first), append=len(sums))
+            starts = np.flatnonzero(first)
+            tags = np.empty(len(starts), dtype=np.int64)
+            np.subtract(starts[1:], starts[:-1], out=tags[:-1])
+            tags[-1] = len(sums) - starts[-1]
         return sums[first], tags
     order = sums.argsort(kind=kind)
     sums = sums[order]
@@ -190,51 +202,52 @@ def _subset_sums(groups: Sequence[tuple[int, int]],
                  counts: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Sorted distinct subset sums of the multiset of (value, copies) `groups`.
 
-    Without ``counts`` the second item is None.  With it, each sum's int64
-    count is the number of subsets behind it, equal values told apart, so
-    all counts sum to 2**(number of values).
+    The second item is the int64 count of subsets behind each sum, equal
+    values told apart, so that all counts sum to 2**(number of values).  It
+    is None without ``counts``, and also with it when every sum stands for
+    exactly one subset: a missing count reads as 1.  So a count array is
+    returned exactly when some sum has two or more subsets behind it.
 
     The leading groups, while the product of their (copies + 1) stays
-    within 2**`_TABLE_BITS`, fill one table group by group: c copies of a
-    add the c blocks s + k*a, k = 1..c, of the sums s before them, and with
-    ``counts`` block k's tags are the earlier tags times comb(c, k).  The
-    table is sorted, and its equal sums merged, only when some a does not
-    exceed the span of the sums before it; otherwise its blocks already
-    ascend and are distinct.  Each copy of a later group adds s + a to the
-    sums s: a concatenation when a exceeds their span, and otherwise a
-    stable sort of the two sorted runs that merges equal sums.
+    within 2**`_TABLE_BITS`, fill one table of exactly that many sums,
+    group by group: c copies of a add the c blocks s + k*a, k = 1..c, of the
+    sums s before them, and with ``counts`` block k's tags are the earlier
+    tags times comb(c, k).  The table is sorted, and its equal sums merged,
+    only when some a does not exceed the span of the sums before it;
+    otherwise its blocks already ascend and are distinct.  Each copy of a
+    later group adds s + a to the sums s: a concatenation when a exceeds
+    their span, and otherwise a stable sort of the two sorted runs that
+    merges equal sums.
     """
-    table = np.empty(1 << min(sum(c for _, c in groups), _TABLE_BITS), dtype=np.int64)
-    table[0] = 0
-    tags = None
-    width, span, head, overlap = 1, 0, 0, False
-    for a, c in groups:
-        end = width * (c + 1)
-        if end > len(table):
+    size, head = 1, 0
+    for _, c in groups:
+        if size * (c + 1) > 1 << _TABLE_BITS:
             break
+        size *= c + 1
+        head += 1
+    sums = np.empty(size, dtype=np.int64)
+    sums[0] = 0
+    tags = None
+    width, span, overlap = 1, 0, False
+    for a, c in groups[:head]:
+        end = width * (c + 1)
         overlap = overlap or a <= span
         if c == 1:  # one block: most groups, spared the block loop's cost
-            np.add(table[:width], a, out=table[width:end])
+            np.add(sums[:width], a, out=sums[width:end])
             if tags is not None:
                 tags[width:end] = tags[:width]
         else:
             if counts and tags is None:
-                tags = np.ones(len(table), dtype=np.int64)
+                tags = np.ones(size, dtype=np.int64)
             for k in range(1, c + 1):
                 block = slice(k * width, (k + 1) * width)
-                np.add(table[:width], k * a, out=table[block])
+                np.add(sums[:width], k * a, out=sums[block])
                 if tags is not None:
                     np.multiply(tags[:width], math.comb(c, k), out=tags[block])
         width = end
         span += c * a
-        head += 1
-    sums = table[:width]
-    if tags is not None:
-        tags = tags[:width]
     if overlap:
         sums, tags = _sort_distinct(sums, tags, counts)
-    elif counts and tags is None:
-        tags = np.ones(width, dtype=np.int64)
     for a, c in groups[head:]:
         for _ in range(c):
             m = len(sums)
@@ -274,19 +287,40 @@ def _halves(inst: CpiInstance) -> tuple[tuple[tuple[int, int], ...],
     return tuple(groups[0::2]), tuple(groups[1::2]), target
 
 
-def _match(left: np.ndarray, right: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices i, j of every pair of sorted distinct sums with left[i] + right[j] == target.
+def _merge(left: np.ndarray, right: np.ndarray, target: int) -> np.ndarray:
+    """The sorted distinct sums `left` and target minus `right`, merged in ascending order.
 
-    The smaller side's needs are searched in the larger side.  The pairs
-    come in no promised order.
+    Both runs ascend and hold distinct sums, so the stable sort merges them
+    in linear time, and two neighbours are equal exactly where left[i] +
+    right[j] == target.
     """
-    if len(left) > len(right):
-        j, i = _match(right, left, target)
-        return i, j
-    need = target - left
-    j = np.minimum(np.searchsorted(right, need), len(right) - 1)
-    hit = right[j] == need
-    return np.flatnonzero(hit), j[hit]
+    m = len(left)
+    merged = np.empty(m + len(right), dtype=np.int64)
+    merged[:m] = left
+    np.subtract(target, right[::-1], out=merged[m:])
+    merged.sort(kind="stable")
+    return merged
+
+
+def _pairs(left: tuple[np.ndarray, Optional[np.ndarray]],
+           right: tuple[np.ndarray, Optional[np.ndarray]], target: int) -> int:
+    """Number of subset pairs, one of each half, whose sums add up to `target`.
+
+    Each half is (sums, counts) as `_subset_sums` returns it, a missing
+    count read as 1.  Each equal pair of neighbours in `_merge` adds the
+    product of its two sums' counts; without count arrays it adds 1.
+    """
+    (x, c_x), (y, c_y) = left, right
+    merged = _merge(x, y, target)
+    met = merged[1:][merged[1:] == merged[:-1]]  # the left sums that reach the target
+    if c_x is None and c_y is None:
+        return len(met)
+    weight = np.ones(len(met), dtype=np.int64)
+    if c_x is not None:
+        weight *= c_x[np.searchsorted(x, met)]
+    if c_y is not None:
+        weight *= c_y[np.searchsorted(y, target - met)]
+    return int(weight.sum())
 
 
 def ideal_dc(inst: CpiInstance) -> Fraction:
@@ -294,16 +328,16 @@ def ideal_dc(inst: CpiInstance) -> Fraction:
 
     A sign vector balances when its + positions sum to total/2.  With the
     largest value pinned to the + side (`_halves`), the numerator is twice
-    the sum over x of c_L[x] * c_R[target - x], where c_L and c_R count the
-    subsets of each half by their sum.  It is at most 2**n.
+    the number of subset pairs, one of each half, whose sums reach the
+    target: the sum over x of c_L[x] * c_R[target - x], where c_L and c_R
+    count the subsets of each half by their sum (`_pairs`).  It is at most
+    2**n.
     """
     if inst.total % 2:
         return Fraction(0)
     lo, hi, target = _halves(inst)
-    left, c_left = _subset_sums(lo, counts=True)
-    right, c_right = _subset_sums(hi, counts=True)
-    i, j = _match(left, right, target)
-    return Fraction(2 * int(np.dot(c_left[i], c_right[j])), 2**inst.n)
+    pairs = _pairs(_subset_sums(lo, counts=True), _subset_sums(hi, counts=True), target)
+    return Fraction(2 * pairs, 2**inst.n)
 
 
 def _dp_reachable(values: tuple[int, ...], half: int) -> int:
@@ -359,11 +393,8 @@ def decide_meet_in_middle(inst: CpiInstance) -> bool:
     if inst.total % 2:
         return False
     lo, hi, target = _halves(inst)
-    # two ascending runs of distinct sums: the stable sort merges them, and
-    # a pair reaches the target exactly where two neighbours are equal
-    merged = np.concatenate([_subset_sums(hi)[0], target - _subset_sums(lo)[0][::-1]])
-    merged.sort(kind="stable")
-    return not _run_starts(merged).all()
+    # a pair reaches the target exactly where two neighbours of the merge are equal
+    return not _run_starts(_merge(_subset_sums(hi)[0], _subset_sums(lo)[0], target)).all()
 
 
 def solve_exact(inst: CpiInstance) -> bool:
@@ -394,4 +425,6 @@ def analytic_spectrum(inst: CpiInstance) -> Spectrum:
         raise InstanceTooLargeError(
             f"sum={total} exceeds the spectrum guard of {MAX_SPECTRUM_TOTAL}")
     sums, counts = _subset_sums(_groups(inst.values), counts=True)
+    if counts is None:  # every line stands for one sign vector
+        counts = np.ones(len(sums))
     return Spectrum(freqs=2 * sums - total, amps=counts / 2**inst.n)

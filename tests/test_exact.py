@@ -155,21 +155,27 @@ def test_subset_sum_kernel(values):
         sums, none = exact._subset_sums(order)
         assert none is None and sums.tolist() == distinct.tolist()
         sums, tally = exact._subset_sums(order, counts=True)
-        assert sums.tolist() == distinct.tolist() and tally.tolist() == counts.tolist()
+        assert sums.tolist() == distinct.tolist()
+        # a count array exactly when some sum stands for two or more subsets
+        assert (tally is None) == (counts == 1).all()
+        assert tally is None or tally.tolist() == counts.tolist()
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(min_value=1, max_value=8), max_size=14),
        st.lists(st.integers(min_value=1, max_value=8), max_size=14),
        st.integers(min_value=0, max_value=112))
-def test_match_finds_every_pair(lo, hi, half):
-    left, right = (exact._subset_sums(exact._groups(half))[0] for half in (lo, hi))
-    want = [(i, j) for i, x in enumerate(left.tolist())
-            for j, y in enumerate(right.tolist()) if x + y == half]
-    i, j = exact._match(left, right, half)
-    assert sorted(zip(i.tolist(), j.tolist())) == want
-    j, i = exact._match(right, left, half)
-    assert sorted(zip(i.tolist(), j.tolist())) == want
+@example([1, 2, 4, 8], [3, 6, 12], 16)  # neither half has a count array
+@example([1, 2, 4, 8], [1, 1, 2, 3], 9)  # only one half has one
+@example([1, 1, 2, 3], [1, 2, 4, 8], 9)
+def test_pairs_count_every_pair_of_subsets(lo, hi, target):
+    halves = [exact._subset_sums(exact._groups(half), counts=True) for half in (lo, hi)]
+    (x, c_x), (y, c_y) = ((sums.tolist(), [1] * len(sums) if c is None else c.tolist())
+                          for sums, c in halves)
+    want = sum(c_x[i] * c_y[j] for i in range(len(x)) for j in range(len(y))
+               if x[i] + y[j] == target)
+    assert exact._pairs(*halves, target) == want
+    assert exact._pairs(*halves[::-1], target) == want
 
 
 def _mim_draws():
@@ -262,6 +268,21 @@ def test_mim_peak_memory_on_sat_reductions(build, route, bound_kb):
         finally:
             tracemalloc.stop()
         assert peak < bound_kb * 1024, (route.__name__, peak)
+
+
+def test_ideal_dc_peak_memory_on_distinct_sums():
+    # 24 values in 1e7..1e8: both halves list distinct sums, so neither has a count array
+    rng = random.Random(24)
+    values = [rng.randint(10**7, 10**8) for _ in range(24)]
+    values[-1] += sum(values) % 2  # an even total, so that the pairs are counted
+    inst = CpiInstance(tuple(values))
+    lo, hi, _ = exact._halves(inst)
+    halves = [exact._subset_sums(half, counts=True) for half in (lo, hi)]
+    assert [(len(sums), tally) for sums, tally in halves] == [(4096, None), (2048, None)]
+    # at most 4 int64 words per sum of the larger half, 131 KB; with numpy 2.4 the
+    # peak is 105 KB, and 151 KB with count arrays of ones and paired indices
+    _, peak = tracemalloc_peak(lambda: ideal_dc(inst))
+    assert peak <= 4 * 8 * 4096, peak
 
 
 @settings(max_examples=300)
